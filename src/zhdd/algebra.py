@@ -3,18 +3,31 @@
 Everything here rebuilds its result through a fresh :class:`Builder`, so
 the outputs are reduced by construction (given sanely-scaled weights —
 see the grid caveats in :mod:`zhdd.sqmdd`).  Inputs do **not** have to be
-reduced; the recursions only rely on validity.
+reduced; the operations only rely on validity.
 
-All single-diagram operations are linear in edge weights, so they memoize
-on ``(node id, level)`` and multiply incoming weights through — the cost
-is proportional to the diagram, not to 2**H.
+The wire operations share one level-walker (:func:`_walker`).  It visits
+each node above a target height once, bottom-up in ascending height, and
+rebuilds it ``drop`` levels lower: 1 when the target wire disappears, 0
+when it stays.  An edge that arrives at or crosses the target is cut there:
+the two cofactors of its child at the target height go to the operation's
+``act(e0, e1)``, and the walker scales the returned edge by the edge
+weight.  The operations are linear in edge weights, so ``act`` runs once
+per child and the cost is proportional to the diagram, not to 2**H.
+
+The sum (:func:`_adder`) walks an edge pair with an explicit stack.  Both
+engines read a node's height off the node, so levels that an edge skips
+are jumped over, never stepped through, and neither recurses: height is
+bounded by memory, not by the interpreter's recursion limit.  The sum's
+computed table is keyed on the raw edge weights, not on their grid cells:
+two sums whose weights differ below eps would share one result, and the
+output would depend on which of them ran first.
 
 Wire indexing: output ``i`` counts from the top, so it lives at height
 ``H - i``; output 0 is the most significant bit of the denoted vector.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,11 +37,94 @@ from .sqmdd import (
     TERMINAL,
     Builder,
     Edge,
+    Node,
     Sqmdd,
     split_edge,
     weight_key,
     zero_form,
 )
+
+Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
+Walk = Callable[[Edge], Edge]
+
+
+def _height(d: Sqmdd, c: int) -> int:
+    return 0 if c == TERMINAL else d.nodes[c].height
+
+
+def _walker(d: Sqmdd, bld: Builder, target: int, drop: int, act: Act) -> Walk:
+    """Rebuild the part of ``d`` above height ``target`` under an edge.
+
+    Nodes above the target come back ``drop`` levels lower; every child at
+    or below it becomes ``act`` of its two cofactors at the target.  The
+    returned function may be called on several edges of ``d``; they share
+    one table of rebuilt nodes.
+    """
+    done: dict[int, Edge | None] = {}
+
+    def walk(top: Edge) -> Edge:
+        order, stack = [], [top[1]]
+        while stack:
+            u = stack.pop()
+            if u in done:
+                continue
+            if _height(d, u) <= target:
+                unit = (1.0 + 0j, u)
+                done[u] = act(split_edge(d, unit, target, 0), split_edge(d, unit, target, 1))
+            else:
+                done[u] = None  # rebuilt below, once its children are
+                order.append(u)
+                stack += (d.nodes[u].c0, d.nodes[u].c1)
+        for u in sorted(order, key=lambda u: d.nodes[u].height):
+            n = d.nodes[u]
+            (l0, c0), (l1, c1) = done[n.c0], done[n.c1]
+            done[u] = bld.edge(n.height - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
+        lam, c = done[top[1]]
+        return (top[0] * lam, c)
+
+    return walk
+
+
+def _restrictor(d: Sqmdd, bld: Builder, imp: dict, target: int, bit: int) -> Walk:
+    """A walker that fixes the variable at ``target`` to ``bit``."""
+    return _walker(d, bld, target, 1, lambda e0, e1: bld.import_edge(d, (e0, e1)[bit], imp))
+
+
+def _adder(bld: Builder, a: Sqmdd, b: Sqmdd) -> Act:
+    """Pointwise sum of an edge of ``a`` and an edge of ``b``; the returned
+    function's calls share one computed table."""
+    memo: dict[tuple, Edge] = {}
+    imp_a: dict[int, Edge] = {}
+    imp_b = imp_a if b is a else {}
+
+    def known(ea: Edge, eb: Edge) -> Edge | None:
+        (wa, ca), (wb, cb) = ea, eb
+        key = (ca, wa, cb, wb)
+        hit = memo.get(key)
+        if hit is None:
+            if ca == TERMINAL and wa == 0j:
+                hit = memo[key] = bld.import_edge(b, eb, imp_b)
+            elif cb == TERMINAL and wb == 0j:
+                hit = memo[key] = bld.import_edge(a, ea, imp_a)
+            elif ca == cb == TERMINAL:
+                hit = memo[key] = (wa + wb, TERMINAL)
+        return hit
+
+    def total(ea: Edge, eb: Edge) -> Edge:
+        stack = [(ea, eb, 0, None)]
+        while stack:
+            pa, pb, h, halves = stack.pop()
+            if halves is not None:  # second visit: both halves are known
+                (wa, ca), (wb, cb) = pa, pb
+                memo[(ca, wa, cb, wb)] = bld.edge(h, *(known(*p) for p in halves))
+            elif known(pa, pb) is None:
+                h = max(_height(a, pa[1]), _height(b, pb[1]))
+                halves = [(split_edge(a, pa, h, s), split_edge(b, pb, h, s)) for s in (0, 1)]
+                stack.append((pa, pb, h, halves))
+                stack += [(*p, 0, None) for p in reversed(halves)]  # the 0-side first
+        return known(ea, eb)
+
+    return total
 
 
 def canonical_from_vector(vec, settings: Settings = DEFAULT) -> Sqmdd:
@@ -40,14 +136,10 @@ def canonical_from_vector(vec, settings: Settings = DEFAULT) -> Sqmdd:
         raise ShapeError("vector entries must be finite")
     height = v.size.bit_length() - 1
     bld = Builder(settings)
-
-    def go(a: np.ndarray) -> Edge:
-        if a.size == 1:
-            return (complex(a[0]), TERMINAL)
-        half = a.size // 2
-        return bld.edge(a.size.bit_length() - 1, go(a[:half]), go(a[half:]))
-
-    return bld.finish(go(v), height)
+    level = [(complex(x), TERMINAL) for x in v]
+    for h in range(1, height + 1):
+        level = [bld.edge(h, level[k], level[k + 1]) for k in range(0, len(level), 2)]
+    return bld.finish(level[0], height)
 
 
 def scale(d: Sqmdd, factor: complex, settings: Settings = DEFAULT) -> Sqmdd:
@@ -66,31 +158,7 @@ def add(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
     if a.height != b.height:
         raise ShapeError(f"cannot add heights {a.height} and {b.height}")
     bld = Builder(settings)
-    imp_a: dict[int, Edge] = {}
-    imp_b: dict[int, Edge] = {}
-    memo: dict[tuple, Edge] = {}
-
-    def go(ea: Edge, eb: Edge, h: int) -> Edge:
-        (wa, ca), (wb, cb) = ea, eb
-        if ca == TERMINAL and wa == 0j:
-            return bld.import_edge(b, eb, imp_b)
-        if cb == TERMINAL and wb == 0j:
-            return bld.import_edge(a, ea, imp_a)
-        if h == 0:
-            return (wa + wb, TERMINAL)
-        key = (h, ca, wa, cb, wb)
-        hit = memo.get(key)
-        if hit is None:
-            hit = bld.edge(
-                h,
-                go(split_edge(a, ea, h, 0), split_edge(b, eb, h, 0), h - 1),
-                go(split_edge(a, ea, h, 1), split_edge(b, eb, h, 1), h - 1),
-            )
-            memo[key] = hit
-        return hit
-
-    top = go((a.scalar, a.root), (b.scalar, b.root), a.height)
-    return bld.finish(top, a.height)
+    return bld.finish(_adder(bld, a, b)((a.scalar, a.root), (b.scalar, b.root)), a.height)
 
 
 def tensor(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
@@ -116,126 +184,11 @@ def tensor(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
             return (w, b.root)  # b.root may itself be the terminal
         return (w, TERMINAL)
 
-    from .sqmdd import Node
-
     for i, n in a.nodes.items():
         w0, c0 = relink(n.w0, n.c0)
         w1, c1 = relink(n.w1, n.c1)
         nodes[i + offset] = Node(n.height + b.height, w0, c0, w1, c1)
     return Sqmdd(scalar, height, a.root + offset, nodes)
-
-
-class _Rebuild:
-    """Shared scaffolding for the weight-linear wire operations."""
-
-    def __init__(self, d: Sqmdd, settings: Settings) -> None:
-        self.d = d
-        self.bld = Builder(settings)
-        self.imp: dict[int, Edge] = {}
-        self.memo: dict[tuple, Edge] = {}
-
-    def split(self, c: int, h: int, side: int) -> Edge:
-        return split_edge(self.d, (1.0 + 0j, c), h, side)
-
-    def import_sub(self, e: Edge) -> Edge:
-        return self.bld.import_edge(self.d, e, self.imp)
-
-    # -- restriction: fix the variable at `target` to `bit` -----------------
-
-    def restrict(self, c: int, h: int, target: int, bit: int) -> Edge:
-        if h == target:
-            return self.import_sub(self.split(c, h, bit))
-        key = ("res", c, h, bit)
-        hit = self.memo.get(key)
-        if hit is None:
-            (w0, c0), (w1, c1) = self.split(c, h, 0), self.split(c, h, 1)
-            r0 = self.restrict(c0, h - 1, target, bit)
-            r1 = self.restrict(c1, h - 1, target, bit)
-            hit = self.bld.edge(h - 1, (w0 * r0[0], r0[1]), (w1 * r1[0], r1[1]))
-            self.memo[key] = hit
-        return hit
-
-    # -- diagonal: identify the variables at `hi` and `hj` (hi > hj) --------
-
-    def merge(self, c: int, h: int, hi: int, hj: int) -> Edge:
-        if h == hi:
-            (w0, c0), (w1, c1) = self.split(c, h, 0), self.split(c, h, 1)
-            r0 = self.restrict(c0, h - 1, hj, 0)
-            r1 = self.restrict(c1, h - 1, hj, 1)
-            return self.bld.edge(h - 1, (w0 * r0[0], r0[1]), (w1 * r1[0], r1[1]))
-        key = ("mrg", c, h)
-        hit = self.memo.get(key)
-        if hit is None:
-            (w0, c0), (w1, c1) = self.split(c, h, 0), self.split(c, h, 1)
-            r0 = self.merge(c0, h - 1, hi, hj)
-            r1 = self.merge(c1, h - 1, hi, hj)
-            hit = self.bld.edge(h - 1, (w0 * r0[0], r0[1]), (w1 * r1[0], r1[1]))
-            self.memo[key] = hit
-        return hit
-
-    # -- summation: plug the all-ones effect into the variable at `target` --
-
-    def add_pair(self, ea: Edge, eb: Edge, h: int) -> Edge:
-        (wa, ca), (wb, cb) = ea, eb
-        if ca == TERMINAL and wa == 0j:
-            return self.import_sub(eb)
-        if cb == TERMINAL and wb == 0j:
-            return self.import_sub(ea)
-        if h == 0:
-            return (wa + wb, TERMINAL)
-        key = ("sum", h, ca, wa, cb, wb)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.bld.edge(
-                h,
-                self.add_pair(
-                    split_edge(self.d, ea, h, 0), split_edge(self.d, eb, h, 0), h - 1
-                ),
-                self.add_pair(
-                    split_edge(self.d, ea, h, 1), split_edge(self.d, eb, h, 1), h - 1
-                ),
-            )
-            self.memo[key] = hit
-        return hit
-
-    def plug(self, c: int, h: int, target: int) -> Edge:
-        if h == target:
-            return self.add_pair(self.split(c, h, 0), self.split(c, h, 1), h - 1)
-        key = ("plg", c, h)
-        hit = self.memo.get(key)
-        if hit is None:
-            (w0, c0), (w1, c1) = self.split(c, h, 0), self.split(c, h, 1)
-            r0 = self.plug(c0, h - 1, target)
-            r1 = self.plug(c1, h - 1, target)
-            hit = self.bld.edge(h - 1, (w0 * r0[0], r0[1]), (w1 * r1[0], r1[1]))
-            self.memo[key] = hit
-        return hit
-
-    # -- exchange the adjacent variables at heights k+1 and k ---------------
-
-    def swap(self, c: int, h: int, k: int) -> Edge:
-        if h == k + 1:
-            quads = []
-            for a_bit in (0, 1):
-                w_a, c_a = self.split(c, h, a_bit)
-                for b_bit in (0, 1):
-                    w_b, c_b = self.split(c_a, h - 1, b_bit)
-                    quads.append((w_a * w_b, c_b))
-            ll, lr, rl, rr = (self.import_sub(e) for e in quads)
-            return self.bld.edge(
-                k + 1,
-                self.bld.edge(k, ll, rl),
-                self.bld.edge(k, lr, rr),
-            )
-        key = ("swp", c, h)
-        hit = self.memo.get(key)
-        if hit is None:
-            (w0, c0), (w1, c1) = self.split(c, h, 0), self.split(c, h, 1)
-            r0 = self.swap(c0, h - 1, k)
-            r1 = self.swap(c1, h - 1, k)
-            hit = self.bld.edge(h, (w0 * r0[0], r0[1]), (w1 * r1[0], r1[1]))
-            self.memo[key] = hit
-        return hit
 
 
 def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -244,9 +197,9 @@ def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
         raise ShapeError(f"wire {i} out of range for height {d.height}")
     if bit not in (0, 1):
         raise ShapeError(f"bit must be 0 or 1, got {bit!r}")
-    rb = _Rebuild(d, settings)
-    w, c = rb.restrict(d.root, d.height, d.height - i, bit)
-    return rb.bld.finish((d.scalar * w, c), d.height - 1)
+    bld = Builder(settings)
+    top = _restrictor(d, bld, {}, d.height - i, bit)((d.scalar, d.root))
+    return bld.finish(top, d.height - 1)
 
 
 def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -257,27 +210,41 @@ def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> S
         raise ShapeError(
             f"need two distinct wires 0 <= i < j < {d.height}, got ({i}, {j})"
         )
-    rb = _Rebuild(d, settings)
-    w, c = rb.merge(d.root, d.height, d.height - i, d.height - j)
-    return rb.bld.finish((d.scalar * w, c), d.height - 1)
+    bld, imp, hi = Builder(settings), {}, d.height - i
+    r0, r1 = (_restrictor(d, bld, imp, d.height - j, bit) for bit in (0, 1))
+
+    def act(e0: Edge, e1: Edge) -> Edge:
+        return bld.edge(hi - 1, r0(e0), r1(e1))
+
+    top = _walker(d, bld, hi, 1, act)((d.scalar, d.root))
+    return bld.finish(top, d.height - 1)
 
 
 def plug_bra_plus(d: Sqmdd, i: int, settings: Settings = DEFAULT) -> Sqmdd:
     """Contract output wire ``i`` with the all-ones effect (sum it out)."""
     if not 0 <= i < d.height:
         raise ShapeError(f"wire {i} out of range for height {d.height}")
-    rb = _Rebuild(d, settings)
-    w, c = rb.plug(d.root, d.height, d.height - i)
-    return rb.bld.finish((d.scalar * w, c), d.height - 1)
+    bld = Builder(settings)
+    top = _walker(d, bld, d.height - i, 1, _adder(bld, d, d))((d.scalar, d.root))
+    return bld.finish(top, d.height - 1)
 
 
 def swap_adjacent_levels(d: Sqmdd, k: int, settings: Settings = DEFAULT) -> Sqmdd:
     """Exchange the variables at heights ``k+1`` and ``k`` (1 <= k < H)."""
     if not 1 <= k < d.height:
         raise ShapeError(f"level {k} out of range for height {d.height}")
-    rb = _Rebuild(d, settings)
-    w, c = rb.swap(d.root, d.height, k)
-    return rb.bld.finish((d.scalar * w, c), d.height)
+    bld, imp = Builder(settings), {}
+
+    def act(e0: Edge, e1: Edge) -> Edge:
+        ll, lr, rl, rr = (
+            bld.import_edge(d, split_edge(d, e, k, side), imp)
+            for e in (e0, e1)
+            for side in (0, 1)
+        )
+        return bld.edge(k + 1, bld.edge(k, ll, rl), bld.edge(k, lr, rr))
+
+    top = _walker(d, bld, k + 1, 0, act)((d.scalar, d.root))
+    return bld.finish(top, d.height)
 
 
 def permute_outputs(d: Sqmdd, perm: Sequence[int], settings: Settings = DEFAULT) -> Sqmdd:

@@ -2,13 +2,14 @@
 
 One command per invocation, JSON in, JSON (or DOT) out.  Exit codes:
 0 success, 1 semantic inequivalence or claim failure, 2 malformed input,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal error (a bug in zhdd, never a verdict).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from typing import Any, Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_DIFFER = 1
 EXIT_MALFORMED = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> Any:
@@ -316,6 +318,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except json.JSONDecodeError as exc:  # pragma: no cover - subclass of ValueError
         print(f"bad JSON: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception as exc:  # a bug, not a verdict: never let it read as exit 1
+        traceback.print_exc(limit=-20)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

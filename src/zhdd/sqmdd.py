@@ -239,12 +239,17 @@ def structurally_same(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> bool:
         return False
     pair_ab: dict[int, int] = {}
     pair_ba: dict[int, int] = {}
-
-    def walk(x: int, y: int) -> bool:
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
         if x == TERMINAL or y == TERMINAL:
-            return x == y
+            if x != y:
+                return False
+            continue
         if x in pair_ab or y in pair_ba:
-            return pair_ab.get(x) == y and pair_ba.get(y) == x
+            if pair_ab.get(x) != y or pair_ba.get(y) != x:
+                return False
+            continue
         na, nb = a.nodes.get(x), b.nodes.get(y)
         if na is None or nb is None or na.height != nb.height:
             return False
@@ -252,9 +257,8 @@ def structurally_same(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> bool:
             return False
         pair_ab[x] = y
         pair_ba[y] = x
-        return walk(na.c0, nb.c0) and walk(na.c1, nb.c1)
-
-    return walk(a.root, b.root)
+        stack += ((na.c1, nb.c1), (na.c0, nb.c0))
+    return True
 
 
 def iso_equal(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> bool:
@@ -356,16 +360,14 @@ def renumber(d: Sqmdd) -> Sqmdd:
     Deterministic, so emitted files are stable for golden tests.
     """
     mapping: dict[int, int] = {}
-
-    def walk(u: int) -> None:
+    stack = [d.root]
+    while stack:
+        u = stack.pop()
         if u == TERMINAL or u in mapping:
-            return
+            continue
         mapping[u] = len(mapping) + 1
         n = d.nodes[u]
-        walk(n.c0)
-        walk(n.c1)
-
-    walk(d.root)
+        stack += (n.c1, n.c0)
     nodes = {
         mapping[i]: Node(
             n.height,
@@ -484,31 +486,24 @@ class Builder:
         heights are preserved.
         """
         memo = _memo if _memo is not None else {}
-
-        def node_edge(c: int) -> Edge:
-            if c == TERMINAL:
-                return (1.0 + 0j, TERMINAL)
-            hit = memo.get(c)
-            if hit is not None:
-                return hit
-            n = d.nodes[c]
-            result = self.edge(
-                n.height,
-                self._scaled(node_edge(n.c0), n.w0),
-                self._scaled(node_edge(n.c1), n.w1),
-            )
-            memo[c] = result
-            return result
-
+        memo[TERMINAL] = (1.0 + 0j, TERMINAL)
         w, c = e
-        if c == TERMINAL:
-            return (w, TERMINAL)
-        lam, c2 = node_edge(c)
+        stack = [c]
+        while stack:  # post-order: a node is built once both children are
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            n = d.nodes[u]
+            todo = [v for v in (n.c1, n.c0) if v not in memo]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            (l0, r0), (l1, r1) = memo[n.c0], memo[n.c1]
+            memo[u] = self.edge(n.height, (l0 * n.w0, r0), (l1 * n.w1, r1))
+        lam, c2 = memo[c]
         return (w * lam, c2)
-
-    @staticmethod
-    def _scaled(e: Edge, w: complex) -> Edge:
-        return (e[0] * w, e[1])
 
     def finish(self, top: Edge, height: int) -> Sqmdd:
         """Package a top edge as a diagram, pruning builder garbage."""

@@ -94,26 +94,21 @@ def generator_state_sqmdd(
         if legs == 0:
             return terminal_only(2.0 + 0j, 0)
         bld = Builder(settings)
-
-        def lo(h):  # the |0...0> corner
-            return (1.0 + 0j, TERMINAL) if h == 0 else bld.edge(h, lo(h - 1), (0j, TERMINAL))
-
-        def hi(h):  # the |1...1> corner
-            return (1.0 + 0j, TERMINAL) if h == 0 else bld.edge(h, (0j, TERMINAL), hi(h - 1))
-
-        return bld.finish(bld.edge(legs, lo(legs - 1), hi(legs - 1)), legs)
+        lo = hi = (1.0 + 0j, TERMINAL)  # the |0...0> and |1...1> corners
+        for h in range(1, legs):
+            lo = bld.edge(h, lo, (0j, TERMINAL))
+        for h in range(1, legs):
+            hi = bld.edge(h, (0j, TERMINAL), hi)
+        return bld.finish(bld.edge(legs, lo, hi), legs)
 
     r = complex(label) if label is not None else -1.0 + 0j
     if legs == 0:
         return terminal_only(r, 0)
     bld = Builder(settings)
-
-    def ones_but_last(h):
-        if h == 1:
-            return bld.edge(1, (1.0 + 0j, TERMINAL), (r, TERMINAL))
-        return bld.edge(h, (1.0 + 0j, TERMINAL), ones_but_last(h - 1))
-
-    return bld.finish(ones_but_last(legs), legs)
+    ones_but_last = bld.edge(1, (1.0 + 0j, TERMINAL), (r, TERMINAL))
+    for h in range(2, legs + 1):
+        ones_but_last = bld.edge(h, (1.0 + 0j, TERMINAL), ones_but_last)
+    return bld.finish(ones_but_last, legs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from zhdd.oracle import (
     max_deviation,
 )
 from zhdd.reduction import is_irreducible
-from zhdd.sqmdd import iso_equal, validate, zero_form
+from zhdd.sqmdd import TERMINAL, Builder, iso_equal, validate, zero_form
+from zhdd.translate import generator_state_sqmdd
 
 from conftest import small_vectors, weights
 
@@ -161,3 +162,39 @@ def test_operations_emit_reduced_diagrams():
         swap_adjacent_levels(d, 2),
     ):
         assert is_irreducible(out), "algebra ops go through the builder"
+
+
+DEEP = 3000
+
+
+@pytest.fixture(scope="module")
+def deep_z():
+    return generator_state_sqmdd("z", DEEP)
+
+
+def _all_ones_chain(height):
+    bld = Builder()
+    e = (1.0 + 0j, TERMINAL)
+    for h in range(1, height + 1):
+        e = bld.edge(h, (0j, TERMINAL), e)
+    return bld.finish(e, height)
+
+
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda z: plug_bra_plus(z, DEEP // 2), lambda: generator_state_sqmdd("z", DEEP - 1)),
+        (lambda z: z_merge_outputs(z, 0, DEEP - 1), lambda: generator_state_sqmdd("z", DEEP - 1)),
+        (lambda z: swap_adjacent_levels(z, DEEP // 2), lambda: generator_state_sqmdd("z", DEEP)),
+        (lambda z: add(z, z), lambda: scale(generator_state_sqmdd("z", DEEP), 2)),
+        (lambda z: restrict(z, 7, 1), lambda: _all_ones_chain(DEEP - 1)),
+        (
+            lambda z: permute_outputs(z, [1, 0, *range(2, DEEP)]),
+            lambda: generator_state_sqmdd("z", DEEP),
+        ),
+    ],
+    ids=["plug", "merge", "swap", "add", "restrict", "permute"],
+)
+def test_ops_far_above_the_recursion_limit(deep_z, op, expected):
+    """Every wire operation on a 3000-leg Z state, in closed form."""
+    assert iso_equal(op(deep_z), expected())

@@ -1,15 +1,17 @@
 """End-to-end command behavior, including the exit-code contract:
-0 ok, 1 not-equivalent / claim failed, 2 malformed input, 3 resource cap."""
+0 ok, 1 not-equivalent / claim failed, 2 malformed input, 3 resource cap,
+4 internal error."""
 import json
 
 import numpy as np
 import pytest
 
+from zhdd import cli
 from zhdd.cli import main
 from zhdd.generate import random_dag, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
-from zhdd.sqmdd import renumber, sqmdd_from_json, sqmdd_to_json
+from zhdd.sqmdd import TERMINAL, Builder, renumber, sqmdd_from_json, sqmdd_to_json
 from zhdd.terms import Gen, ZSpider, term_to_json
 from zhdd.translate import sqmdd_to_zh
 
@@ -177,3 +179,29 @@ def test_output_flag_writes_file(write, capsys, tmp_path, diagram):
     assert code == 0 and out == ""
     data = json.loads(out_path.read_text())
     assert np.allclose(vector_from_json(data), interpret_sqmdd(diagram))
+
+
+def test_internal_error_exits_4(write, capsys, monkeypatch, diagram):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_export_dot", boom)
+    f = write("d.json", sqmdd_to_json(diagram))
+    code, _, err = run(capsys, "export-dot", f)
+    assert code == 4
+    assert "internal error: RuntimeError: boom" in err
+
+
+def test_deep_chain_reduce_and_export_dot(write, capsys):
+    """A chain far deeper than the interpreter's recursion limit."""
+    bld = Builder()
+    e = (1.0 + 0j, TERMINAL)
+    for h in range(1, 3001):
+        e = bld.edge(h, e, (0.5 + 0j, TERMINAL))
+    f = write("chain.json", sqmdd_to_json(bld.finish(e, 3000)))
+    code, out, _ = run(capsys, "reduce", f)
+    assert code == 0
+    assert json.loads(out)["trace"] == []
+    code, out, _ = run(capsys, "export-dot", f)
+    assert code == 0
+    assert out.count("shape=circle") == 3000
