@@ -35,6 +35,7 @@ from .terms import (
     XSpider,
     ZSpider,
     ZhTerm,
+    beside,
     par,
     permutation_term,
     seq,
@@ -170,17 +171,6 @@ def _hrow(k: int) -> ZhTerm:
     return par(*[Gen(HBox(1, 1, -1)) for _ in range(k)])
 
 
-def _at(pos: int, t: ZhTerm, rest: int) -> ZhTerm:
-    """``t`` beside identity wires: ``pos`` above, ``rest`` below."""
-    parts: List[ZhTerm] = []
-    if pos:
-        parts.append(wires(pos))
-    parts.append(t)
-    if rest:
-        parts.append(wires(rest))
-    return par(*parts) if len(parts) > 1 else parts[0]
-
-
 def _fixed(*cases: Case) -> Builder:
     return lambda rng: list(cases)
 
@@ -193,8 +183,8 @@ def _bld_z_fusion(rng: np.random.Generator) -> List[Case]:
     cases = []
     for a, b, c, d in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 2, 1, 0), (2, 0, 0, 2), (1, 2, 2, 1)):
         lhs = seq(
-            _at(0, Gen(ZSpider(a, b + 1)), c),
-            _at(b, Gen(ZSpider(c + 1, d)), 0),
+            beside(0, Gen(ZSpider(a, b + 1)), c),
+            beside(b, Gen(ZSpider(c + 1, d)), 0),
         )
         cases.append((lhs, Gen(ZSpider(a + c, b + d))))
     return cases
@@ -246,7 +236,7 @@ def _bld_ket0_hbox(rng: np.random.Generator) -> List[Case]:
     for n in (1, 2, 3):
         for m in (0, 1, 2):
             r = _label(rng)
-            lhs = seq(_at(0, Gen(KetZero()), n - 1), Gen(HBox(n, m, r)))
+            lhs = seq(beside(0, Gen(KetZero()), n - 1), Gen(HBox(n, m, r)))
             cases.append((lhs, Gen(HBox(n - 1, m, 1))))
     return cases
 
@@ -256,7 +246,7 @@ def _bld_ket1_hbox(rng: np.random.Generator) -> List[Case]:
     for n in (1, 2, 3):
         for m in (0, 1, 2):
             r = _label(rng)
-            lhs = seq(_at(0, Gen(KetOne()), n - 1), Gen(HBox(n, m, r)))
+            lhs = seq(beside(0, Gen(KetOne()), n - 1), Gen(HBox(n, m, r)))
             cases.append((lhs, Gen(HBox(n - 1, m, r))))
     return cases
 
@@ -365,7 +355,7 @@ def _bld_swap_propagates(rng: np.random.Generator) -> List[Case]:
     d = _small_dag(rng, h)
     k = int(rng.integers(1, h))  # heights k+1 and k <-> wires h-k-1, h-k
     at = h - k - 1
-    row = _at(at, Gen(Swap()), h - at - 2)
+    row = beside(at, Gen(Swap()), h - at - 2)
     lhs = seq(_emit(d, DEFAULT), row)
     return [(lhs, _emit(swap_adjacent_levels(d, k, DEFAULT), DEFAULT))]
 
@@ -376,7 +366,7 @@ def _bld_merge_propagates(rng: np.random.Generator) -> List[Case]:
     h = int(rng.integers(2, 4))
     d = _small_dag(rng, h)
     i = int(rng.integers(0, h - 1))
-    row = _at(i, Gen(ZSpider(2, 1)), h - i - 2)
+    row = beside(i, Gen(ZSpider(2, 1)), h - i - 2)
     lhs = seq(_emit(d, DEFAULT), row)
     return [(lhs, _emit(z_merge_outputs(d, i, i + 1, DEFAULT), DEFAULT))]
 
@@ -387,7 +377,7 @@ def _bld_plug_propagates(rng: np.random.Generator) -> List[Case]:
     h = int(rng.integers(1, 4))
     d = _small_dag(rng, h)
     i = int(rng.integers(0, h))
-    row = _at(i, Gen(ZSpider(1, 0)), h - i - 1)
+    row = beside(i, Gen(ZSpider(1, 0)), h - i - 1)
     lhs = seq(_emit(d, DEFAULT), row)
     return [(lhs, _emit(plug_bra_plus(d, i, DEFAULT), DEFAULT))]
 

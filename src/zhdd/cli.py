@@ -309,14 +309,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ShapeError, ValueError, KeyError, TypeError) as exc:
+    except (ShapeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except OSError as exc:
         print(f"cannot read/write: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except json.JSONDecodeError as exc:  # pragma: no cover - subclass of ValueError
-        print(f"bad JSON: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except Exception as exc:  # a bug, not a verdict: never let it read as exit 1
         traceback.print_exc(limit=-20)

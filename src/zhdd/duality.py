@@ -13,6 +13,7 @@ from .terms import (
     Cup,
     Gen,
     ZhTerm,
+    beside,
     describe,
     par,
     permutation_term,
@@ -57,5 +58,4 @@ def from_state_form(t: ZhTerm, n_inputs: int) -> ZhTerm:
     for j in range(n_inputs):
         pairing += [m + j, m + n_inputs + j]
     cups = par(*[Gen(Cup()) for _ in range(n_inputs)])
-    tail = cups if m == 0 else par(wires(m), cups)
-    return seq(par(t, wires(n_inputs)), permutation_term(pairing), tail)
+    return seq(par(t, wires(n_inputs)), permutation_term(pairing), beside(m, cups, 0))

@@ -31,11 +31,10 @@ from .terms import (
     XSpider,
     ZSpider,
     ZhTerm,
+    beside,
     generator_arity,
-    par,
     permutation_term,
     seq,
-    wires,
 )
 
 #: weights that are exactly representable and survive products unchanged
@@ -336,14 +335,7 @@ def random_term(
     def row_with(gen_kind, at: int) -> None:
         nonlocal width, used
         n, m = generator_arity(gen_kind)
-        parts: list[ZhTerm] = []
-        if at:
-            parts.append(wires(at))
-        parts.append(Gen(gen_kind))
-        rest = width - at - n
-        if rest:
-            parts.append(wires(rest))
-        rows.append(par(*parts))
+        rows.append(beside(at, Gen(gen_kind), width - at - n))
         width = width - n + m
         used += 1
 

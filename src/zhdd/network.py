@@ -3,9 +3,10 @@
 A term is a composition tree; what the translation to decision diagrams
 actually needs is the underlying undirected network: which spider/box legs
 are soldered to which.  :func:`flatten_to_network` computes it by symbolic
-evaluation — each wire position carries a token, generators union tokens
-with their leg tokens, and the resulting token classes are exactly the
-wires of the network.
+evaluation — one pass over :func:`~zhdd.terms.placed` keeps a token per
+live wire, each generator unions the tokens it consumes with its leg tokens
+and puts its output tokens in their place, and the resulting token classes
+are exactly the wires of the network.
 
 Both Z-spiders and H-boxes are fully symmetric tensors, so a network
 instance needs only a kind, a label, and an arity; leg order is
@@ -28,14 +29,12 @@ from .sugar import expand_sugar
 from .terms import (
     Cap,
     Cup,
-    Gen,
     HBox,
     Identity,
-    ParNode,
-    SeqNode,
     Swap,
     ZSpider,
     ZhTerm,
+    placed,
 )
 
 Port = tuple[int, int]  # (instance index, leg index)
@@ -101,32 +100,27 @@ def flatten_to_network(t: ZhTerm, settings: Settings = DEFAULT) -> Network:
     instances: list[NetInstance] = []
     scalar = 1.0 + 0j
 
-    def ev(term: ZhTerm, ins: list[int]) -> list[int]:
-        nonlocal scalar
-        if isinstance(term, SeqNode):
-            return ev(term.then, ev(term.first, ins))
-        if isinstance(term, ParNode):
-            left = ev(term.left, ins[: term.left.n_in])
-            right = ev(term.right, ins[term.left.n_in :])
-            return left + right
-        kind = term.kind
+    live: list[int] = []  # one token per wire, left to right
+    for g, at in placed(t):
+        kind = g.kind
+        ins = live[at : at + g.n_in]
         if isinstance(kind, Identity):
-            return ins
-        if isinstance(kind, Swap):
-            return [ins[1], ins[0]]
-        if isinstance(kind, Cap):
+            outs = ins
+        elif isinstance(kind, Swap):
+            outs = [ins[1], ins[0]]
+        elif isinstance(kind, Cap):
             a, b = toks.fresh(), toks.fresh()
             toks.union(a, b)
-            return [a, b]
-        if isinstance(kind, Cup):
+            outs = [a, b]
+        elif isinstance(kind, Cup):
             toks.union(ins[0], ins[1])
-            return []
-        if isinstance(kind, (ZSpider, HBox)):
+            outs = []
+        elif isinstance(kind, (ZSpider, HBox)):
             n = kind.inputs
             m = kind.outputs
             if n + m == 0:
                 scalar *= 2.0 if isinstance(kind, ZSpider) else complex(kind.label)
-                return []
+                continue
             idx = len(instances)
             if isinstance(kind, ZSpider):
                 instances.append(NetInstance("z", 0j, n + m))
@@ -135,10 +129,12 @@ def flatten_to_network(t: ZhTerm, settings: Settings = DEFAULT) -> Network:
             legs = [toks.fresh(("port", idx, p)) for p in range(n + m)]
             for wire_tok, leg_tok in zip(ins, legs[:n]):
                 toks.union(wire_tok, leg_tok)
-            return legs[n:]
-        raise ShapeError(f"cannot flatten non-core generator {kind!r}")
+            outs = legs[n:]
+        else:
+            raise ShapeError(f"cannot flatten non-core generator {kind!r}")
+        live[at : at + g.n_in] = outs
 
-    boundary = ev(t, [])
+    boundary = live
     for k, tok in enumerate(boundary):
         toks.attached[tok].append(("out", k))
 

@@ -40,15 +40,15 @@ from .terms import (
     BraPlus,
     MonoidN,
     NotXSpider,
-    ParNode,
-    SeqNode,
     Swap,
     WeightBox,
     XSpider,
     ZSpider,
     ZhTerm,
     describe,
+    fold,
     generator_arity,
+    placed,
 )
 
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -145,20 +145,17 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
 
 
 def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
-    if max(t.n_in, t.n_out) > settings.max_qubits:
-        raise ResourceLimitError(
-            f"sub-term {describe(t)} spans {max(t.n_in, t.n_out)} dense wires "
-            f"(cap is {settings.max_qubits})"
-        )
-    if isinstance(t, Gen):
-        return generator_matrix(t.kind, settings)
-    if isinstance(t, SeqNode):
-        return _interpret_matrix(t.then, settings) @ _interpret_matrix(t.first, settings)
-    if isinstance(t, ParNode):
-        return np.kron(
-            _interpret_matrix(t.left, settings), _interpret_matrix(t.right, settings)
-        )
-    raise ShapeError(f"not a term: {t!r}")
+    # generator_matrix caps each generator, and a sequential block spans no
+    # more wires than its parts, so only parallel blocks need their own check
+    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        span = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]).bit_length() - 1
+        if span > settings.max_qubits:
+            raise ResourceLimitError(
+                f"parallel sub-term spans {span} dense wires (cap is {settings.max_qubits})"
+            )
+        return np.kron(a, b)
+
+    return fold(t, lambda kind: generator_matrix(kind, settings), lambda a, b: b @ a, kron)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +166,7 @@ def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
 # the matrix route in the test suite.
 
 
-def _apply_to_state(t: ZhTerm, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
-    if isinstance(t, SeqNode):
-        mid = _apply_to_state(t.first, state, start, settings)
-        return _apply_to_state(t.then, mid, start, settings)
-    if isinstance(t, ParNode):
-        mid = _apply_to_state(t.left, state, start, settings)
-        return _apply_to_state(t.right, mid, start + t.left.n_out, settings)
+def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
     n, m = t.n_in, t.n_out
     new_rank = state.ndim - n + m
     if new_rank > settings.max_qubits:
@@ -203,8 +194,9 @@ def _apply_to_state(t: ZhTerm, state: np.ndarray, start: int, settings: Settings
 
 def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
     state = np.ones((), dtype=complex)
-    out = _apply_to_state(t, state, 0, settings)
-    return out.reshape(-1)
+    for g, at in placed(t):
+        state = _apply_to_state(g, state, at, settings)
+    return state.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +369,3 @@ def matrix_to_json(m: np.ndarray) -> list:
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     return [[complex_to_json(complex(x)) for x in row] for row in m]
-
-
-def matrix_from_json(obj: Any) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ValueError("matrix must be a non-empty list of rows")
-    width = len(obj[0])
-    rows = []
-    for k, row in enumerate(obj):
-        if len(row) != width:
-            raise ValueError(f"matrix row {k} has length {len(row)}, expected {width}")
-        rows.append([complex_from_json(x, f"matrix entry ({k})") for x in row])
-    return np.array(rows, dtype=complex)

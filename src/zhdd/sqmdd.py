@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
@@ -53,9 +53,6 @@ class Sqmdd:
     height: int
     root: int
     nodes: dict[int, Node] = field(default_factory=dict)
-
-    def node(self, i: int) -> Node:
-        return self.nodes[i]
 
 
 def terminal_only(scalar: complex, height: int) -> Sqmdd:
@@ -529,10 +526,3 @@ def split_edge(d: Sqmdd, e: Edge, height: int, side: int) -> Edge:
         ww, cc = n.edge(side)
         return (w * ww, cc)
     return (w, c)
-
-
-def iter_edges(d: Sqmdd) -> Iterator[tuple[int, int, complex, int]]:
-    """(parent id, side, weight, child id) for every edge in the table."""
-    for i, n in d.nodes.items():
-        yield (i, 0, n.w0, n.c0)
-        yield (i, 1, n.w1, n.c1)

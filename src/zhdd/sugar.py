@@ -38,13 +38,13 @@ from .terms import (
     KetZero,
     MonoidN,
     NotXSpider,
-    ParNode,
-    SeqNode,
     Swap,
     WeightBox,
     XSpider,
     ZhTerm,
     ZSpider,
+    beside,
+    fold,
     par,
     permutation_term,
     seq,
@@ -82,10 +82,10 @@ def _notx_core(n: int, m: int) -> ZhTerm:
     parts: list[ZhTerm] = []
     if n:
         parts.append(_hadamard_row(n))
-        parts.append(par(flip, wires(n - 1)) if n > 1 else flip)
+        parts.append(beside(0, flip, n - 1))
     parts.append(Gen(ZSpider(n, m)))
     if n == 0:
-        parts.append(par(flip, wires(m - 1)) if m > 1 else flip)
+        parts.append(beside(0, flip, m - 1))
     if m:
         parts.append(_hadamard_row(m))
     return par(_HALF, seq(*parts))
@@ -160,11 +160,4 @@ def expand_sugar(t: ZhTerm) -> ZhTerm:
     Interpretation is preserved exactly, including the ½ scalars hidden in
     the X-spider, monoid and gadget definitions.
     """
-    match t:
-        case Gen(kind):
-            return core_recipe(kind)
-        case SeqNode(a, b):
-            return seq(expand_sugar(a), expand_sugar(b))
-        case ParNode(a, b):
-            return par(expand_sugar(a), expand_sugar(b))
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, core_recipe, seq, par)

@@ -16,6 +16,13 @@ sugar generator also has a closed-form matrix so interpretation does not
 depend on the expansion being right — that independence is what the
 sugar-invariance tests lean on.
 
+Every walk over a term goes through one of two non-recursive traversals,
+so a term may nest far deeper than the interpreter's recursion limit (an
+emitted term is a left-folded chain with one level per row).  :func:`fold`
+combines results bottom-up, :func:`placed` yields each generator with the
+offset of its first input among the live wires.  Both visit generators in
+evaluation order.
+
 Wire-order conventions used throughout the package: matrix row index
 enumerates outputs, column index inputs, and the *first* (leftmost) wire is
 the most significant bit of the index.
@@ -23,7 +30,7 @@ the most significant bit of the index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Iterator, TypeVar, Union
 
 from ._json import complex_from_json, complex_to_json
 from .errors import ShapeError
@@ -158,13 +165,6 @@ GeneratorKind = Union[
     BraPlus,
 ]
 
-_CORE_KINDS = (ZSpider, HBox, Identity, Swap, Cap, Cup)
-
-
-def is_core(kind: GeneratorKind) -> bool:
-    return isinstance(kind, _CORE_KINDS)
-
-
 def generator_arity(kind: GeneratorKind) -> tuple[int, int]:
     """(input count, output count) of a generator."""
     match kind:
@@ -207,8 +207,34 @@ class Gen:
         object.__setattr__(self, "n_out", m)
 
 
-@dataclass(frozen=True)
-class SeqNode:
+class _Node:
+    """Structural equality and hashing without recursion, for deep terms."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, Gen):
+                if a != b:
+                    return False
+            elif isinstance(a, SeqNode):
+                pairs += ((a.first, b.first), (a.then, b.then))
+            else:
+                pairs += ((a.left, b.left), (a.right, b.right))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((type(self), *iter_generators(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class SeqNode(_Node):
     first: "ZhTerm"
     then: "ZhTerm"
     n_in: int = field(init=False, compare=False)
@@ -225,8 +251,8 @@ class SeqNode:
         object.__setattr__(self, "n_out", self.then.n_out)
 
 
-@dataclass(frozen=True)
-class ParNode:
+@dataclass(frozen=True, eq=False)
+class ParNode(_Node):
     left: "ZhTerm"
     right: "ZhTerm"
     n_in: int = field(init=False, compare=False)
@@ -238,10 +264,6 @@ class ParNode:
 
 
 ZhTerm = Union[Gen, SeqNode, ParNode]
-
-
-def make_term(kind: GeneratorKind) -> Gen:
-    return Gen(kind)
 
 
 def seq(*terms: ZhTerm) -> ZhTerm:
@@ -270,16 +292,78 @@ def wires(n: int) -> ZhTerm:
     return par(*(Gen(Identity()) for _ in range(n)))
 
 
+def beside(above: int, t: ZhTerm, below: int) -> ZhTerm:
+    """``t`` between ``above`` and ``below`` identity wires; empty bundles are left out."""
+    parts = [wires(above)] if above else []
+    parts.append(t)
+    if below:
+        parts.append(wires(below))
+    return par(*parts)
+
+
+_T = TypeVar("_T")
+
+
+def fold(
+    t: ZhTerm,
+    gen: Callable[[GeneratorKind], _T],
+    seq_: Callable[[_T, _T], _T],
+    par_: Callable[[_T, _T], _T],
+) -> _T:
+    """Combine a term bottom-up with an explicit stack.
+
+    ``gen`` maps each generator kind; ``seq_`` and ``par_`` combine the
+    results of a node's two children.  Generators are visited in evaluation
+    order: a ``SeqNode``'s first part before the part after it, a
+    ``ParNode``'s left part before its right.
+    """
+    done: list[_T] = []
+    todo: list[tuple[ZhTerm, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Gen):
+            done.append(gen(node.kind))
+        elif ready:
+            b = done.pop()
+            a = done.pop()
+            done.append((seq_ if isinstance(node, SeqNode) else par_)(a, b))
+        elif isinstance(node, SeqNode):
+            todo += ((node, True), (node.then, False), (node.first, False))
+        elif isinstance(node, ParNode):
+            todo += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return done[0]
+
+
+def placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
+    """Each generator in evaluation order, with the offset of its first
+    input wire among the wires live when it applies.
+
+    A ``ParNode``'s right part applies once its left part is done, so it
+    sits at ``at + left.n_out``.
+    """
+    todo: list[tuple[ZhTerm, int]] = [(t, 0)]
+    while todo:
+        node, at = todo.pop()
+        if isinstance(node, Gen):
+            yield node, at
+        elif isinstance(node, SeqNode):
+            todo += ((node.then, at), (node.first, at))
+        elif isinstance(node, ParNode):
+            todo += ((node.right, at + node.left.n_out), (node.left, at))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+
+
 def describe(t: ZhTerm) -> str:
     """Short one-line description of a term, for error messages."""
-    match t:
-        case Gen(kind):
-            return type(kind).__name__ + _kind_params_str(kind)
-        case SeqNode(a, b):
-            return f"Seq({describe(a)}, {describe(b)})"
-        case ParNode(a, b):
-            return f"Par({describe(a)}, {describe(b)})"
-    raise TypeError(f"not a term: {t!r}")
+    return fold(
+        t,
+        lambda kind: type(kind).__name__ + _kind_params_str(kind),
+        lambda a, b: f"Seq({a}, {b})",
+        lambda a, b: f"Par({a}, {b})",
+    )
 
 
 def _kind_params_str(kind: GeneratorKind) -> str:
@@ -297,19 +381,7 @@ def _kind_params_str(kind: GeneratorKind) -> str:
 
 def iter_generators(t: ZhTerm) -> Iterator[GeneratorKind]:
     """All generator leaves of a term, left to right."""
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Gen(kind):
-                yield kind
-            case SeqNode(a, b) | ParNode(a, b):
-                stack.append(b)
-                stack.append(a)
-
-
-def generator_count(t: ZhTerm) -> int:
-    return sum(1 for _ in iter_generators(t))
+    return (g.kind for g, _ in placed(t))
 
 
 def permutation_term(perm: list[int]) -> ZhTerm:
@@ -330,13 +402,7 @@ def permutation_term(perm: list[int]) -> ZhTerm:
     for i in range(n):
         j = current.index(perm[i])
         while j > i:
-            row_parts: list[ZhTerm] = []
-            if j - 1 > 0:
-                row_parts.append(wires(j - 1))
-            row_parts.append(Gen(Swap()))
-            if n - j - 1 > 0:
-                row_parts.append(wires(n - j - 1))
-            rows.append(par(*row_parts))
+            rows.append(beside(j - 1, Gen(Swap()), n - j - 1))
             current[j - 1], current[j] = current[j], current[j - 1]
             j -= 1
     if not rows:
@@ -381,16 +447,26 @@ def _kind_to_json(kind: GeneratorKind) -> tuple[str, dict[str, Any]]:
     return name, params
 
 
+def _gen_to_json(kind: GeneratorKind) -> dict[str, Any]:
+    name, params = _kind_to_json(kind)
+    return {"kind": name, "params": params, "children": []}
+
+
+def _joiner(name: str) -> Callable[[dict, dict], dict]:
+    def join(a: dict, b: dict) -> dict:
+        if a["kind"] == name:  # a left-folded chain: one node, all children
+            a["children"].append(b)
+            return a
+        return {"kind": name, "params": {}, "children": [a, b]}
+
+    return join
+
+
 def term_to_json(t: ZhTerm) -> dict[str, Any]:
-    match t:
-        case Gen(kind):
-            name, params = _kind_to_json(kind)
-            return {"kind": name, "params": params, "children": []}
-        case SeqNode(a, b):
-            return {"kind": "seq", "params": {}, "children": [term_to_json(a), term_to_json(b)]}
-        case ParNode(a, b):
-            return {"kind": "par", "params": {}, "children": [term_to_json(a), term_to_json(b)]}
-    raise TypeError(f"not a term: {t!r}")
+    """JSON form of a term; a left-folded ``seq``/``par`` chain is written as
+    one node with all of its children, which :func:`term_from_json` folds
+    back to the same tree."""
+    return fold(t, _gen_to_json, _joiner("seq"), _joiner("par"))
 
 
 def _require_int(params: dict[str, Any], key: str, kind: str) -> int:
@@ -458,39 +534,3 @@ def term_from_json(obj: Any) -> ZhTerm:
         case "braplus":
             return Gen(BraPlus())
     raise ValueError(f"unknown term kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# DOT export (composition tree view)
-
-
-def term_to_dot(t: ZhTerm) -> str:
-    """Graphviz DOT for the composition tree of a term.
-
-    Generators are boxes labeled with their kind and parameters; seq/par
-    nodes are small circles.  This is a view of the term's *structure*; for
-    the wire-level picture flatten the term to a network first.
-    """
-    lines = ["digraph term {", "  node [fontname=\"sans-serif\"];"]
-    counter = 0
-
-    def walk(node: ZhTerm) -> str:
-        nonlocal counter
-        me = f"n{counter}"
-        counter += 1
-        match node:
-            case Gen(kind):
-                lines.append(f'  {me} [shape=box, label="{describe(node)}"];')
-            case SeqNode(a, b):
-                lines.append(f'  {me} [shape=circle, label="seq"];')
-                lines.append(f"  {me} -> {walk(a)};")
-                lines.append(f"  {me} -> {walk(b)};")
-            case ParNode(a, b):
-                lines.append(f'  {me} [shape=circle, label="par"];')
-                lines.append(f"  {me} -> {walk(a)};")
-                lines.append(f"  {me} -> {walk(b)};")
-        return me
-
-    walk(t)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -57,9 +57,9 @@ from .terms import (
     ZhTerm,
     describe,
     generator_arity,
+    beside,
     par,
     seq,
-    wires,
 )
 
 # ---------------------------------------------------------------------------
@@ -220,19 +220,11 @@ class _Assembler:
         self.slots: list[tuple] = []
 
     def _swap_row(self, p: int) -> None:
-        w = len(self.slots)
-        parts: list[ZhTerm] = []
-        if p:
-            parts.append(wires(p))
-        parts.append(Gen(Swap()))
-        if w - p - 2:
-            parts.append(wires(w - p - 2))
-        self.rows.append(par(*parts))
+        self.rows.append(beside(p, Gen(Swap()), len(self.slots) - p - 2))
         self.slots[p], self.slots[p + 1] = self.slots[p + 1], self.slots[p]
 
     def append_state(self, term: ZhTerm, out_tags: list[tuple]) -> None:
-        w = len(self.slots)
-        self.rows.append(par(wires(w), term) if w else term)
+        self.rows.append(beside(len(self.slots), term, 0))
         self.slots.extend(out_tags)
 
     def apply(self, term: ZhTerm, in_tags: list[tuple], out_tags: list[tuple]) -> None:
@@ -246,14 +238,7 @@ class _Assembler:
                 self._swap_row(cur - 1)
                 cur -= 1
         n_in = len(in_tags)
-        w = len(self.slots)
-        parts = []
-        if anchor:
-            parts.append(wires(anchor))
-        parts.append(term)
-        if w - anchor - n_in:
-            parts.append(wires(w - anchor - n_in))
-        self.rows.append(par(*parts))
+        self.rows.append(beside(anchor, term, len(self.slots) - anchor - n_in))
         self.slots[anchor : anchor + n_in] = list(out_tags)
 
     def term(self) -> ZhTerm:
@@ -322,17 +307,31 @@ def sqmdd_to_zh(d: Sqmdd, settings: Settings = DEFAULT, fan_in: str = "monoid") 
 
 
 def _flatten_seq(t: ZhTerm) -> list[ZhTerm]:
-    if isinstance(t, SeqNode):
-        return _flatten_seq(t.first) + _flatten_seq(t.then)
-    return [t]
+    out: list[ZhTerm] = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, SeqNode):
+            todo += (node.then, node.first)
+        else:
+            out.append(node)
+    return out
 
 
 def _flatten_par(t: ZhTerm) -> list[Gen]:
-    if isinstance(t, ParNode):
-        return _flatten_par(t.left) + _flatten_par(t.right)
-    if isinstance(t, Gen):
-        return [t]
-    raise ShapeError(f"malformed row: {describe(t)} is not a parallel block of generators")
+    out: list[Gen] = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ParNode):
+            todo += (node.right, node.left)
+        elif isinstance(node, Gen):
+            out.append(node)
+        else:
+            raise ShapeError(
+                f"malformed row: {describe(node)} is not a parallel block of generators"
+            )
+    return out
 
 
 def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:

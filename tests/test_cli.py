@@ -11,9 +11,9 @@ from zhdd.cli import main
 from zhdd.generate import random_dag, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
-from zhdd.sqmdd import TERMINAL, Builder, renumber, sqmdd_from_json, sqmdd_to_json
-from zhdd.terms import Gen, ZSpider, term_to_json
-from zhdd.translate import sqmdd_to_zh
+from zhdd.sqmdd import TERMINAL, Builder, iso_equal, renumber, sqmdd_from_json, sqmdd_to_json
+from zhdd.terms import Gen, ZSpider, term_from_json, term_to_json
+from zhdd.translate import generator_state_sqmdd, sqmdd_read_back, sqmdd_to_zh
 
 
 @pytest.fixture
@@ -192,6 +192,17 @@ def test_internal_error_exits_4(write, capsys, monkeypatch, diagram):
     assert "internal error: RuntimeError: boom" in err
 
 
+def test_internal_key_error_exits_4(write, capsys, monkeypatch, diagram):
+    """A KeyError inside a command is a bug, not malformed input."""
+    def boom(args):
+        raise KeyError("slot")
+
+    monkeypatch.setattr(cli, "_cmd_export_dot", boom)
+    code, _, err = run(capsys, "export-dot", write("d.json", sqmdd_to_json(diagram)))
+    assert code == 4
+    assert "internal error: KeyError" in err
+
+
 def test_deep_chain_reduce_and_export_dot(write, capsys):
     """A chain far deeper than the interpreter's recursion limit."""
     bld = Builder()
@@ -205,3 +216,20 @@ def test_deep_chain_reduce_and_export_dot(write, capsys):
     code, out, _ = run(capsys, "export-dot", f)
     assert code == 0
     assert out.count("shape=circle") == 3000
+
+
+@pytest.mark.parametrize("kind, legs", [("z", 16), ("h", 32)])
+def test_to_zh_on_deep_emissions(write, capsys, kind, legs):
+    """The emitted chain has one level per row (20,648 generators for the Z
+    state of 16 legs); its JSON stays shallow and reads back exactly."""
+    d = generator_state_sqmdd(kind, legs)
+    code, out, _ = run(capsys, "to-zh", write("d.json", sqmdd_to_json(d)))
+    assert code == 0
+    obj = json.loads(out)
+    assert iso_equal(sqmdd_read_back(term_from_json(obj)), d)
+    deepest, todo = 0, [(obj, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        todo.extend((c, depth + 1) for c in node["children"])
+    assert deepest <= 8

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zhdd.errors import ShapeError
 from zhdd.generate import random_term
+from zhdd.network import flatten_to_network
 from zhdd.oracle import interpret_zh, max_deviation
+from zhdd.sugar import expand_sugar
 from zhdd.terms import (
     Gen,
     HBox,
@@ -14,6 +18,8 @@ from zhdd.terms import (
     ParNode,
     SeqNode,
     Swap,
+    WeightBox,
+    describe,
     ZSpider,
     ZhTerm,
     generator_arity,
@@ -119,3 +125,34 @@ def test_associativity_is_semantic_not_structural():
     right = seq(a, seq(b, c))
     assert left != right  # trees differ
     assert max_deviation(interpret_zh(left), interpret_zh(right)) == 0.0
+
+
+def test_term_far_above_the_recursion_limit():
+    """5000 rows on two wires: every term walker runs without recursion."""
+    rows = [Gen(ZSpider(0, 2))]
+    for k in range(5000):
+        rows.append(Gen(Swap()) if k % 2 == 0 else par(Gen(Identity()), Gen(WeightBox(1j))))
+    t = seq(*rows)
+    want = np.array([1, 0, 0, 1]).reshape(-1, 1)  # 2500 weights of 1j multiply to 1
+    for method in ("matrix", "tensor"):
+        assert max_deviation(interpret_zh(t, method=method), want) == 0.0
+    core = expand_sugar(t)
+    assert (core.n_in, core.n_out) == (0, 2)
+    assert describe(t).count("Swap") == 2500
+    obj = term_to_json(t)
+    assert obj["kind"] == "seq" and len(obj["children"]) == 5001
+    assert term_from_json(json.loads(json.dumps(obj))) == t
+    net = flatten_to_network(t)
+    # the spider, plus a copy spider and an H box per expanded weight box
+    assert (len(net.instances), net.n_out) == (5001, 2)
+
+
+def test_json_writes_left_folded_chains_flat():
+    a, b, c = Gen(ZSpider(1, 1)), Gen(HBox(1, 1, -1)), Gen(Identity())
+    left, right = seq(a, b, c), seq(a, seq(b, c))
+    assert [k["kind"] for k in term_to_json(left)["children"]] == ["zspider", "hbox", "identity"]
+    assert [k["kind"] for k in term_to_json(right)["children"]] == ["zspider", "seq"]
+    flat = term_to_json(par(left, right, a))
+    assert flat["kind"] == "par" and len(flat["children"]) == 3
+    for t in (left, right, par(left, right, a)):
+        assert term_from_json(term_to_json(t)) == t

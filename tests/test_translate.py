@@ -17,7 +17,7 @@ from zhdd.oracle import (
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import iso_equal, validate
-from zhdd.terms import Gen, HBox, NotXSpider, ZSpider, par, seq, wires
+from zhdd.terms import Gen, HBox, NotXSpider, Swap, ZSpider, par, seq, wires
 from zhdd.translate import (
     generator_state_sqmdd,
     ket0_propagate,
@@ -139,3 +139,8 @@ def test_ket0_propagate_peels_an_effect(seed, side):
     got = interpret_zh(out, WIDE).reshape(-1)
     want = interpret_sqmdd(d, WIDE).reshape(2, -1)[side]
     assert max_deviation(got, want) <= 1e-9
+
+
+def test_contract_chain_far_above_the_recursion_limit():
+    t = seq(Gen(ZSpider(0, 2)), *(Gen(Swap()) for _ in range(5000)))
+    assert iso_equal(zh_to_sqmdd(t), generator_state_sqmdd("z", 2))
