@@ -13,7 +13,9 @@ import numpy as np
 
 from zhdd import (
     Settings,
+    apply_step,
     canonical_from_vector,
+    find_candidates,
     interpret_sqmdd,
     interpret_zh,
     is_irreducible,
@@ -49,6 +51,37 @@ def audit_canonicity(rng, n, max_h, settings):
         want = canonical_from_vector(v, settings)
         if not (iso_equal(a, want, settings) and iso_equal(b, want, settings)):
             failures += 1
+    return failures
+
+
+def audit_reduction_trace(rng, n, max_h, settings):
+    """reduce_diagram against a loop that rescans the whole diagram before
+    every step: same steps, same result (node order included), both in
+    the deterministic order and with a seeded random pick."""
+    def scan(d, pick_rng):
+        cur, steps = d, []
+        while True:
+            cands = find_candidates(cur, settings)
+            if not cands:
+                return cur, steps
+            pick = cands[0] if pick_rng is None else cands[int(pick_rng.integers(len(cands)))]
+            cur, step = apply_step(cur, pick, settings)
+            steps.append(step)
+
+    def exact(d):
+        return d.scalar, d.height, d.root, list(d.nodes.items())
+
+    def rng_for(seed):
+        return None if seed is None else np.random.default_rng(seed)
+
+    failures = 0
+    for k in range(n):
+        d = scramble(tree_from_vector(random_vector(rng, 1 + k % max_h)), rng)
+        for seed in (None, k):
+            got, got_steps = reduce_diagram(d, settings, rng=rng_for(seed))
+            want, want_steps = scan(d, rng_for(seed))
+            if got_steps != want_steps or exact(got) != exact(want):
+                failures += 1
     return failures
 
 
@@ -98,6 +131,7 @@ def main() -> None:
     checks = [
         ("diagram -> term -> vector", audit_translation),
         ("canonicity of scrambles", audit_canonicity),
+        ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
         ("merge/plug vs dense", audit_primitives),
     ]

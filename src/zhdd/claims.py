@@ -10,7 +10,7 @@ deliberately broken claims act as negative controls for the runner.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np

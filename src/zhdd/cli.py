@@ -12,8 +12,6 @@ import sys
 import traceback
 from typing import Any, Optional
 
-import numpy as np
-
 from .config import Settings
 from .errors import ResourceLimitError, ShapeError
 

@@ -29,9 +29,25 @@ The rules, in the deterministic priority order used by :func:`reduce`:
 ``r5`` and ``r6`` retarget and delete in one atomic step — done as two
 separate steps, the intermediate diagram would not have a smaller
 measure.
+
+How the next redex is found: one rewriter (:class:`_Rewriter`) keeps the
+node table, a parent index, each node's :func:`~zhdd.sqmdd.node_key` with
+the ids sharing it, and one min-heap per rule after ``zero``.  A heap
+holds every entry whose guard holds — r3 entries are ``(node, side)``, r6
+entries the id to merge away, the others node ids — and possibly stale
+ones, which are checked against the guard and dropped when they reach
+the top.  A step re-offers every guard that reads what it changed: the
+changed node's own rules, its parents' r3 edges, the r6 entry of its new
+key group's old first id, and r4 for any child that lost an edge.  The
+deterministic pick is the smallest valid entry of the first non-empty
+rule, which is exactly the first candidate of the full scan
+:func:`find_candidates`, so traces and results match the scan step for
+step while a step costs only the nodes it touches.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -42,14 +58,14 @@ from .sqmdd import (
     TERMINAL,
     Node,
     Sqmdd,
-    is_one_weight,
     is_zero_weight,
     node_key,
     weight_key,
-    zero_form,
 )
 
 RULE_ORDER = ("zero", "r3", "r4", "r2", "r1", "r5", "r6")
+
+_ZERO = (0, 0)  # the grid cell of a zero weight
 
 
 @dataclass(frozen=True)
@@ -65,152 +81,243 @@ class Step:
 Candidate = tuple[str, Any]
 
 
-def _parent_edges(d: Sqmdd) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {i: [] for i in d.nodes}
-    for i, n in d.nodes.items():
-        if n.c0 != TERMINAL:
-            out[n.c0].append((i, 0))
-        if n.c1 != TERMINAL:
-            out[n.c1].append((i, 1))
-    return out
-
-
-def _denotes_zero_node(n: Node, settings: Settings) -> bool:
-    return is_zero_weight(n.w0, settings) and is_zero_weight(n.w1, settings)
-
-
-def find_candidates(d: Sqmdd, settings: Settings = DEFAULT) -> list[Candidate]:
-    """Every applicable (rule, payload) pair, in deterministic order."""
-    cands: list[Candidate] = []
-    if d.root != TERMINAL:
-        if is_zero_weight(d.scalar, settings) or _denotes_zero_node(
-            d.nodes[d.root], settings
-        ):
-            cands.append(("zero", None))
-    parents = _parent_edges(d)
-    order = sorted(d.nodes)
-    for i in order:
-        n = d.nodes[i]
-        for side in (0, 1):
-            w, c = n.edge(side)
-            if c != TERMINAL and (
-                is_zero_weight(w, settings) or _denotes_zero_node(d.nodes[c], settings)
-            ):
-                cands.append(("r3", (i, side)))
-    for i in order:
-        if i != d.root and not parents[i]:
-            cands.append(("r4", i))
-    for i in order:
-        n = d.nodes[i]
-        if (
-            is_zero_weight(n.w0, settings)
-            and not is_zero_weight(n.w1, settings)
-            and not is_one_weight(n.w1, settings)
-        ):
-            cands.append(("r2", i))
-    for i in order:
-        n = d.nodes[i]
-        if not is_zero_weight(n.w0, settings) and not is_one_weight(n.w0, settings):
-            cands.append(("r1", i))
-    for i in order:
-        n = d.nodes[i]
-        if n.c0 == n.c1 and is_one_weight(n.w0, settings) and is_one_weight(n.w1, settings):
-            cands.append(("r5", i))
-    groups: dict[tuple, list[int]] = {}
-    for i in order:
-        groups.setdefault(node_key(d.nodes[i], settings), []).append(i)
-    merge_pairs = []
-    for ids in groups.values():
-        merge_pairs.extend((ids[0], drop) for drop in ids[1:])
-    for keep, drop in sorted(merge_pairs, key=lambda kd: kd[1]):
-        cands.append(("r6", (keep, drop)))
-    return cands
-
-
 def _with_edge(n: Node, side: int, w: complex, c: int) -> Node:
     if side == 0:
         return Node(n.height, w, c, n.w1, n.c1)
     return Node(n.height, n.w0, n.c0, w, c)
 
 
-def _retarget(nodes: dict[int, Node], parents: list[tuple[int, int]], to: int) -> None:
-    for p, side in parents:
-        n = nodes[p]
-        w = n.w0 if side == 0 else n.w1
-        nodes[p] = _with_edge(n, side, w, to)
+class _Rewriter:
+    """One mutable diagram plus the indexes its rule guards read.
+
+    ``parents`` maps each node to its incoming ``(parent, side)`` edges;
+    ``keys`` holds each node's key and ``groups`` the sorted ids per key.
+    ``heaps`` has one lazily pruned min-heap per rule after ``zero`` (see
+    the module docstring for the invariant).
+    """
+
+    def __init__(self, d: Sqmdd, settings: Settings) -> None:
+        self.settings = settings
+        self.one = weight_key(1.0 + 0j, settings)
+        self.scalar, self.height, self.root = d.scalar, d.height, d.root
+        self.nodes = dict(d.nodes)
+        self.parents: dict[int, set[tuple[int, int]]] = {i: set() for i in self.nodes}
+        self.keys: dict[int, tuple] = {}
+        self.groups: dict[tuple, list[int]] = {}
+        ids = sorted(self.nodes)
+        for i in ids:
+            n = self.nodes[i]
+            for side, c in ((0, n.c0), (1, n.c1)):
+                if c != TERMINAL:
+                    self.parents[c].add((i, side))
+            key = self.keys[i] = node_key(n, settings)
+            self.groups.setdefault(key, []).append(i)
+        edges = [(i, side) for i in ids for side in (0, 1)]
+        # a sorted list is already a heap
+        self.heaps = {
+            rule: [e for e in (edges if rule == "r3" else ids) if ok(self, e)]
+            for rule, ok in self._GUARDS.items()
+        }
+
+    # -- guards: each one is a predicate on the current table ------------
+    # Weights are compared through the grid cells cached in ``keys``
+    # (``key[2]`` and ``key[4]``); child ids are read from ``nodes``.
+
+    def _zero_weights(self, i: int) -> bool:
+        key = self.keys[i]
+        return key[2] == _ZERO and key[4] == _ZERO
+
+    def _zero(self) -> bool:
+        return self.root != TERMINAL and (
+            is_zero_weight(self.scalar, self.settings) or self._zero_weights(self.root)
+        )
+
+    def _r3(self, e: tuple[int, int]) -> bool:
+        i, side = e
+        n = self.nodes.get(i)
+        if n is None:
+            return False
+        c = n.c1 if side else n.c0
+        return c != TERMINAL and (self.keys[i][2 + 2 * side] == _ZERO or self._zero_weights(c))
+
+    def _r4(self, i: int) -> bool:
+        return i in self.nodes and i != self.root and not self.parents[i]
+
+    def _r2(self, i: int) -> bool:
+        key = self.keys.get(i)
+        return key is not None and key[2] == _ZERO and key[4] != _ZERO and key[4] != self.one
+
+    def _r1(self, i: int) -> bool:
+        key = self.keys.get(i)
+        return key is not None and key[2] != _ZERO and key[2] != self.one
+
+    def _r5(self, i: int) -> bool:
+        n = self.nodes.get(i)
+        return n is not None and n.c0 == n.c1 and self.keys[i][2] == self.keys[i][4] == self.one
+
+    def _r6(self, i: int) -> bool:
+        return i in self.nodes and self.groups[self.keys[i]][0] < i
+
+    # one per rule after "zero", in priority order; plain functions, since
+    # bound methods kept on the instance would form a reference cycle that
+    # holds each finished rewriter until the cyclic collector runs
+    _GUARDS = {"r3": _r3, "r4": _r4, "r2": _r2, "r1": _r1, "r5": _r5, "r6": _r6}
+
+    # -- picking ---------------------------------------------------------
+
+    def _candidate(self, rule: str, e: Any) -> Candidate:
+        if rule == "r6":
+            return ("r6", (self.groups[self.keys[e]][0], e))
+        return (rule, e)
+
+    def first(self) -> list[Candidate]:
+        """The first candidate in priority order, as a list of at most one."""
+        if self._zero():
+            return [("zero", None)]
+        for rule, heap in self.heaps.items():
+            ok = self._GUARDS[rule]
+            while heap:
+                if ok(self, heap[0]):
+                    return [self._candidate(rule, heap[0])]
+                heapq.heappop(heap)
+        return []
+
+    def candidates(self) -> list[Candidate]:
+        """Every candidate in priority order; prunes the heaps on the way."""
+        out: list[Candidate] = [("zero", None)] if self._zero() else []
+        for rule, heap in self.heaps.items():
+            ok = self._GUARDS[rule]
+            heap[:] = sorted({e for e in heap if ok(self, e)})
+            out += (self._candidate(rule, e) for e in heap)
+        return out
+
+    # -- bookkeeping -----------------------------------------------------
+
+    def _offer(self, rule: str, e: Any) -> None:
+        if self._GUARDS[rule](self, e):
+            heapq.heappush(self.heaps[rule], e)
+
+    def _leave_group(self, i: int, key: tuple) -> None:
+        group = self.groups[key]
+        del group[bisect_left(group, i)]
+        if not group:
+            del self.groups[key]
+
+    def _set(self, i: int, n: Node) -> None:
+        self.nodes[i] = n
+        self._touch(i)
+
+    def _touch(self, i: int) -> None:
+        """Node i changed: re-key it and re-offer every guard that reads it."""
+        key = node_key(self.nodes[i], self.settings)
+        if key != self.keys[i]:
+            self._leave_group(i, self.keys[i])
+            self.keys[i] = key
+            group = self.groups.setdefault(key, [])
+            at = bisect_left(group, i)
+            group.insert(at, i)
+            if at == 0 and len(group) > 1:
+                self._offer("r6", group[1])
+        for rule in ("r2", "r1", "r5", "r6"):
+            self._offer(rule, i)
+        self._offer("r3", (i, 0))
+        self._offer("r3", (i, 1))
+        for e in self.parents[i]:
+            self._offer("r3", e)
+
+    def _unlink(self, p: int, side: int, c: int) -> None:
+        """Edge (p, side) no longer points at c."""
+        if c != TERMINAL:
+            self.parents[c].discard((p, side))
+            self._offer("r4", c)
+
+    def _delete(self, i: int) -> set[tuple[int, int]]:
+        """Remove node i; returns its incoming edges."""
+        n = self.nodes.pop(i)
+        self._unlink(i, 0, n.c0)
+        self._unlink(i, 1, n.c1)
+        self._leave_group(i, self.keys.pop(i))
+        return self.parents.pop(i)
+
+    def _merge(self, i: int, to: int) -> None:
+        """Point i's incoming edges (or the root) at ``to`` and delete i."""
+        edges = self._delete(i)
+        for p, side in edges:
+            if to != TERMINAL:
+                self.parents[to].add((p, side))
+            n = self.nodes[p]
+            self.nodes[p] = _with_edge(n, side, n.edge(side)[0], to)
+        for p in {p for p, _ in edges}:  # a parent may hold both edges
+            self._touch(p)
+        if self.root == i:
+            self.root = to
+
+    def _pull(self, i: int, factor: complex) -> None:
+        """Multiply the factor onto every incoming edge of i (or the scalar)."""
+        if i == self.root:
+            self.scalar = self.scalar * factor
+            return
+        for p, side in self.parents[i]:
+            n = self.nodes[p]
+            w, c = n.edge(side)
+            self._set(p, _with_edge(n, side, w * factor, c))
+
+    # -- rewriting -------------------------------------------------------
+
+    def apply(self, cand: Candidate) -> Step:
+        """One rewrite step, in place; returns its trace entry."""
+        rule, payload = cand
+        if rule == "zero":
+            self.scalar, self.root, self.nodes = 0j, TERMINAL, {}
+            self.parents, self.keys, self.groups = {}, {}, {}
+            for heap in self.heaps.values():
+                heap.clear()
+            return Step("zero", None, "diagram denotes zero")
+        if rule == "r3":
+            i, side = payload
+            n = self.nodes[i]
+            self._unlink(i, side, n.edge(side)[1])
+            self._set(i, _with_edge(n, side, 0j, TERMINAL))
+            return Step("r3", i, f"edge {side} of node {i} redirected to an exact zero")
+        if rule == "r4":
+            self._delete(payload)
+            return Step("r4", payload, f"node {payload} has no parents")
+        if rule in ("r2", "r1"):
+            i = payload
+            n = self.nodes[i]
+            if rule == "r2":
+                factor = n.w1
+                self._set(i, Node(n.height, 0j, n.c0, 1.0 + 0j, n.c1))
+            else:
+                factor = n.w0
+                self._set(i, Node(n.height, 1.0 + 0j, n.c0, n.w1 / factor, n.c1))
+            self._pull(i, factor)
+            return Step(rule, i, f"factor {factor} pulled out of node {i}")
+        if rule == "r5":
+            i = payload
+            child = self.nodes[i].c0
+            self._merge(i, child)
+            return Step("r5", i, f"skipped-level node {i} removed in favour of {child}")
+        if rule == "r6":
+            keep, drop = payload
+            self._merge(drop, keep)
+            return Step("r6", drop, f"node {drop} merged into identical node {keep}")
+        raise ValueError(f"unknown rule {rule!r}")
+
+    def diagram(self) -> Sqmdd:
+        return Sqmdd(self.scalar, self.height, self.root, self.nodes)
 
 
-def _pull_factor(
-    d: Sqmdd, nodes: dict[int, Node], i: int, factor: complex
-) -> complex:
-    """Multiply the factor onto every incoming edge of i (or the scalar)."""
-    if i == d.root:
-        return d.scalar * factor
-    for p, side in _parent_edges(d)[i]:
-        n = nodes[p]
-        w = (n.w0 if side == 0 else n.w1) * factor
-        c = n.c0 if side == 0 else n.c1
-        nodes[p] = _with_edge(n, side, w, c)
-    return d.scalar
+def find_candidates(d: Sqmdd, settings: Settings = DEFAULT) -> list[Candidate]:
+    """Every applicable (rule, payload) pair, in deterministic order."""
+    return _Rewriter(d, settings).candidates()
 
 
 def apply_step(d: Sqmdd, cand: Candidate, settings: Settings = DEFAULT) -> tuple[Sqmdd, Step]:
     """One rewrite step; returns the new diagram and its trace entry."""
-    rule, payload = cand
-    nodes = dict(d.nodes)
-    scalar, root = d.scalar, d.root
-    if rule == "zero":
-        return zero_form(d.height), Step("zero", None, "diagram denotes zero")
-    if rule == "r3":
-        i, side = payload
-        n = nodes[i]
-        nodes[i] = _with_edge(n, side, 0j, TERMINAL)
-        step = Step("r3", i, f"edge {side} of node {i} redirected to an exact zero")
-        return Sqmdd(scalar, d.height, root, nodes), step
-    if rule == "r4":
-        i = payload
-        del nodes[i]
-        return Sqmdd(scalar, d.height, root, nodes), Step(
-            "r4", i, f"node {i} has no parents"
-        )
-    if rule == "r2":
-        i = payload
-        n = nodes[i]
-        b = n.w1
-        nodes[i] = Node(n.height, 0j, n.c0, 1.0 + 0j, n.c1)
-        scalar = _pull_factor(d, nodes, i, b)
-        return Sqmdd(scalar, d.height, root, nodes), Step(
-            "r2", i, f"factor {b} pulled out of node {i}"
-        )
-    if rule == "r1":
-        i = payload
-        n = nodes[i]
-        a = n.w0
-        nodes[i] = Node(n.height, 1.0 + 0j, n.c0, n.w1 / a, n.c1)
-        scalar = _pull_factor(d, nodes, i, a)
-        return Sqmdd(scalar, d.height, root, nodes), Step(
-            "r1", i, f"factor {a} pulled out of node {i}"
-        )
-    if rule == "r5":
-        i = payload
-        child = nodes[i].c0
-        _retarget(nodes, _parent_edges(d)[i], child)
-        del nodes[i]
-        if root == i:
-            root = child
-        return Sqmdd(scalar, d.height, root, nodes), Step(
-            "r5", i, f"skipped-level node {i} removed in favour of {child}"
-        )
-    if rule == "r6":
-        keep, drop = payload
-        _retarget(nodes, _parent_edges(d)[drop], keep)
-        del nodes[drop]
-        if root == drop:
-            root = keep
-        return Sqmdd(scalar, d.height, root, nodes), Step(
-            "r6", drop, f"node {drop} merged into identical node {keep}"
-        )
-    raise ValueError(f"unknown rule {rule!r}")
+    rw = _Rewriter(d, settings)
+    step = rw.apply(cand)
+    return rw.diagram(), step
 
 
 def reduce_diagram(
@@ -225,18 +332,17 @@ def reduce_diagram(
     ``rng`` to pick uniformly among all applicable candidates instead —
     the result must come out the same either way.
     """
-    cur = d
+    rw = _Rewriter(d, settings)
     steps: list[Step] = []
     while True:
-        cands = find_candidates(cur, settings)
+        cands = rw.first() if rng is None else rw.candidates()
         if not cands:
-            return cur, steps
+            return (rw.diagram() if steps else d), steps
         if max_steps is not None and len(steps) >= max_steps:
             raise RuntimeError(f"reduction did not settle within {max_steps} steps")
         pick = cands[0] if rng is None else cands[int(rng.integers(len(cands)))]
-        cur, step = apply_step(cur, pick, settings)
-        steps.append(step)
+        steps.append(rw.apply(pick))
 
 
 def is_irreducible(d: Sqmdd, settings: Settings = DEFAULT) -> bool:
-    return not find_candidates(d, settings)
+    return not _Rewriter(d, settings).first()

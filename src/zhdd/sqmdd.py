@@ -439,9 +439,10 @@ class Builder:
     :meth:`edge` plays the role of the classic unique-table ``makeNode``:
     it snaps grid-zero weights to exact zero edges, skips nodes whose two
     edges agree, normalizes the weight pair to (1, w) or (0, 1) by pulling
-    the leading factor into the returned edge weight, and hash-conses on
-    :func:`node_key`.  Diagrams assembled exclusively through it are
-    irreducible by construction.
+    the leading factor into the returned edge weight (snapping or skipping
+    again when the ratio ``w`` lands in the zero or the one cell), and
+    hash-conses on :func:`node_key`.  Diagrams assembled exclusively
+    through it are irreducible by construction.
     """
 
     def __init__(self, settings: Settings = DEFAULT) -> None:
@@ -468,6 +469,14 @@ class Builder:
             w1 = 1.0 + 0j
         node = Node(height, w0, c0, w1, c1)
         key = node_key(node, self.settings)
+        # the ratio w1 / w0 can land in the zero or the one cell although w1
+        # did not; snap or skip as r3 and r5 would (key[2], key[4] are the
+        # cells of w0, w1, and w0 == 0 only over the terminal)
+        if key[4] == (0, 0) and c1 != TERMINAL:
+            node = Node(height, w0, c0, 0j, TERMINAL)
+            key = node_key(node, self.settings)
+        elif c0 == c1 and key[4] == key[2]:
+            return (lam, c0)
         found = self._table.get(key)
         if found is None:
             found = self._next_id

@@ -208,7 +208,7 @@ class Gen:
 
 
 class _Node:
-    """Structural equality and hashing without recursion, for deep terms."""
+    """Structural equality, hashing and repr without recursion, for deep terms."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -232,8 +232,26 @@ class _Node:
     def __hash__(self) -> int:
         return hash((type(self), *iter_generators(self)))
 
+    def __repr__(self) -> str:
+        return describe(self)
 
-@dataclass(frozen=True, eq=False)
+
+_SUMMARY_GENERATORS = 16
+_SUMMARY_CHARS = 200
+
+
+def _summary(t: ZhTerm) -> str:
+    """``describe(t)`` when it is short, else the term's type, shape and
+    generator count, so an error message stays bounded on a huge term."""
+    count = sum(1 for _ in placed(t))
+    if count <= _SUMMARY_GENERATORS:
+        text = describe(t)
+        if len(text) <= _SUMMARY_CHARS:
+            return text
+    return f"{type(t).__name__} {t.n_in}->{t.n_out} of {count} generators"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SeqNode(_Node):
     first: "ZhTerm"
     then: "ZhTerm"
@@ -243,15 +261,15 @@ class SeqNode(_Node):
     def __post_init__(self) -> None:
         if self.first.n_out != self.then.n_in:
             raise ShapeError(
-                f"sequential mismatch: {describe(self.first)} has "
-                f"{self.first.n_out} outputs but {describe(self.then)} expects "
+                f"sequential mismatch: {_summary(self.first)} has "
+                f"{self.first.n_out} outputs but {_summary(self.then)} expects "
                 f"{self.then.n_in} inputs"
             )
         object.__setattr__(self, "n_in", self.first.n_in)
         object.__setattr__(self, "n_out", self.then.n_out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ParNode(_Node):
     left: "ZhTerm"
     right: "ZhTerm"

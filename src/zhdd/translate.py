@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
-from .network import Network, Port, flatten_to_network, instance_state
+from .network import Port, flatten_to_network, instance_state
 from .reduction import reduce_diagram
 from .sqmdd import (
     TERMINAL,

@@ -16,7 +16,7 @@ from zhdd.algebra import (
 )
 from zhdd.config import Settings
 from zhdd.errors import ShapeError
-from zhdd.generate import random_dag, random_vector
+from zhdd.generate import random_dag, random_vector, tree_from_vector
 from zhdd.oracle import (
     dense_merge_outputs,
     dense_permute,
@@ -25,7 +25,7 @@ from zhdd.oracle import (
     interpret_sqmdd,
     max_deviation,
 )
-from zhdd.reduction import is_irreducible
+from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import TERMINAL, Builder, iso_equal, validate, zero_form
 from zhdd.translate import generator_state_sqmdd
 
@@ -38,6 +38,17 @@ def test_canonical_from_vector_round_trips(vec):
     assert validate(d) == []
     assert is_irreducible(d)
     assert max_deviation(interpret_sqmdd(d), vec) <= 1e-9
+
+
+@pytest.mark.parametrize("vec", [
+    [0, 0, 0, 0, 0, 1 + 1j, 1e-9j, 0],  # w1 / w0 = 5e-10+5e-10j: the zero cell
+    [1000, 1000 + 4e-7],  # w1 / w0 = 1 + 4e-10: the one cell, same child
+])
+def test_builder_agrees_with_the_rewriter_at_the_grid_edge(vec):
+    v = np.array(vec, dtype=complex)
+    d = canonical_from_vector(v)
+    assert is_irreducible(d)
+    assert iso_equal(d, reduce_diagram(tree_from_vector(v))[0])
 
 
 def test_canonical_rejects_bad_length():

@@ -30,6 +30,7 @@ from zhdd.terms import (
     term_to_json,
     wires,
 )
+from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
 
 def test_arity_bookkeeping():
@@ -156,3 +157,15 @@ def test_json_writes_left_folded_chains_flat():
     assert flat["kind"] == "par" and len(flat["children"]) == 3
     for t in (left, right, par(left, right, a)):
         assert term_from_json(term_to_json(t)) == t
+
+
+def test_deep_terms_print_and_fail_briefly():
+    t = sqmdd_to_zh(generator_state_sqmdd("z", 16))
+    assert repr(t) == describe(t)
+    with pytest.raises(ShapeError) as err:
+        SeqNode(t, Gen(ZSpider(3, 1)))
+    msg = str(err.value)
+    assert len(msg) < 200
+    assert "0->16" in msg and "ZSpider(3->1)" in msg
+    with pytest.raises(ShapeError, match=r"Seq\(ZSpider\(0->1\), Identity\) has 1 outputs"):
+        SeqNode(seq(Gen(ZSpider(0, 1)), Gen(Identity())), Gen(Swap()))
