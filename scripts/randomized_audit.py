@@ -30,6 +30,7 @@ from zhdd import (
 from zhdd.duality import to_state_form
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
+from zhdd.sqmdd import Builder
 
 
 def audit_translation(rng, n, max_h, settings):
@@ -39,6 +40,20 @@ def audit_translation(rng, n, max_h, settings):
         got = interpret_zh(sqmdd_to_zh(d, settings), settings).reshape(-1)
         worst = max(worst, max_deviation(got, interpret_sqmdd(d, settings)))
     return worst
+
+
+def audit_round_trip(rng, n, max_h, settings):
+    """diagram -> term -> diagram lands on the input's reduced form (its
+    Builder re-import), with either fan-in mode."""
+    failures = 0
+    for k in range(n):
+        d = random_dag(rng, 1 + k % max_h, settings=settings)
+        bld = Builder(settings)
+        want = bld.finish(bld.import_edge(d, (d.scalar, d.root)), d.height)
+        t = sqmdd_to_zh(d, settings, fan_in=("monoid", "x")[k % 2])
+        if not iso_equal(zh_to_sqmdd(t, settings), want, settings):
+            failures += 1
+    return failures
 
 
 def audit_canonicity(rng, n, max_h, settings):
@@ -130,6 +145,7 @@ def main() -> None:
     settings = Settings(max_qubits=args.max_qubits)
     checks = [
         ("diagram -> term -> vector", audit_translation),
+        ("diagram -> term -> diagram", audit_round_trip),
         ("canonicity of scrambles", audit_canonicity),
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),

@@ -46,7 +46,7 @@ def _emit(args: argparse.Namespace, payload: Any) -> None:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload)  # compact: the C encoder, one line
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -1,9 +1,13 @@
 """Translation between terms and diagrams, in both directions.
 
 Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
-the term is flattened to its wiring network, every spider/box becomes a
-small closed-form diagram, and the wires are contracted pairwise with the
-diagram-level operations from :mod:`zhdd.algebra`.
+the term is flattened to its wiring network and every spider/box becomes a
+small closed-form diagram.  These are tensored in one at a time, in the
+greedy minimum-frontier order of :func:`~zhdd.network.contraction_plan`,
+and each wire is contracted (a merge and a <+| plug from
+:mod:`zhdd.algebra`) as soon as both its ends are live, so the state never
+grows past the plan's peak live width.  The optional per-stage dense
+mirror is capped by that same width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -26,7 +30,7 @@ from .algebra import (
 )
 from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
-from .network import Port, flatten_to_network, instance_state
+from .network import Port, contraction_plan, flatten_to_network, instance_state
 from .reduction import reduce_diagram
 from .sqmdd import (
     TERMINAL,
@@ -128,16 +132,37 @@ def zh_to_sqmdd(
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
-    ``assert_stages`` re-checks every contraction step against a dense
-    mirror vector; only feasible when the full network fits under the
-    dense wire cap.
+    The network's instances are tensored in, new legs at the bottom, in
+    the order of :func:`~zhdd.network.contraction_plan`; after each one,
+    every wire whose two ends are now live is closed by a merge and a
+    <+| plug.  ``assert_stages`` re-checks every step against a dense
+    mirror vector; only feasible when the plan's peak live width fits
+    under the dense wire cap, which is checked before any contraction.
     """
     net = flatten_to_network(t, settings)
     if net.n_out > settings.max_qubits:
         raise ResourceLimitError(
             f"result would have {net.n_out} wires (cap is {settings.max_qubits})"
         )
-    import numpy as np
+    order, peak = contraction_plan(net)
+    mirror = None
+    if assert_stages:
+        import numpy as np
+
+        from .oracle import dense_merge_outputs, dense_permute, dense_plug_plus
+
+        if peak > settings.max_qubits:
+            raise ResourceLimitError(
+                f"stage assertions need {peak} dense wires "
+                f"(cap is {settings.max_qubits})"
+            )
+        mirror = np.array([1.0 + 0j])
+
+    # each wire closes right after the later of its two instances is tensored
+    step = {idx: k for k, idx in enumerate(order)}
+    closes: list[list[tuple[Port, Port]]] = [[] for _ in order]
+    for a, b in net.edges:
+        closes[max(step[a[0]], step[b[0]])].append((a, b))
 
     # The network prefactor is applied after contraction.  Desugaring piles
     # every 1/2 normalizer into it, with the matching 2s only showing up as
@@ -146,47 +171,27 @@ def zh_to_sqmdd(
     # weight grid would then round to an honest zero.
     state = terminal_only(1.0 + 0j, 0)
     live: list[Port] = []
-    for idx, inst in enumerate(net.instances):
+    for idx, to_close in zip(order, closes):
+        inst = net.instances[idx]
         g = generator_state_sqmdd(inst.kind, inst.arity, inst.label, settings)
         state = tensor(state, g, settings)
         live.extend((idx, p) for p in range(inst.arity))
-
-    mirror = None
-    if assert_stages:
-        from .oracle import (
-            dense_merge_outputs,
-            dense_permute,
-            dense_plug_plus,
-            interpret_sqmdd,
-        )
-
-        if len(live) > settings.max_qubits:
-            raise ResourceLimitError(
-                f"stage assertions need {len(live)} dense wires "
-                f"(cap is {settings.max_qubits})"
-            )
-        mirror = np.array([1.0 + 0j])
-        for inst in net.instances:
+        if assert_stages:
             mirror = np.kron(mirror, instance_state(inst))
-        _stage_check(state, mirror, "tensor fold", settings)
-
-    init_pos = {port: k for k, port in enumerate(live)}
-    ordered = sorted(
-        net.edges, key=lambda e: tuple(sorted((init_pos[e[0]], init_pos[e[1]])))
-    )
-    for a, b in ordered:
-        ia, ib = live.index(a), live.index(b)
-        i, j = min(ia, ib), max(ia, ib)
-        state = z_merge_outputs(state, i, j, settings)
-        if assert_stages:
-            mirror = dense_merge_outputs(mirror, len(live), i, j)
-            _stage_check(state, mirror, f"merge {a}~{b}", settings)
-        del live[j]
-        state = plug_bra_plus(state, i, settings)
-        if assert_stages:
-            mirror = dense_plug_plus(mirror, len(live), i)
-            _stage_check(state, mirror, f"plug {a}~{b}", settings)
-        del live[i]
+            _stage_check(state, mirror, f"tensor {idx}", settings)
+        for a, b in to_close:
+            ia, ib = live.index(a), live.index(b)
+            i, j = min(ia, ib), max(ia, ib)
+            state = z_merge_outputs(state, i, j, settings)
+            if assert_stages:
+                mirror = dense_merge_outputs(mirror, len(live), i, j)
+                _stage_check(state, mirror, f"merge {a}~{b}", settings)
+            del live[j]
+            state = plug_bra_plus(state, i, settings)
+            if assert_stages:
+                mirror = dense_plug_plus(mirror, len(live), i)
+                _stage_check(state, mirror, f"plug {a}~{b}", settings)
+            del live[i]
 
     perm = [live.index(p) for p in net.outputs]
     state = permute_outputs(state, perm, settings)

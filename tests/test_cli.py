@@ -8,7 +8,7 @@ import pytest
 
 from zhdd import cli
 from zhdd.cli import main
-from zhdd.generate import random_dag, tree_from_vector
+from zhdd.generate import random_dag, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
 from zhdd.sqmdd import TERMINAL, Builder, iso_equal, renumber, sqmdd_from_json, sqmdd_to_json
@@ -179,6 +179,19 @@ def test_output_flag_writes_file(write, capsys, tmp_path, diagram):
     assert code == 0 and out == ""
     data = json.loads(out_path.read_text())
     assert np.allclose(vector_from_json(data), interpret_sqmdd(diagram))
+
+
+def test_reduce_writes_compact_json(write, capsys, tmp_path):
+    """Results are written as one line of compact JSON."""
+    tree = scramble(tree_from_vector(np.arange(16, dtype=complex)), np.random.default_rng(3))
+    out_path = tmp_path / "out.json"
+    code, out, _ = run(capsys, "reduce", write("tree.json", sqmdd_to_json(tree)), "-o", str(out_path))
+    assert code == 0 and out == ""
+    text = out_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    result, steps = reduce_diagram(tree)
+    want = {"result": sqmdd_to_json(renumber(result)), "trace": [s.to_json() for s in steps]}
+    assert steps and json.loads(text) == json.loads(json.dumps(want))
 
 
 def test_internal_error_exits_4(write, capsys, monkeypatch, diagram):

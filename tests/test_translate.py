@@ -1,4 +1,7 @@
 """Both translation directions, checked against the dense oracle."""
+import json
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -8,7 +11,7 @@ from zhdd.config import Settings
 from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector
-from zhdd.network import flatten_to_network
+from zhdd.network import NetInstance, Network, contraction_plan, flatten_to_network
 from zhdd.oracle import (
     interpret_sqmdd,
     interpret_zh,
@@ -16,7 +19,7 @@ from zhdd.oracle import (
     max_deviation,
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
-from zhdd.sqmdd import iso_equal, validate
+from zhdd.sqmdd import iso_equal, sqmdd_to_json, validate
 from zhdd.terms import Gen, HBox, NotXSpider, Swap, ZSpider, par, seq, wires
 from zhdd.translate import (
     generator_state_sqmdd,
@@ -92,6 +95,18 @@ def test_stage_assertions_refuse_oversized_networks():
         zh_to_sqmdd(t, Settings(max_qubits=4), assert_stages=True)
 
 
+def test_stage_assertions_follow_the_plan():
+    """The dense mirror is capped by the plan's peak width, not by the
+    network's leg count, so an emitted 3-qubit diagram is checkable."""
+    settings = Settings(max_qubits=20)
+    d = random_dag(np.random.default_rng(2), 3, settings=settings)
+    t = sqmdd_to_zh(d, settings)
+    net = flatten_to_network(t, settings)
+    assert sum(i.arity for i in net.instances) > 200
+    back = zh_to_sqmdd(t, settings, assert_stages=True)
+    assert iso_equal(back, reduce_diagram(d, settings)[0])
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 def test_round_trip_from_canonical(seed):
     rng = np.random.default_rng(seed)
@@ -99,6 +114,54 @@ def test_round_trip_from_canonical(seed):
     t = sqmdd_to_zh(d, WIDE)
     back = zh_to_sqmdd(t, WIDE)
     assert iso_equal(back, d)
+
+
+# --- contraction planning -----------------------------------------------------
+
+
+def test_plan_picks_the_smallest_frontier_then_the_next_component():
+    z, h = NetInstance("z", 0j, 2), NetInstance("h", -1 + 0j, 1)
+    net = Network(
+        1.0 + 0j,
+        [z, NetInstance("z", 0j, 3), h, z],
+        [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((3, 0), (3, 1))],
+        [(1, 1), (1, 2)],
+    )
+    # 2 closes its only leg (-1) and goes before 1 (3 - 2 = +1); 3 is its
+    # own component, started once nothing is wired to the placed part.
+    assert contraction_plan(net) == ([0, 2, 1, 3], 4)
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_plan_peak_width_of_emitted_z_states(k):
+    """Tensoring everything first would build a state of all legs at once
+    (802 of them for k = 8); the plan's live width stays linear in k."""
+    net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", k)))
+    order, peak = contraction_plan(net)
+    assert sorted(order) == list(range(len(net.instances)))
+    assert peak <= 4 * k + 8
+
+
+def test_z16_round_trip_within_budget():
+    d = generator_state_sqmdd("z", 16)
+    t = sqmdd_to_zh(d)
+    start = time.perf_counter()
+    back = zh_to_sqmdd(t)
+    assert time.perf_counter() - start < 10.0
+    assert iso_equal(back, d)
+
+
+@pytest.mark.parametrize("source", ["term", "dag"])
+def test_contraction_is_deterministic(source):
+    rng = np.random.default_rng(11)
+    if source == "term":
+        t = random_term(rng, max_generators=10, max_boundary=6)
+    else:
+        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE), WIDE, fan_in="x")
+    net = flatten_to_network(t, WIDE)
+    assert contraction_plan(net) == contraction_plan(flatten_to_network(t, WIDE))
+    first, second = (json.dumps(sqmdd_to_json(zh_to_sqmdd(t, WIDE))) for _ in range(2))
+    assert first == second
 
 
 # --- normal-form building blocks ----------------------------------------------
