@@ -27,6 +27,7 @@ from zhdd import (
     z_merge_outputs,
     zh_to_sqmdd,
 )
+from zhdd.algebra import contract_edge
 from zhdd.duality import to_state_form
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
@@ -131,6 +132,12 @@ def audit_primitives(rng, n, max_h, settings):
             interpret_sqmdd(plug_bra_plus(d, p, settings), settings),
             dense_plug_plus(v, h, p),
         ))
+        bld = Builder(settings)
+        closed = contract_edge(bld, bld.import_edge(d, (d.scalar, d.root)), h, i, j)
+        worst = max(worst, max_deviation(
+            interpret_sqmdd(bld.finish(closed, h - 2), settings),
+            dense_plug_plus(dense_merge_outputs(v, h, i, j), h - 1, i),
+        ))
     return worst
 
 
@@ -149,7 +156,7 @@ def main() -> None:
         ("canonicity of scrambles", audit_canonicity),
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
-        ("merge/plug vs dense", audit_primitives),
+        ("merge/plug/one-pass close vs dense", audit_primitives),
     ]
     print(f"{args.trials} trials per check, heights <= {args.max_height}, "
           f"seed {args.seed}\n")

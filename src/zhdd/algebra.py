@@ -1,18 +1,28 @@
 """Operations on diagrams: vector import, tensor, sum, wire surgery.
 
-Everything here rebuilds its result through a fresh :class:`Builder`, so
-the outputs are reduced by construction (given sanely-scaled weights —
-see the grid caveats in :mod:`zhdd.sqmdd`).  Inputs do **not** have to be
-reduced; the operations only rely on validity.
+The operations are edge-level routines ``(bld, edge, ...) -> edge``.  They
+read their input nodes from a :class:`Builder`'s table and write their
+results into the same table, so a chain of them (the contraction in
+:func:`zhdd.translate.zh_to_sqmdd`) shares one unique table and is
+packaged once, by :meth:`Builder.finish`.  Each public operation on
+diagrams is a thin wrapper around one routine: a fresh builder, an
+``import_edge`` of its input(s), the routine, one ``finish``.  The import
+makes every output reduced by construction (given sanely-scaled weights —
+see the grid caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to
+be reduced; the operations only rely on validity.
 
 The wire operations share one level-walker (:func:`_walker`).  It visits
 each node above a target height once, bottom-up in ascending height, and
-rebuilds it ``drop`` levels lower: 1 when the target wire disappears, 0
-when it stays.  An edge that arrives at or crosses the target is cut there:
-the two cofactors of its child at the target height go to the operation's
-``act(e0, e1)``, and the walker scales the returned edge by the edge
-weight.  The operations are linear in edge weights, so ``act`` runs once
-per child and the cost is proportional to the diagram, not to 2**H.
+rebuilds it ``drop`` levels lower: 2 when a wire is closed, 1 when the
+target wire disappears, 0 when it stays, and minus the lower factor's
+height when a tensor lifts the upper factor over it.  An edge that arrives
+at or crosses the target is cut there: the two cofactors of its child at
+the target height go to the operation's ``act(e0, e1)``, and the walker
+scales the returned edge by the edge weight.  The operations are linear in
+edge weights, so ``act`` runs once per child and the cost is proportional
+to the diagram, not to 2**H.  Closing a wire (:func:`contract_edge`) is a
+single pass: its ``act`` restricts the lower wire to agree with the upper
+one and sums the two branches, a Z merge and a <+| plug in one.
 
 The sum (:func:`_adder`) walks an edge pair with an explicit stack.  Both
 engines read a node's height off the node, so levels that an edge skips
@@ -33,34 +43,25 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import ShapeError
-from .sqmdd import (
-    TERMINAL,
-    Builder,
-    Edge,
-    Node,
-    Sqmdd,
-    split_edge,
-    weight_key,
-    zero_form,
-)
+from .sqmdd import TERMINAL, Builder, Edge, Sqmdd, split_edge
 
 Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
 Walk = Callable[[Edge], Edge]
 
 
-def _height(d: Sqmdd, c: int) -> int:
-    return 0 if c == TERMINAL else d.nodes[c].height
+def _height(bld: Builder, c: int) -> int:
+    return 0 if c == TERMINAL else bld.nodes[c].height
 
 
-def _walker(d: Sqmdd, bld: Builder, target: int, drop: int, act: Act) -> Walk:
-    """Rebuild the part of ``d`` above height ``target`` under an edge.
+def _walker(bld: Builder, target: int, drop: int, act: Act) -> Walk:
+    """Rebuild the part of an edge's diagram above height ``target``.
 
     Nodes above the target come back ``drop`` levels lower; every child at
     or below it becomes ``act`` of its two cofactors at the target.  The
-    returned function may be called on several edges of ``d``; they share
-    one table of rebuilt nodes.
+    returned function may be called on several edges; they share one
+    table of rebuilt nodes.
     """
-    done: dict[int, Edge | None] = {}
+    nodes, done = bld.nodes, {}
 
     def walk(top: Edge) -> Edge:
         order, stack = [], [top[1]]
@@ -68,15 +69,15 @@ def _walker(d: Sqmdd, bld: Builder, target: int, drop: int, act: Act) -> Walk:
             u = stack.pop()
             if u in done:
                 continue
-            if _height(d, u) <= target:
+            if _height(bld, u) <= target:
                 unit = (1.0 + 0j, u)
-                done[u] = act(split_edge(d, unit, target, 0), split_edge(d, unit, target, 1))
+                done[u] = act(split_edge(bld, unit, target, 0), split_edge(bld, unit, target, 1))
             else:
                 done[u] = None  # rebuilt below, once its children are
                 order.append(u)
-                stack += (d.nodes[u].c0, d.nodes[u].c1)
-        for u in sorted(order, key=lambda u: d.nodes[u].height):
-            n = d.nodes[u]
+                stack += (nodes[u].c0, nodes[u].c1)
+        for u in sorted(order, key=lambda u: nodes[u].height):
+            n = nodes[u]
             (l0, c0), (l1, c1) = done[n.c0], done[n.c1]
             done[u] = bld.edge(n.height - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
         lam, c = done[top[1]]
@@ -85,17 +86,15 @@ def _walker(d: Sqmdd, bld: Builder, target: int, drop: int, act: Act) -> Walk:
     return walk
 
 
-def _restrictor(d: Sqmdd, bld: Builder, imp: dict, target: int, bit: int) -> Walk:
+def _restrictor(bld: Builder, target: int, bit: int) -> Walk:
     """A walker that fixes the variable at ``target`` to ``bit``."""
-    return _walker(d, bld, target, 1, lambda e0, e1: bld.import_edge(d, (e0, e1)[bit], imp))
+    return _walker(bld, target, 1, lambda e0, e1: (e0, e1)[bit])
 
 
-def _adder(bld: Builder, a: Sqmdd, b: Sqmdd) -> Act:
-    """Pointwise sum of an edge of ``a`` and an edge of ``b``; the returned
-    function's calls share one computed table."""
+def _adder(bld: Builder) -> Act:
+    """Pointwise sum of two edges; the returned function's calls share one
+    computed table."""
     memo: dict[tuple, Edge] = {}
-    imp_a: dict[int, Edge] = {}
-    imp_b = imp_a if b is a else {}
 
     def known(ea: Edge, eb: Edge) -> Edge | None:
         (wa, ca), (wb, cb) = ea, eb
@@ -103,9 +102,9 @@ def _adder(bld: Builder, a: Sqmdd, b: Sqmdd) -> Act:
         hit = memo.get(key)
         if hit is None:
             if ca == TERMINAL and wa == 0j:
-                hit = memo[key] = bld.import_edge(b, eb, imp_b)
+                hit = memo[key] = eb
             elif cb == TERMINAL and wb == 0j:
-                hit = memo[key] = bld.import_edge(a, ea, imp_a)
+                hit = memo[key] = ea
             elif ca == cb == TERMINAL:
                 hit = memo[key] = (wa + wb, TERMINAL)
         return hit
@@ -118,13 +117,82 @@ def _adder(bld: Builder, a: Sqmdd, b: Sqmdd) -> Act:
                 (wa, ca), (wb, cb) = pa, pb
                 memo[(ca, wa, cb, wb)] = bld.edge(h, *(known(*p) for p in halves))
             elif known(pa, pb) is None:
-                h = max(_height(a, pa[1]), _height(b, pb[1]))
-                halves = [(split_edge(a, pa, h, s), split_edge(b, pb, h, s)) for s in (0, 1)]
+                h = max(_height(bld, pa[1]), _height(bld, pb[1]))
+                halves = [(split_edge(bld, pa, h, s), split_edge(bld, pb, h, s)) for s in (0, 1)]
                 stack.append((pa, pb, h, halves))
                 stack += [(*p, 0, None) for p in reversed(halves)]  # the 0-side first
         return known(ea, eb)
 
     return total
+
+
+# ---------------------------------------------------------------------------
+# edge-level operations: inputs and result live in ``bld``'s table
+
+
+def tensor_edge(bld: Builder, top: Edge, bottom: Edge, bottom_height: int) -> Edge:
+    """Kronecker product: ``top``'s nodes are rebuilt ``bottom_height``
+    levels higher, with ``bottom`` in place of the terminal."""
+    return _walker(bld, 0, -bottom_height, lambda e0, e1: bottom)(top)
+
+
+def restrict_edge(bld: Builder, e: Edge, height: int, i: int, bit: int) -> Edge:
+    """Fix output wire ``i`` to ``bit``."""
+    return _restrictor(bld, height - i, bit)(e)
+
+
+def merge_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
+    """Keep the entries where the bits of wires ``i < j`` agree; ``j`` goes."""
+    hi = height - i
+    r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
+    return _walker(bld, hi, 1, lambda e0, e1: bld.edge(hi - 1, r0(e0), r1(e1)))(e)
+
+
+def plug_edge(bld: Builder, e: Edge, height: int, i: int) -> Edge:
+    """Sum output wire ``i`` out."""
+    return _walker(bld, height - i, 1, _adder(bld))(e)
+
+
+def contract_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
+    """Close the wire joining outputs ``i < j``: both go, and the result is
+    ``plug_edge(merge_edge(e, i, j), i)``, computed in one pass."""
+    r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
+    add = _adder(bld)
+    return _walker(bld, height - i, 2, lambda e0, e1: add(r0(e0), r1(e1)))(e)
+
+
+def swap_edge(bld: Builder, e: Edge, k: int) -> Edge:
+    """Exchange the variables at heights ``k+1`` and ``k``."""
+
+    def act(e0: Edge, e1: Edge) -> Edge:
+        ll, lr, rl, rr = (split_edge(bld, x, k, side) for x in (e0, e1) for side in (0, 1))
+        return bld.edge(k + 1, bld.edge(k, ll, rl), bld.edge(k, lr, rr))
+
+    return _walker(bld, k + 1, 0, act)(e)
+
+
+def permute_edge(bld: Builder, e: Edge, height: int, perm: Sequence[int]) -> Edge:
+    """Rearrange wires so that result wire ``i`` is input wire ``perm[i]``,
+    by a bubble of adjacent-level swaps."""
+    cur = list(range(height))
+    for i in range(height):
+        j = cur.index(perm[i])
+        while j > i:
+            # swap positions (j-1, j), i.e. heights (H-j+1, H-j)
+            e = swap_edge(bld, e, height - j)
+            cur[j - 1], cur[j] = cur[j], cur[j - 1]
+            j -= 1
+    return e
+
+
+# ---------------------------------------------------------------------------
+# operations on diagrams
+
+
+def _imported(settings: Settings, *ds: Sqmdd) -> tuple:
+    """A fresh builder, then the top edge of each of ``ds`` imported into it."""
+    bld = Builder(settings)
+    return (bld, *(bld.import_edge(d, (d.scalar, d.root)) for d in ds))
 
 
 def canonical_from_vector(vec, settings: Settings = DEFAULT) -> Sqmdd:
@@ -144,51 +212,22 @@ def canonical_from_vector(vec, settings: Settings = DEFAULT) -> Sqmdd:
 
 def scale(d: Sqmdd, factor: complex, settings: Settings = DEFAULT) -> Sqmdd:
     """Multiply the denoted vector by a scalar."""
-    factor = complex(factor)
-    if factor == 0j:
-        return zero_form(d.height)
-    out = Sqmdd(d.scalar * factor, d.height, d.root, dict(d.nodes))
-    if out.root != TERMINAL and weight_key(out.scalar, settings) == (0, 0):
-        return zero_form(d.height)
-    return out
+    bld, (w, c) = _imported(settings, d)
+    return bld.finish((w * complex(factor), c), d.height)
 
 
 def add(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
     """Pointwise sum of two diagrams of equal height."""
     if a.height != b.height:
         raise ShapeError(f"cannot add heights {a.height} and {b.height}")
-    bld = Builder(settings)
-    return bld.finish(_adder(bld, a, b)((a.scalar, a.root), (b.scalar, b.root)), a.height)
+    bld, ea, eb = _imported(settings, a, b)
+    return bld.finish(_adder(bld)(ea, eb), a.height)
 
 
 def tensor(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
-    """Kronecker product: ``a`` supplies the upper wires, ``b`` the lower.
-
-    Purely structural — ``b`` keeps its nodes, ``a``'s nodes move on top
-    with shifted heights, and ``a``'s non-zero terminal edges are rerouted
-    to ``b``'s root.  Reduced inputs give a reduced output.
-    """
-    height = a.height + b.height
-    if a.scalar == 0j or b.scalar == 0j:
-        return zero_form(height)
-    scalar = a.scalar * b.scalar
-    if a.root == TERMINAL:
-        return Sqmdd(scalar, height, b.root, dict(b.nodes))
-    offset = max(b.nodes, default=0)
-    nodes = dict(b.nodes)
-
-    def relink(w: complex, c: int) -> tuple[complex, int]:
-        if c != TERMINAL:
-            return (w, c + offset)
-        if w != 0j and weight_key(w, settings) != (0, 0):
-            return (w, b.root)  # b.root may itself be the terminal
-        return (w, TERMINAL)
-
-    for i, n in a.nodes.items():
-        w0, c0 = relink(n.w0, n.c0)
-        w1, c1 = relink(n.w1, n.c1)
-        nodes[i + offset] = Node(n.height + b.height, w0, c0, w1, c1)
-    return Sqmdd(scalar, height, a.root + offset, nodes)
+    """Kronecker product: ``a`` supplies the upper wires, ``b`` the lower."""
+    bld, ea, eb = _imported(settings, a, b)
+    return bld.finish(tensor_edge(bld, ea, eb, b.height), a.height + b.height)
 
 
 def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -197,9 +236,8 @@ def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
         raise ShapeError(f"wire {i} out of range for height {d.height}")
     if bit not in (0, 1):
         raise ShapeError(f"bit must be 0 or 1, got {bit!r}")
-    bld = Builder(settings)
-    top = _restrictor(d, bld, {}, d.height - i, bit)((d.scalar, d.root))
-    return bld.finish(top, d.height - 1)
+    bld, e = _imported(settings, d)
+    return bld.finish(restrict_edge(bld, e, d.height, i, bit), d.height - 1)
 
 
 def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -210,59 +248,30 @@ def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> S
         raise ShapeError(
             f"need two distinct wires 0 <= i < j < {d.height}, got ({i}, {j})"
         )
-    bld, imp, hi = Builder(settings), {}, d.height - i
-    r0, r1 = (_restrictor(d, bld, imp, d.height - j, bit) for bit in (0, 1))
-
-    def act(e0: Edge, e1: Edge) -> Edge:
-        return bld.edge(hi - 1, r0(e0), r1(e1))
-
-    top = _walker(d, bld, hi, 1, act)((d.scalar, d.root))
-    return bld.finish(top, d.height - 1)
+    bld, e = _imported(settings, d)
+    return bld.finish(merge_edge(bld, e, d.height, i, j), d.height - 1)
 
 
 def plug_bra_plus(d: Sqmdd, i: int, settings: Settings = DEFAULT) -> Sqmdd:
     """Contract output wire ``i`` with the all-ones effect (sum it out)."""
     if not 0 <= i < d.height:
         raise ShapeError(f"wire {i} out of range for height {d.height}")
-    bld = Builder(settings)
-    top = _walker(d, bld, d.height - i, 1, _adder(bld, d, d))((d.scalar, d.root))
-    return bld.finish(top, d.height - 1)
+    bld, e = _imported(settings, d)
+    return bld.finish(plug_edge(bld, e, d.height, i), d.height - 1)
 
 
 def swap_adjacent_levels(d: Sqmdd, k: int, settings: Settings = DEFAULT) -> Sqmdd:
     """Exchange the variables at heights ``k+1`` and ``k`` (1 <= k < H)."""
     if not 1 <= k < d.height:
         raise ShapeError(f"level {k} out of range for height {d.height}")
-    bld, imp = Builder(settings), {}
-
-    def act(e0: Edge, e1: Edge) -> Edge:
-        ll, lr, rl, rr = (
-            bld.import_edge(d, split_edge(d, e, k, side), imp)
-            for e in (e0, e1)
-            for side in (0, 1)
-        )
-        return bld.edge(k + 1, bld.edge(k, ll, rl), bld.edge(k, lr, rr))
-
-    top = _walker(d, bld, k + 1, 0, act)((d.scalar, d.root))
-    return bld.finish(top, d.height)
+    bld, e = _imported(settings, d)
+    return bld.finish(swap_edge(bld, e, k), d.height)
 
 
 def permute_outputs(d: Sqmdd, perm: Sequence[int], settings: Settings = DEFAULT) -> Sqmdd:
-    """Rearrange wires so that result wire ``i`` is input wire ``perm[i]``.
-
-    Realized as a bubble of adjacent-level swaps, each of which is checked
-    structure-preserving on its own.
-    """
+    """Rearrange wires so that result wire ``i`` is input wire ``perm[i]``."""
     perm = list(perm)
     if sorted(perm) != list(range(d.height)):
         raise ShapeError(f"{perm} is not a permutation of range({d.height})")
-    cur = list(range(d.height))
-    out = d
-    for i in range(d.height):
-        j = cur.index(perm[i])
-        while j > i:
-            # swap positions (j-1, j), i.e. heights (H-j+1, H-j)
-            out = swap_adjacent_levels(out, d.height - j, settings)
-            cur[j - 1], cur[j] = cur[j], cur[j - 1]
-            j -= 1
-    return out
+    bld, e = _imported(settings, d)
+    return bld.finish(permute_edge(bld, e, d.height, perm), d.height)

@@ -140,7 +140,6 @@ def _canonicalize(obj: Any, settings: Settings, assert_stages: bool):
     from .algebra import canonical_from_vector
     from .oracle import vector_from_json
     from .reduction import reduce_diagram
-    from .duality import to_state_form
     from .sqmdd import sqmdd_from_json
     from .terms import term_from_json
     from .translate import zh_to_sqmdd
@@ -149,10 +148,7 @@ def _canonicalize(obj: Any, settings: Settings, assert_stages: bool):
     if what == "sqmdd":
         return reduce_diagram(sqmdd_from_json(obj, settings), settings)[0]
     if what == "term":
-        t = term_from_json(obj)
-        if t.n_in:
-            t = to_state_form(t)
-        return zh_to_sqmdd(t, settings, assert_stages=assert_stages)
+        return zh_to_sqmdd(term_from_json(obj), settings, assert_stages=assert_stages)
     return canonical_from_vector(vector_from_json(obj), settings)
 
 

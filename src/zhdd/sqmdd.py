@@ -485,14 +485,13 @@ class Builder:
             self.nodes[found] = node
         return (lam, found)
 
-    def import_edge(self, d: Sqmdd, e: Edge, _memo: dict[int, Edge] | None = None) -> Edge:
+    def import_edge(self, d: Sqmdd, e: Edge) -> Edge:
         """Re-create a sub-diagram of ``d`` inside this builder.
 
         Returns the canonical edge denoting the same (weighted) subtree;
         heights are preserved.
         """
-        memo = _memo if _memo is not None else {}
-        memo[TERMINAL] = (1.0 + 0j, TERMINAL)
+        memo: dict[int, Edge] = {TERMINAL: (1.0 + 0j, TERMINAL)}
         w, c = e
         stack = [c]
         while stack:  # post-order: a node is built once both children are
@@ -525,10 +524,11 @@ class Builder:
         return d
 
 
-def split_edge(d: Sqmdd, e: Edge, height: int, side: int) -> Edge:
+def split_edge(d: Sqmdd | Builder, e: Edge, height: int, side: int) -> Edge:
     """Cofactor of an edge viewed at ``height``: follow the node when it
     sits exactly at that level, otherwise the edge spans the level and
-    both cofactors are the edge itself."""
+    both cofactors are the edge itself.  ``d`` holds the node table: a
+    diagram, or a builder whose table the edge lives in."""
     w, c = e
     if c != TERMINAL and d.nodes[c].height == height:
         n = d.nodes[c]

@@ -4,10 +4,12 @@ Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
 the term is flattened to its wiring network and every spider/box becomes a
 small closed-form diagram.  These are tensored in one at a time, in the
 greedy minimum-frontier order of :func:`~zhdd.network.contraction_plan`,
-and each wire is contracted (a merge and a <+| plug from
-:mod:`zhdd.algebra`) as soon as both its ends are live, so the state never
-grows past the plan's peak live width.  The optional per-stage dense
-mirror is capped by that same width.
+and each wire is contracted (a Z merge and a <+| plug, fused into one
+level-walker pass of :func:`~zhdd.algebra.contract_edge`) as soon as both
+its ends are live, so the state never grows past the plan's peak live
+width.  All of it happens in one :class:`~zhdd.sqmdd.Builder`: one unique
+table for the whole contraction, packaged once.  The optional per-stage
+dense mirror is capped by the plan's peak width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -21,13 +23,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional
 
-from .algebra import (
-    permute_outputs,
-    plug_bra_plus,
-    scale,
-    tensor,
-    z_merge_outputs,
-)
+from .algebra import contract_edge, permute_edge, tensor_edge
 from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
 from .network import Port, contraction_plan, flatten_to_network, instance_state
@@ -35,12 +31,12 @@ from .reduction import reduce_diagram
 from .sqmdd import (
     TERMINAL,
     Builder,
+    Edge,
     Node,
     Sqmdd,
     is_zero_weight,
     left_cofactor,
     right_cofactor,
-    terminal_only,
     validate,
 )
 from .terms import (
@@ -93,37 +89,42 @@ def generator_state_sqmdd(
         raise ShapeError(f"no generator state for {kind!r}")
     if legs < 0:
         raise ShapeError(f"negative leg count {legs}")
+    bld = Builder(settings)
+    return bld.finish(_generator_edge(bld, tag, legs, label), legs)
 
+
+def _generator_edge(bld: Builder, tag: str, legs: int, label: Optional[complex]) -> Edge:
+    """Top edge of the Z state ("z") or H-box state ("h") on ``legs`` legs,
+    built in ``bld``."""
     if tag == "z":
         if legs == 0:
-            return terminal_only(2.0 + 0j, 0)
-        bld = Builder(settings)
+            return (2.0 + 0j, TERMINAL)
         lo = hi = (1.0 + 0j, TERMINAL)  # the |0...0> and |1...1> corners
         for h in range(1, legs):
             lo = bld.edge(h, lo, (0j, TERMINAL))
         for h in range(1, legs):
             hi = bld.edge(h, (0j, TERMINAL), hi)
-        return bld.finish(bld.edge(legs, lo, hi), legs)
+        return bld.edge(legs, lo, hi)
 
     r = complex(label) if label is not None else -1.0 + 0j
     if legs == 0:
-        return terminal_only(r, 0)
-    bld = Builder(settings)
+        return (r, TERMINAL)
     ones_but_last = bld.edge(1, (1.0 + 0j, TERMINAL), (r, TERMINAL))
     for h in range(2, legs + 1):
         ones_but_last = bld.edge(h, (1.0 + 0j, TERMINAL), ones_but_last)
-    return bld.finish(ones_but_last, legs)
+    return ones_but_last
 
 
 # ---------------------------------------------------------------------------
 # term -> diagram
 
 
-def _stage_check(state: Sqmdd, mirror, what: str, settings: Settings) -> None:
+def _stage_check(bld: Builder, top: Edge, mirror, what: str) -> None:
     from .oracle import interpret_sqmdd, max_deviation
 
-    dev = max_deviation(interpret_sqmdd(state, settings), mirror)
-    if dev > settings.eps:
+    state = Sqmdd(top[0], mirror.size.bit_length() - 1, top[1], bld.nodes)
+    dev = max_deviation(interpret_sqmdd(state, bld.settings), mirror)
+    if dev > bld.settings.eps:
         raise AssertionError(f"contraction stage '{what}' drifted by {dev:.3e}")
 
 
@@ -132,18 +133,18 @@ def zh_to_sqmdd(
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
-    The network's instances are tensored in, new legs at the bottom, in
-    the order of :func:`~zhdd.network.contraction_plan`; after each one,
-    every wire whose two ends are now live is closed by a merge and a
-    <+| plug.  ``assert_stages`` re-checks every step against a dense
-    mirror vector; only feasible when the plan's peak live width fits
-    under the dense wire cap, which is checked before any contraction.
+    The whole contraction runs in one :class:`Builder`.  The network's
+    instances are tensored in, new legs at the bottom, in the order of
+    :func:`~zhdd.network.contraction_plan`; after each one, every wire
+    whose two ends are now live is closed by one pass of
+    :func:`~zhdd.algebra.contract_edge` (a Z merge and a <+| plug in one).
+    The builder is packaged into a diagram once, at the end.
+    ``assert_stages`` re-checks the state after every tensor, every closed
+    wire and the output permutation against a dense mirror vector; only
+    feasible when the plan's peak live width fits under the dense wire
+    cap, which is checked before any contraction.
     """
     net = flatten_to_network(t, settings)
-    if net.n_out > settings.max_qubits:
-        raise ResourceLimitError(
-            f"result would have {net.n_out} wires (cap is {settings.max_qubits})"
-        )
     order, peak = contraction_plan(net)
     mirror = None
     if assert_stages:
@@ -169,43 +170,39 @@ def zh_to_sqmdd(
     # <+| plugs along the way; folding it in up front would leave the
     # intermediate states with an artificially minuscule scalar that the
     # weight grid would then round to an honest zero.
-    state = terminal_only(1.0 + 0j, 0)
+    bld = Builder(settings)
+    state: Edge = (1.0 + 0j, TERMINAL)
     live: list[Port] = []
     for idx, to_close in zip(order, closes):
         inst = net.instances[idx]
-        g = generator_state_sqmdd(inst.kind, inst.arity, inst.label, settings)
-        state = tensor(state, g, settings)
+        g = _generator_edge(bld, inst.kind, inst.arity, inst.label)
+        state = tensor_edge(bld, state, g, inst.arity)
         live.extend((idx, p) for p in range(inst.arity))
         if assert_stages:
             mirror = np.kron(mirror, instance_state(inst))
-            _stage_check(state, mirror, f"tensor {idx}", settings)
+            _stage_check(bld, state, mirror, f"tensor {idx}")
         for a, b in to_close:
-            ia, ib = live.index(a), live.index(b)
-            i, j = min(ia, ib), max(ia, ib)
-            state = z_merge_outputs(state, i, j, settings)
+            i, j = sorted((live.index(a), live.index(b)))
+            state = contract_edge(bld, state, len(live), i, j)
             if assert_stages:
-                mirror = dense_merge_outputs(mirror, len(live), i, j)
-                _stage_check(state, mirror, f"merge {a}~{b}", settings)
-            del live[j]
-            state = plug_bra_plus(state, i, settings)
-            if assert_stages:
-                mirror = dense_plug_plus(mirror, len(live), i)
-                _stage_check(state, mirror, f"plug {a}~{b}", settings)
-            del live[i]
+                n = len(live)
+                mirror = dense_plug_plus(dense_merge_outputs(mirror, n, i, j), n - 1, i)
+                _stage_check(bld, state, mirror, f"close {a}~{b}")
+            del live[j], live[i]
 
     perm = [live.index(p) for p in net.outputs]
-    state = permute_outputs(state, perm, settings)
-    state = scale(state, complex(net.scalar), settings)
+    lam, root = permute_edge(bld, state, len(live), perm)
+    state = (lam * complex(net.scalar), root)
     if assert_stages:
         mirror = net.scalar * dense_permute(mirror, len(live), perm)
-        _stage_check(state, mirror, "output permutation", settings)
+        _stage_check(bld, state, mirror, "output permutation")
 
-    state, steps = reduce_diagram(state, settings)
+    out, steps = reduce_diagram(bld.finish(state, len(live)), settings)
     if assert_stages and steps:
         raise AssertionError(
             f"contracted diagram was not already reduced ({len(steps)} residual steps)"
         )
-    return state
+    return out
 
 
 # ---------------------------------------------------------------------------

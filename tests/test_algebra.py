@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from zhdd.algebra import (
     add,
     canonical_from_vector,
+    contract_edge,
     permute_outputs,
     plug_bra_plus,
     restrict,
@@ -171,8 +172,29 @@ def test_operations_emit_reduced_diagrams():
         z_merge_outputs(d, 0, 2),
         plug_bra_plus(d, 3),
         swap_adjacent_levels(d, 2),
+        tensor(d, d),
+        scale(d, 2),
+        permute_outputs(d, [0, 1, 2, 3]),
+        add(d, d),
     ):
         assert is_irreducible(out), "algebra ops go through the builder"
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_contract_edge_is_merge_then_plug(seed):
+    """Closing a wire in one pass equals the merge followed by the plug."""
+    rng = np.random.default_rng(seed)
+    h = 2 + seed % 5
+    d = random_dag(rng, h)
+    v = interpret_sqmdd(d)
+    for i in range(h):
+        for j in range(i + 1, h):
+            bld = Builder()
+            e = bld.import_edge(d, (d.scalar, d.root))
+            got = bld.finish(contract_edge(bld, e, h, i, j), h - 2)
+            assert iso_equal(got, plug_bra_plus(z_merge_outputs(d, i, j), i))
+            want = dense_plug_plus(dense_merge_outputs(v, h, i, j), h - 1, i)
+            assert max_deviation(interpret_sqmdd(got), want) <= 1e-9
 
 
 DEEP = 3000

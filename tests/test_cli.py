@@ -12,7 +12,7 @@ from zhdd.generate import random_dag, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
 from zhdd.sqmdd import TERMINAL, Builder, iso_equal, renumber, sqmdd_from_json, sqmdd_to_json
-from zhdd.terms import Gen, ZSpider, term_from_json, term_to_json
+from zhdd.terms import Gen, HBox, ZSpider, term_from_json, term_to_json
 from zhdd.translate import generator_state_sqmdd, sqmdd_read_back, sqmdd_to_zh
 
 
@@ -111,6 +111,12 @@ def test_check_equiv_reflexive(write, capsys, diagram, fmt):
     else:
         f = write("a.json", term_to_json(sqmdd_to_zh(diagram)))
     assert run(capsys, "check-equiv", f, f)[0] == 0
+
+
+def test_check_equiv_map_against_its_row_major_vector(write, capsys):
+    t = write("t.json", term_to_json(Gen(HBox(1, 1, -1))))
+    v = write("v.json", vector_to_json(np.array([1, 1, 1, -1], dtype=complex)))
+    assert run(capsys, "check-equiv", t, v)[0] == 0
 
 
 def test_check_equiv_scalar_modes(write, capsys):
@@ -246,3 +252,16 @@ def test_to_zh_on_deep_emissions(write, capsys, kind, legs):
         deepest = max(deepest, depth)
         todo.extend((c, depth + 1) for c in node["children"])
     assert deepest <= 8
+
+
+def test_deep_round_trip_at_default_settings(write, capsys):
+    """The dense wire cap does not apply to the decision-diagram path."""
+    d = generator_state_sqmdd("z", 20)
+    f = write("d.json", sqmdd_to_json(d))
+    code, out, _ = run(capsys, "to-zh", f)
+    assert code == 0
+    t = write("t.json", json.loads(out))
+    code, out, _ = run(capsys, "to-sqmdd", t)
+    assert code == 0
+    assert iso_equal(sqmdd_from_json(json.loads(out)), d)
+    assert run(capsys, "check-equiv", "--up-to-scalar", f, t)[0] == 0

@@ -19,7 +19,7 @@ from zhdd.oracle import (
     max_deviation,
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
-from zhdd.sqmdd import iso_equal, sqmdd_to_json, validate
+from zhdd.sqmdd import Builder, iso_equal, sqmdd_to_json, validate
 from zhdd.terms import Gen, HBox, NotXSpider, Swap, ZSpider, par, seq, wires
 from zhdd.translate import (
     generator_state_sqmdd,
@@ -105,6 +105,21 @@ def test_stage_assertions_follow_the_plan():
     assert sum(i.arity for i in net.instances) > 200
     back = zh_to_sqmdd(t, settings, assert_stages=True)
     assert iso_equal(back, reduce_diagram(d, settings)[0])
+
+
+def test_contraction_runs_on_one_builder(monkeypatch):
+    """Every tensor and closed wire shares one unique table."""
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE), WIDE)
+    made = []
+    init = Builder.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Builder, "__init__", counting)
+    zh_to_sqmdd(t, WIDE)
+    assert len(made) == 1
 
 
 @given(seed=st.integers(0, 2**32 - 1))
