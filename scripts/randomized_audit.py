@@ -31,7 +31,7 @@ from zhdd.algebra import contract_edge
 from zhdd.duality import to_state_form
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
-from zhdd.sqmdd import Builder
+from zhdd.sqmdd import TERMINAL, Builder
 
 
 def audit_translation(rng, n, max_h, settings):
@@ -141,6 +141,64 @@ def audit_primitives(rng, n, max_h, settings):
     return worst
 
 
+def audit_builder_edge(rng, n, max_h, settings):
+    """Builder.edge on weight pairs placed near grid-cell boundaries, over
+    children drawn from a small built table.  The returned edge denotes the
+    input pair within one cell's diagonal, eps * sqrt(2) * max(1, |lam|) on
+    each side: the ratio w1 / w0 is rounded and hash-consed on the grid,
+    so its error scales with lam.  A side may move to the terminal only
+    when its weight there and before are that small.  The node is
+    normalized to (1, w) or (0, 1), and the same pair built twice returns
+    the same edge without a new node."""
+    eps = settings.eps
+
+    def near_boundary():
+        # a cell's edge, exactly or nudged by a thousandth of a cell
+        k = rng.integers(-3, 4, size=2) + 0.5 + rng.choice([-1e-3, 0.0, 1e-3], size=2)
+        return complex(*(k * eps))
+
+    def pair():
+        w0 = near_boundary() if rng.random() < 0.5 else complex(*rng.normal(size=2))
+        r = rng.random()
+        if r < 0.25:  # w1 near a boundary of its own
+            return w0, near_boundary()
+        if r < 0.5:  # the ratio w1 / w0 near the one cell's edge
+            return w0, w0 * (1 + near_boundary())
+        if r < 0.75:  # the ratio near the zero cell's edge
+            return w0, w0 * near_boundary()
+        return w0, w0 + near_boundary()  # w1 near w0's cell
+
+    failures = 0
+    for k in range(n):
+        h = 2 + k % (max_h - 1)
+        d = random_dag(rng, h, settings=settings)
+        bld = Builder(settings)
+        bld.import_edge(d, (d.scalar, d.root))
+        for _ in range(20):
+            height = int(rng.integers(1, h + 2))
+            pool = [TERMINAL] + [i for i, nd in bld.nodes.items() if nd.height < height]
+            c0 = pool[rng.integers(len(pool))]
+            c1 = c0 if rng.random() < 0.5 else pool[rng.integers(len(pool))]
+            w0, w1 = pair()
+            lam, c = e = bld.edge(height, (w0, c0), (w1, c1))
+            nd = bld.nodes.get(c)
+            if nd is not None and nd.height == height:  # a node at this level
+                got = [(lam * nd.w0, nd.c0), (lam * nd.w1, nd.c1)]
+                ok = nd.w0 == 1 or (nd.w0 == 0 and nd.c0 == TERMINAL and nd.w1 == 1)
+            else:  # the level was skipped
+                got, ok = [e, e], True
+            tol = 2 ** 0.5 * eps * max(1.0, abs(lam)) * (1 + 1e-9)
+            for (wo, co), (wi, ci) in zip(got, [(w0, c0), (w1, c1)]):
+                if co == ci:
+                    ok &= abs(wo - wi) <= tol
+                else:  # moved to the terminal, where a zero-cell weight may stay
+                    ok &= co == TERMINAL and abs(wo) <= tol and abs(wi) <= tol
+            size = len(bld.nodes)
+            ok &= bld.edge(height, (w0, c0), (w1, c1)) == e and len(bld.nodes) == size
+            failures += not ok
+    return failures
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=400)
@@ -157,6 +215,7 @@ def main() -> None:
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
         ("merge/plug/one-pass close vs dense", audit_primitives),
+        ("builder-edge", audit_builder_edge),
     ]
     print(f"{args.trials} trials per check, heights <= {args.max_height}, "
           f"seed {args.seed}\n")

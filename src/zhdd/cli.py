@@ -3,10 +3,14 @@
 One command per invocation, JSON in, JSON (or DOT) out.  Exit codes:
 0 success, 1 semantic inequivalence or claim failure, 2 malformed input,
 3 resource cap exceeded, 4 internal error (a bug in zhdd, never a verdict).
+
+The argument parser is built once per process; each call dispatches to
+the module's ``_cmd_<command>`` function by name when it runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -228,6 +232,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=1e-9, metavar="EPS",
@@ -246,29 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("interpret", parents=[common],
                         help="evaluate a diagram or term to a dense vector/matrix")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_interpret)
 
     sp = sub.add_parser("reduce", parents=[common],
                         help="rewrite a diagram to its irreducible form, with trace")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_reduce)
 
     sp = sub.add_parser("to-zh", parents=[common],
                         help="emit the term normal form of a diagram")
     sp.add_argument("file")
     sp.add_argument("--fan-in", choices=("monoid", "x"), default="monoid",
                     help="how multi-parent joins are realized (default: monoid)")
-    sp.set_defaults(fn=_cmd_to_zh)
 
     sp = sub.add_parser("to-sqmdd", parents=[common],
                         help="contract a term into an irreducible diagram")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_to_sqmdd)
 
     sp = sub.add_parser("canonical", parents=[common],
                         help="build the canonical diagram of a dense vector")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_canonical)
 
     sp = sub.add_parser("check-equiv", parents=[common],
                         help="canonicalize two inputs (any format) and compare")
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b")
     sp.add_argument("--up-to-scalar", action="store_true",
                     help="treat states differing by a global factor as equal")
-    sp.set_defaults(fn=_cmd_check_equiv)
 
     sp = sub.add_parser("verify", parents=[common],
                         help="run the built-in equational claim suite")
@@ -286,20 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override per-claim sample count")
     sp.add_argument("--seed", type=int, default=0xC1A1)
     sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("export-dot", parents=[common],
                         help="render a diagram as GraphViz DOT")
     sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_export_dot)
 
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up when called, so a replaced ``_cmd_*`` module attribute is seen
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

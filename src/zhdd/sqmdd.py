@@ -441,8 +441,11 @@ class Builder:
     edges agree, normalizes the weight pair to (1, w) or (0, 1) by pulling
     the leading factor into the returned edge weight (snapping or skipping
     again when the ratio ``w`` lands in the zero or the one cell), and
-    hash-conses on :func:`node_key`.  Diagrams assembled exclusively
-    through it are irreducible by construction.
+    hash-conses on the :func:`node_key` of the normalized node.  It
+    computes each weight's grid cell once (the two inputs and the ratio;
+    the cell of 1 once per builder) and allocates a :class:`Node` only on
+    a table miss.  Diagrams assembled exclusively through it are
+    irreducible by construction.
     """
 
     def __init__(self, settings: Settings = DEFAULT) -> None:
@@ -450,39 +453,42 @@ class Builder:
         self.nodes: dict[int, Node] = {}
         self._table: dict[tuple, int] = {}
         self._next_id = 1
+        self._one_key = weight_key(1.0 + 0j, settings)
 
     def edge(self, height: int, e0: Edge, e1: Edge) -> Edge:
         (w0, c0), (w1, c1) = e0, e1
-        if is_zero_weight(w0, self.settings):
+        eps = self.settings.eps
+        k0 = (round(w0.real / eps), round(w0.imag / eps))  # weight_key, inlined
+        k1 = (round(w1.real / eps), round(w1.imag / eps))
+        if k0 == (0, 0):
             w0, c0 = 0j, TERMINAL
-        if is_zero_weight(w1, self.settings):
+        if k1 == (0, 0):
             w1, c1 = 0j, TERMINAL
-        if c0 == TERMINAL and c1 == TERMINAL and w0 == 0j and w1 == 0j:
-            return (0j, TERMINAL)
-        if c0 == c1 and weight_key(w0, self.settings) == weight_key(w1, self.settings):
-            return (w0, c0)  # both cofactors equal: skip this level
+        if c0 == c1 and k0 == k1:
+            return (w0, c0)  # both cofactors equal (or zero): skip this level
         if w0 != 0j:
             lam = w0
             w0, w1 = 1.0 + 0j, w1 / lam
+            k0 = self._one_key
+            k1 = (round(w1.real / eps), round(w1.imag / eps))
         else:
             lam = w1
             w1 = 1.0 + 0j
-        node = Node(height, w0, c0, w1, c1)
-        key = node_key(node, self.settings)
+            k1 = self._one_key
         # the ratio w1 / w0 can land in the zero or the one cell although w1
-        # did not; snap or skip as r3 and r5 would (key[2], key[4] are the
-        # cells of w0, w1, and w0 == 0 only over the terminal)
-        if key[4] == (0, 0) and c1 != TERMINAL:
-            node = Node(height, w0, c0, 0j, TERMINAL)
-            key = node_key(node, self.settings)
-        elif c0 == c1 and key[4] == key[2]:
+        # did not; snap or skip as r3 and r5 would (w0 == 0 only over the
+        # terminal)
+        if k1 == (0, 0) and c1 != TERMINAL:
+            w1, c1 = 0j, TERMINAL
+        elif c0 == c1 and k1 == k0:
             return (lam, c0)
+        key = (height, c0, k0, c1, k1)  # node_key of the normalized node
         found = self._table.get(key)
         if found is None:
             found = self._next_id
             self._next_id += 1
             self._table[key] = found
-            self.nodes[found] = node
+            self.nodes[found] = Node(height, w0, c0, w1, c1)
         return (lam, found)
 
     def import_edge(self, d: Sqmdd, e: Edge) -> Edge:

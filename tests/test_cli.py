@@ -265,3 +265,37 @@ def test_deep_round_trip_at_default_settings(write, capsys):
     assert code == 0
     assert iso_equal(sqmdd_from_json(json.loads(out)), d)
     assert run(capsys, "check-equiv", "--up-to-scalar", f, t)[0] == 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _shared_child_diagram():
+    bld = Builder()
+    _, n = bld.edge(1, (1 + 0j, TERMINAL), (2 + 0j, TERMINAL))
+    return bld.finish(bld.edge(2, (1 + 0j, n), (3 + 0j, n)), 2)
+
+
+def test_interleaved_calls_match_calls_run_alone(write, capsys):
+    """Option values never leak from one call into the next through the
+    shared parser: each pair differs only in an option, and the outputs
+    of the two calls differ."""
+    d = write("d.json", sqmdd_to_json(_shared_child_diagram()))
+    v = np.array([1, 2j, 0, 3], dtype=complex)
+    a = write("a.json", vector_to_json(v))
+    b = write("b.json", vector_to_json((2 - 1j) * v))
+    close = write("close.json", vector_to_json(np.array([1, 1 + 1e-7], dtype=complex)))
+    pairs = [
+        (["to-zh", "--fan-in", "x", d], ["to-zh", d]),
+        (["check-equiv", "--up-to-scalar", a, b], ["check-equiv", a, b]),
+        (["canonical", "--tolerance", "1e-6", close], ["canonical", close]),
+    ]
+    for first, second in pairs:
+        alone = []
+        for argv in (first, second):
+            cli.build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        assert alone[0] != alone[1]
+        for argv, want in [(first, alone[0]), (second, alone[1])] * 2:
+            assert run(capsys, *argv) == want

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zhdd.config import Settings
 from zhdd.generate import random_dag, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.sqmdd import (
@@ -266,3 +269,46 @@ def test_node_key_folds_grid():
     a = Node(1, 1 + 0j, TERMINAL, 2 + 0j, TERMINAL)
     b = Node(1, 1 + 0.2e-9j, TERMINAL, 2 + 0j, TERMINAL)
     assert node_key(a) == node_key(b)
+
+
+# --- Builder.edge under a non-default grid: every branch reads the builder's
+# own settings, never DEFAULT
+
+
+def test_builder_coarse_grid_snaps_zero_cell_weights():
+    b = Builder(Settings(eps=1e-3))
+    w, c = b.edge(1, (4e-4 + 0j, TERMINAL), (1 + 0j, TERMINAL))
+    assert b.nodes[c].edge(0) == (0j, TERMINAL)
+    assert b.edge(1, (4e-4 + 0j, TERMINAL), (-4e-4j, TERMINAL)) == (0j, TERMINAL)
+
+
+def test_builder_coarse_grid_hash_conses_within_a_cell():
+    b = Builder(Settings(eps=1e-3))
+    e1 = b.edge(1, (1 + 0j, TERMINAL), (2 + 0j, TERMINAL))
+    e2 = b.edge(1, (1 + 0j, TERMINAL), (2 + 4e-4 + 0j, TERMINAL))
+    assert e1[1] == e2[1] and len(b.nodes) == 1
+
+
+def test_builder_coarse_grid_one_cell_ratio_skips_level():
+    b = Builder(Settings(eps=1e-3))
+    _, child = b.edge(1, (1 + 0j, TERMINAL), (3 + 0j, TERMINAL))
+    # 10 and 10.004 lie in different cells, their ratio in the one cell (r5)
+    assert b.edge(2, (10 + 0j, child), (10.004 + 0j, child)) == (10 + 0j, child)
+    assert len(b.nodes) == 1
+
+
+def test_builder_coarse_grid_zero_cell_ratio_drops_child():
+    b = Builder(Settings(eps=1e-3))
+    _, child = b.edge(1, (1 + 0j, TERMINAL), (3 + 0j, TERMINAL))
+    # 0.004 is not in the zero cell, but 0.004 / 10 is (r3)
+    w, c = b.edge(2, (10 + 0j, TERMINAL), (0.004 + 0j, child))
+    assert w == 10 + 0j
+    assert b.nodes[c].edge(1) == (0j, TERMINAL)
+
+
+def test_builder_keeps_negative_zero_on_terminal_edge():
+    b = Builder(Settings(eps=1e-3))
+    w, c = b.edge(1, (-2 + 0j, TERMINAL), (0j, TERMINAL))
+    w1 = b.nodes[c].w1  # 0j / -2 is -0-0j: over the terminal it is not re-snapped
+    assert w == -2 + 0j and w1 == 0
+    assert math.copysign(1.0, w1.real) == -1.0 and math.copysign(1.0, w1.imag) == -1.0
