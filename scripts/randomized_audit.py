@@ -27,7 +27,7 @@ from zhdd import (
     z_merge_outputs,
     zh_to_sqmdd,
 )
-from zhdd.algebra import contract_edge
+from zhdd.algebra import canonical, contract_edge
 from zhdd.duality import to_state_form
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
@@ -49,8 +49,7 @@ def audit_round_trip(rng, n, max_h, settings):
     failures = 0
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
-        bld = Builder(settings)
-        want = bld.finish(bld.import_edge(d, (d.scalar, d.root)), d.height)
+        want = canonical(d, settings)
         t = sqmdd_to_zh(d, settings, fan_in=("monoid", "x")[k % 2])
         if not iso_equal(zh_to_sqmdd(t, settings), want, settings):
             failures += 1
@@ -66,6 +65,23 @@ def audit_canonicity(rng, n, max_h, settings):
         b = reduce_diagram(scramble(tree, rng), settings)[0]
         want = canonical_from_vector(v, settings)
         if not (iso_equal(a, want, settings) and iso_equal(b, want, settings)):
+            failures += 1
+    return failures
+
+
+def audit_canonical_agreement(rng, n, max_h, settings):
+    """canonical (one Builder re-import) is irreducible and lands on the
+    rewriter's normal form, for random DAGs and scrambled naive trees."""
+    failures = 0
+    for k in range(n):
+        h = 1 + k % max_h
+        if k % 2:
+            d = scramble(tree_from_vector(random_vector(rng, h)), rng)
+        else:
+            d = random_dag(rng, h, settings=settings)
+        got = canonical(d, settings)
+        want = reduce_diagram(d, settings)[0]
+        if not (is_irreducible(got, settings) and iso_equal(got, want, settings)):
             failures += 1
     return failures
 
@@ -212,6 +228,7 @@ def main() -> None:
         ("diagram -> term -> vector", audit_translation),
         ("diagram -> term -> diagram", audit_round_trip),
         ("canonicity of scrambles", audit_canonicity),
+        ("canonical-agreement", audit_canonical_agreement),
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
         ("merge/plug/one-pass close vs dense", audit_primitives),

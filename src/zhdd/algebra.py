@@ -6,10 +6,11 @@ results into the same table, so a chain of them (the contraction in
 :func:`zhdd.translate.zh_to_sqmdd`) shares one unique table and is
 packaged once, by :meth:`Builder.finish`.  Each public operation on
 diagrams is a thin wrapper around one routine: a fresh builder, an
-``import_edge`` of its input(s), the routine, one ``finish``.  The import
-makes every output reduced by construction (given sanely-scaled weights —
-see the grid caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to
-be reduced; the operations only rely on validity.
+``import_edge`` of its input(s), the routine, one ``finish``;
+:func:`canonical` is the wrapper with no routine.  The import makes every
+output reduced by construction (given sanely-scaled weights — see the grid
+caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to be reduced;
+the operations only rely on validity.
 
 The wire operations share one level-walker (:func:`_walker`).  It visits
 each node above a target height once, bottom-up in ascending height, and
@@ -193,6 +194,17 @@ def _imported(settings: Settings, *ds: Sqmdd) -> tuple:
     """A fresh builder, then the top edge of each of ``ds`` imported into it."""
     bld = Builder(settings)
     return (bld, *(bld.import_edge(d, (d.scalar, d.root)) for d in ds))
+
+
+def canonical(d: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
+    """The irreducible form of ``d``: one ``Builder`` re-import, packaged.
+
+    The same form the rewrite system reaches (node ids aside), without its
+    trace; :func:`zhdd.reduction.reduce_diagram` is for when the steps
+    themselves are wanted.
+    """
+    bld, e = _imported(settings, d)
+    return bld.finish(e, d.height)
 
 
 def canonical_from_vector(vec, settings: Settings = DEFAULT) -> Sqmdd:

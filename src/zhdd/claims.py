@@ -160,13 +160,6 @@ def _label(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
 
 
-def _nonzero_label(rng: np.random.Generator) -> complex:
-    while True:
-        r = _label(rng)
-        if abs(r) > 1e-3:
-            return r
-
-
 def _hrow(k: int) -> ZhTerm:
     return par(*[Gen(HBox(1, 1, -1)) for _ in range(k)])
 
@@ -304,10 +297,10 @@ def _emit(d, settings: Settings, fan_in: str = "monoid") -> ZhTerm:
 
 
 def _small_dag(rng: np.random.Generator, height: int):
+    from .algebra import canonical
     from .generate import random_dag
-    from .reduction import reduce_diagram
 
-    return reduce_diagram(random_dag(rng, height), DEFAULT)[0]
+    return canonical(random_dag(rng, height), DEFAULT)
 
 
 def _bld_fan_in_interchange(rng: np.random.Generator) -> List[Case]:
@@ -556,6 +549,7 @@ def builtin_suite() -> List[Claim]:
             (seq(G, par(Gen(HBox(1, 0, 0)), wires(1))), gadget_top0),
         ), samples=1),
         # -- layer propagation rewrites
+        Claim("weight-product", "layer propagation", _bld_weight_product),
         Claim("effect1-weight", "layer propagation", _bld_effect1_weight),
         Claim("effect0-weight", "layer propagation", _bld_effect0_weight),
         Claim("z-merge-chain", "layer propagation", _fixed(

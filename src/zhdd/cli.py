@@ -141,16 +141,15 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 def _canonicalize(obj: Any, settings: Settings, assert_stages: bool):
     """Bring any accepted payload to its irreducible diagram."""
-    from .algebra import canonical_from_vector
+    from .algebra import canonical, canonical_from_vector
     from .oracle import vector_from_json
-    from .reduction import reduce_diagram
     from .sqmdd import sqmdd_from_json
     from .terms import term_from_json
     from .translate import zh_to_sqmdd
 
     what = _detect(obj)
     if what == "sqmdd":
-        return reduce_diagram(sqmdd_from_json(obj, settings), settings)[0]
+        return canonical(sqmdd_from_json(obj, settings), settings)
     if what == "term":
         return zh_to_sqmdd(term_from_json(obj), settings, assert_stages=assert_stages)
     return canonical_from_vector(vector_from_json(obj), settings)
@@ -165,7 +164,7 @@ def _cmd_check_equiv(args: argparse.Namespace) -> int:
     da = _canonicalize(_load_json(args.a), settings, args.assert_stages)
     db = _canonicalize(_load_json(args.b), settings, args.assert_stages)
     if da.height != db.height:
-        print(f"NOT EQUIVALENT: heights differ ({da.height} vs {db.height})")
+        _emit(args, f"NOT EQUIVALENT: heights differ ({da.height} vs {db.height})")
         return EXIT_DIFFER
     if args.up_to_scalar:
         # canonical forms are unique, so two colinear states differ only in
@@ -179,9 +178,9 @@ def _cmd_check_equiv(args: argparse.Namespace) -> int:
     else:
         same = iso_equal(da, db)
     if same:
-        print("EQUIVALENT" + (" (up to scalar)" if args.up_to_scalar else ""))
+        _emit(args, "EQUIVALENT" + (" (up to scalar)" if args.up_to_scalar else ""))
         return EXIT_OK
-    print("NOT EQUIVALENT")
+    _emit(args, "NOT EQUIVALENT")
     return EXIT_DIFFER
 
 
@@ -239,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="numeric tolerance / weight grid (default 1e-9)")
     common.add_argument("--max-qubits", type=int, default=16, metavar="N",
                         help="cap on dense wire count (default 16)")
-    common.add_argument("--assert-stages", action="store_true",
-                        help="check every translation stage against the dense oracle")
     common.add_argument("-o", "--output", metavar="FILE",
                         help="write result here instead of stdout")
+    assert_stages_help = "check every translation stage against the dense oracle"
 
     p = argparse.ArgumentParser(prog="zhdd", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -265,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("to-sqmdd", parents=[common],
                         help="contract a term into an irreducible diagram")
     sp.add_argument("file")
+    sp.add_argument("--assert-stages", action="store_true", help=assert_stages_help)
 
     sp = sub.add_parser("canonical", parents=[common],
                         help="build the canonical diagram of a dense vector")
@@ -276,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b")
     sp.add_argument("--up-to-scalar", action="store_true",
                     help="treat states differing by a global factor as equal")
+    sp.add_argument("--assert-stages", action="store_true", help=assert_stages_help)
 
     sp = sub.add_parser("verify", parents=[common],
                         help="run the built-in equational claim suite")

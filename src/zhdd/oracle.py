@@ -51,16 +51,6 @@ from .terms import (
     placed,
 )
 
-_HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-
-
-def _kron_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for _ in range(k):
-        out = np.kron(out, m)
-    return out
-
-
 def _popcounts(k: int) -> np.ndarray:
     """popcount(x) for x in 0..2**k-1."""
     out = np.zeros(1, dtype=np.int64)
@@ -69,10 +59,10 @@ def _popcounts(k: int) -> np.ndarray:
     return out
 
 
-def _z_matrix(n: int, m: int, phase: complex = 1.0) -> np.ndarray:
+def _z_matrix(n: int, m: int) -> np.ndarray:
     out = np.zeros((2**m, 2**n), dtype=complex)
     out[0, 0] += 1.0
-    out[-1, -1] += phase
+    out[-1, -1] += 1.0
     return out
 
 

@@ -1,5 +1,12 @@
 """The rewrite system that drives diagrams to their unique reduced form.
 
+This is the reference form: the rules are how the reduced form is shown
+to be unique, and each run leaves a trace of the steps it took.  It runs
+for ``reduce`` (which reports the trace), for the claim suite's soundness
+checks and for :func:`is_irreducible`.  Code that only needs the form
+builds it with one :class:`~zhdd.sqmdd.Builder` re-import
+(:func:`zhdd.algebra.canonical`), which lands on the same diagram.
+
 Seven local rules, applied until none fires.  Each application strictly
 decreases the lexicographic :func:`zhdd.sqmdd.measure`, so the loop
 terminates; the reduced form is independent of application order, which
@@ -324,7 +331,6 @@ def reduce_diagram(
     d: Sqmdd,
     settings: Settings = DEFAULT,
     rng: Optional[np.random.Generator] = None,
-    max_steps: Optional[int] = None,
 ) -> tuple[Sqmdd, list[Step]]:
     """Rewrite to the fixpoint.
 
@@ -338,8 +344,6 @@ def reduce_diagram(
         cands = rw.first() if rng is None else rw.candidates()
         if not cands:
             return (rw.diagram() if steps else d), steps
-        if max_steps is not None and len(steps) >= max_steps:
-            raise RuntimeError(f"reduction did not settle within {max_steps} steps")
         pick = cands[0] if rng is None else cands[int(rng.integers(len(cands)))]
         steps.append(rw.apply(pick))
 

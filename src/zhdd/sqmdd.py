@@ -11,9 +11,10 @@ root itself may sit below ``H``.
 
 Node ids are arbitrary positive integers; the terminal is the reserved id
 ``TERMINAL`` (0).  The structure is deliberately lax: several distinct
-diagrams can denote the same vector.  Canonicalization lives in
-:mod:`zhdd.reduction` (the rewrite engine) and in :class:`Builder` (the
-hash-consing constructor used by the algebraic operations).
+diagrams can denote the same vector.  Canonical forms are built by
+:class:`Builder` (the hash-consing constructor behind every algebraic
+operation and :func:`zhdd.algebra.canonical`); :mod:`zhdd.reduction` is
+the rewrite system that reaches the same form step by step, with a trace.
 
 Weight comparisons for structural purposes (unique table, rule guards)
 round to an ``eps`` grid — see :func:`weight_key`.  This grid is the only
@@ -197,14 +198,8 @@ def measure(d: Sqmdd, settings: Settings = DEFAULT) -> tuple[int, ...]:
 def _cofactor(d: Sqmdd, side: int, settings: Settings) -> Sqmdd:
     if d.height < 1:
         raise ShapeError("cofactor of a height-0 diagram")
-    if d.root != TERMINAL and d.nodes[d.root].height == d.height:
-        root_node = d.nodes[d.root]
-        w, c = root_node.edge(side)
-        out = Sqmdd(d.scalar * w, d.height - 1, c, dict(d.nodes))
-    else:
-        # The root sits below the top level (or is the terminal): both
-        # cofactors are the same diagram, one level shorter.
-        out = Sqmdd(d.scalar, d.height - 1, d.root, dict(d.nodes))
+    w, c = split_edge(d, (d.scalar, d.root), d.height, side)
+    out = Sqmdd(w, d.height - 1, c, dict(d.nodes))
     keep = reachable_ids(out)
     out.nodes = {i: n for i, n in out.nodes.items() if i in keep}
     return out
@@ -307,7 +302,7 @@ def sqmdd_to_json(d: Sqmdd) -> dict[str, Any]:
     }
 
 
-def sqmdd_from_json(obj: Any, settings: Settings = DEFAULT, check: bool = True) -> Sqmdd:
+def sqmdd_from_json(obj: Any, settings: Settings = DEFAULT) -> Sqmdd:
     if not isinstance(obj, dict):
         raise ValueError("diagram must be a JSON object")
     try:
@@ -344,10 +339,7 @@ def sqmdd_from_json(obj: Any, settings: Settings = DEFAULT, check: bool = True) 
             raise ValueError(f"node {i}: height must be an integer")
         nodes[i] = n
     d = Sqmdd(scalar, height, root, nodes)
-    if check:
-        problems = validate(d, settings)
-        if problems:
-            raise ValueError("invalid diagram: " + "; ".join(problems))
+    require_valid(d, settings)
     return d
 
 

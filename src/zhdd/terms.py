@@ -21,7 +21,10 @@ so a term may nest far deeper than the interpreter's recursion limit (an
 emitted term is a left-folded chain with one level per row).  :func:`fold`
 combines results bottom-up, :func:`placed` yields each generator with the
 offset of its first input among the live wires.  Both visit generators in
-evaluation order.
+evaluation order.  Consumers that read a term generator by generator (the
+network flattener, the read-back parser of :mod:`zhdd.translate`) use
+:func:`placed`, so they see the same sequence however ``seq`` and ``par``
+nest.
 
 Wire-order conventions used throughout the package: matrix row index
 enumerates outputs, column index inputs, and the *first* (leftmost) wire is

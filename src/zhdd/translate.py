@@ -8,37 +8,32 @@ and each wire is contracted (a Z merge and a <+| plug, fused into one
 level-walker pass of :func:`~zhdd.algebra.contract_edge`) as soon as both
 its ends are live, so the state never grows past the plan's peak live
 width.  All of it happens in one :class:`~zhdd.sqmdd.Builder`: one unique
-table for the whole contraction, packaged once.  The optional per-stage
-dense mirror is capped by the plan's peak width.
+table for the whole contraction, packaged once, so the result is
+irreducible by construction and the rewrite system is never run.  The
+optional per-stage dense mirror is capped by the plan's peak width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
 one routing gadget per node; branch indicator wires pick up the edge
 weights in weight boxes and are funnelled into the child's fan-in.  The
 emitted shape is rigid enough that :func:`sqmdd_read_back` can parse it
-back into the exact diagram it came from.
+back into the exact diagram it came from.  The parser reads the chain one
+generator at a time through :func:`~zhdd.terms.placed`, so it does not
+depend on how the generators are grouped into rows: generators set beside
+each other act on disjoint wires, and taking them left to right means the
+same.
 """
 from __future__ import annotations
 
 from itertools import count
 from typing import Optional
 
-from .algebra import contract_edge, permute_edge, tensor_edge
+from .algebra import contract_edge, permute_edge, restrict, tensor_edge
 from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
 from .network import Port, contraction_plan, flatten_to_network, instance_state
-from .reduction import reduce_diagram
-from .sqmdd import (
-    TERMINAL,
-    Builder,
-    Edge,
-    Node,
-    Sqmdd,
-    is_zero_weight,
-    left_cofactor,
-    right_cofactor,
-    validate,
-)
+from .reduction import is_irreducible
+from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
 from .terms import (
     Gadget,
     Gen,
@@ -55,10 +50,11 @@ from .terms import (
     XSpider,
     ZSpider,
     ZhTerm,
+    beside,
     describe,
     generator_arity,
-    beside,
     par,
+    placed,
     seq,
 )
 
@@ -140,9 +136,10 @@ def zh_to_sqmdd(
     :func:`~zhdd.algebra.contract_edge` (a Z merge and a <+| plug in one).
     The builder is packaged into a diagram once, at the end.
     ``assert_stages`` re-checks the state after every tensor, every closed
-    wire and the output permutation against a dense mirror vector; only
-    feasible when the plan's peak live width fits under the dense wire
-    cap, which is checked before any contraction.
+    wire and the output permutation against a dense mirror vector, and
+    the result for irreducibility; only feasible when the plan's peak live
+    width fits under the dense wire cap, which is checked before any
+    contraction.
     """
     net = flatten_to_network(t, settings)
     order, peak = contraction_plan(net)
@@ -197,11 +194,9 @@ def zh_to_sqmdd(
         mirror = net.scalar * dense_permute(mirror, len(live), perm)
         _stage_check(bld, state, mirror, "output permutation")
 
-    out, steps = reduce_diagram(bld.finish(state, len(live)), settings)
-    if assert_stages and steps:
-        raise AssertionError(
-            f"contracted diagram was not already reduced ({len(steps)} residual steps)"
-        )
+    out = bld.finish(state, len(live))
+    if assert_stages and not is_irreducible(out, settings):
+        raise AssertionError("contracted diagram is not irreducible")
     return out
 
 
@@ -308,39 +303,12 @@ def sqmdd_to_zh(d: Sqmdd, settings: Settings = DEFAULT, fan_in: str = "monoid") 
 # term -> diagram, syntactically: the read-back parser
 
 
-def _flatten_seq(t: ZhTerm) -> list[ZhTerm]:
-    out: list[ZhTerm] = []
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, SeqNode):
-            todo += (node.then, node.first)
-        else:
-            out.append(node)
-    return out
-
-
-def _flatten_par(t: ZhTerm) -> list[Gen]:
-    out: list[Gen] = []
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ParNode):
-            todo += (node.right, node.left)
-        elif isinstance(node, Gen):
-            out.append(node)
-        else:
-            raise ShapeError(
-                f"malformed row: {describe(node)} is not a parallel block of generators"
-            )
-    return out
-
-
 def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:
     """Parse a term in the emitted layer format back into its diagram.
 
     Strict inverse of :func:`sqmdd_to_zh` on that function's image (both
-    fan-in variants are accepted).  Anything else raises
+    fan-in variants are accepted), and of any regrouping of its rows into
+    other ``seq``/``par`` nestings.  Anything else raises
     :class:`ShapeError` naming the offending sub-term.
     """
     if (
@@ -354,6 +322,8 @@ def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:
         )
     scalar = complex(t.left.kind.label)
     chain = t.right
+    if chain.n_in:
+        raise ShapeError(f"the layer chain has {chain.n_in} inputs; expected a state")
     height = chain.n_out
 
     slots: list[tuple] = []
@@ -379,22 +349,10 @@ def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:
                 _, u, side = src
                 edges[(u, side)] = (weights[(u, side)], target)
 
-    for row in _flatten_seq(chain):
-        leaves = _flatten_par(row)
-        if row.n_in != len(slots):
-            raise ShapeError(
-                f"row {describe(row)} expects {row.n_in} wires, have {len(slots)}"
-            )
-        ops = [
-            (k, leaf) for k, leaf in enumerate(leaves) if not isinstance(leaf.kind, Identity)
-        ]
-        if not ops:
-            continue
-        if len(ops) != 1:
-            raise ShapeError(f"row {describe(row)} has more than one operation")
-        pos, op = ops[0]
-        at = pos  # identities are 1 -> 1, so leaf index = wire offset
+    for op, at in placed(chain):
         kind = op.kind
+        if isinstance(kind, Identity):
+            continue
         n_in, n_out = generator_arity(kind)
 
         if isinstance(kind, Swap):
@@ -499,16 +457,16 @@ def ket0_propagate(t: ZhTerm, settings: Settings = DEFAULT) -> ZhTerm:
 
     ``t`` must be an emitted term with one extra row applying <0| (a
     zero-labelled H-box) or <1| (the 1 -> 0 pseudo X-spider) to its first
-    wire; the result is the emitted term of the matching cofactor.
+    wire; the result is the emitted term of the matching cofactor, which
+    :func:`~zhdd.algebra.restrict` builds already reduced.
     """
     if not isinstance(t, SeqNode):
         raise ShapeError(f"expected term-with-effect, got {describe(t)}")
     inner, row = t.first, t.then
-    leaves = _flatten_par(row)
-    eff = leaves[0]
-    for extra in leaves[1:]:
-        if not isinstance(extra.kind, Identity):
-            raise ShapeError(f"effect row touches more than the top wire: {describe(row)}")
+    ops = [(g, at) for g, at in placed(row) if not isinstance(g.kind, Identity)]
+    if len(ops) != 1 or ops[0][1] != 0:
+        raise ShapeError(f"effect row must act on the top wire alone: {describe(row)}")
+    eff = ops[0][0]
     kind = eff.kind
     if isinstance(kind, HBox) and generator_arity(kind) == (1, 0) and is_zero_weight(
         complex(kind.label), settings
@@ -521,6 +479,4 @@ def ket0_propagate(t: ZhTerm, settings: Settings = DEFAULT) -> ZhTerm:
     d = sqmdd_read_back(inner, settings)
     if d.height == 0:
         raise ShapeError("no wire left to project")
-    cof = left_cofactor(d, settings) if side == 0 else right_cofactor(d, settings)
-    cof, _ = reduce_diagram(cof, settings)
-    return sqmdd_to_zh(cof, settings)
+    return sqmdd_to_zh(restrict(d, 0, side, settings), settings)

@@ -299,3 +299,26 @@ def test_interleaved_calls_match_calls_run_alone(write, capsys):
         assert alone[0] != alone[1]
         for argv, want in [(first, alone[0]), (second, alone[1])] * 2:
             assert run(capsys, *argv) == want
+
+
+def test_assert_stages_is_only_offered_where_it_is_read(write, capsys, diagram):
+    f = write("d.json", sqmdd_to_json(diagram))
+    with pytest.raises(SystemExit) as exc:
+        main(["interpret", "--assert-stages", f])
+    assert exc.value.code == 2
+
+
+def test_to_sqmdd_assert_stages_writes_the_same_bytes(write, capsys, tmp_path, diagram):
+    f = write("t.json", term_to_json(sqmdd_to_zh(diagram)))
+    plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
+    assert run(capsys, "to-sqmdd", f, "-o", str(plain))[0] == 0
+    assert run(capsys, "to-sqmdd", f, "--assert-stages", "-o", str(checked))[0] == 0
+    assert checked.read_bytes() == plain.read_bytes()
+
+
+def test_check_equiv_output_flag_writes_the_verdict(write, capsys, tmp_path, diagram):
+    f = write("d.json", sqmdd_to_json(diagram))
+    out_path = tmp_path / "verdict.txt"
+    code, out, _ = run(capsys, "check-equiv", f, f, "-o", str(out_path))
+    assert code == 0 and out == ""
+    assert out_path.read_text() == "EQUIVALENT\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zhdd.algebra import canonical_from_vector
+from zhdd.algebra import canonical, canonical_from_vector
 from zhdd.generate import random_dag, random_vector, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.reduction import (
@@ -251,3 +251,16 @@ def test_one_normal_form_two_engines():
     want = bld.finish(bld.import_edge(d, (d.scalar, d.root)), d.height)
     assert iso_equal(got, want)
     assert dt < 3.0, f"reduce_diagram took {dt:.1f}s on 1023 nodes"
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["dag", "tree"]))
+def test_canonical_agrees_with_the_rewriter(seed, kind):
+    """One Builder re-import reaches the rewriter's normal form."""
+    rng = np.random.default_rng(seed)
+    if kind == "dag":
+        d = random_dag(rng, 1 + seed % 6)
+    else:
+        d = scramble(tree_from_vector(random_vector(rng, 1 + seed % 7)), rng)
+    got = canonical(d)
+    assert is_irreducible(got)
+    assert iso_equal(got, reduce_diagram(d)[0])

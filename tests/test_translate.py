@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from zhdd.algebra import canonical_from_vector
+from zhdd.algebra import canonical, canonical_from_vector
 from zhdd.config import Settings
 from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
@@ -20,7 +20,20 @@ from zhdd.oracle import (
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import Builder, iso_equal, sqmdd_to_json, validate
-from zhdd.terms import Gen, HBox, NotXSpider, Swap, ZSpider, par, seq, wires
+from zhdd.terms import (
+    Cap,
+    Gen,
+    HBox,
+    KetOne,
+    MonoidN,
+    NotXSpider,
+    SeqNode,
+    Swap,
+    ZSpider,
+    par,
+    seq,
+    wires,
+)
 from zhdd.translate import (
     generator_state_sqmdd,
     ket0_propagate,
@@ -59,6 +72,63 @@ def test_read_back_inverts_emission(seed):
     t = sqmdd_to_zh(d, WIDE)
     back = sqmdd_read_back(t, WIDE)
     assert iso_equal(back, d)
+
+
+def _rows(chain):
+    """The rows of a left-folded ``seq`` chain, first row first."""
+    rows = []
+    while isinstance(chain, SeqNode):
+        rows.append(chain.then)
+        chain = chain.first
+    return [chain, *reversed(rows)]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_read_back_does_not_depend_on_row_grouping(seed):
+    """The bootstrap |1> and the first level's state fused into one
+    ``par`` row act on disjoint wires, so they mean what the two rows
+    did, and the parse reads them the same way."""
+    rng = np.random.default_rng(seed)
+    d = canonical(random_dag(rng, 1 + seed % 4, settings=WIDE), WIDE)
+    t = sqmdd_to_zh(d, WIDE)
+    boot, first_level, *rest = _rows(t.right)
+    fused = par(t.left, seq(par(boot, first_level.right), *rest))
+    assert iso_equal(sqmdd_read_back(fused, WIDE), d)
+    got = interpret_zh(fused, WIDE).reshape(-1)
+    assert max_deviation(got, interpret_sqmdd(d, WIDE)) <= 1e-9
+
+
+_SCALAR = Gen(HBox(0, 0, 1))
+_BOOT_TO_TERMINAL = seq(Gen(KetOne()), Gen(MonoidN(1)), Gen(NotXSpider(1, 0)))
+_LEVEL_CHAIN = sqmdd_to_zh(  # the emitted layer chain of a height-2 diagram
+    canonical(random_dag(np.random.default_rng(5), 2, settings=WIDE), WIDE), WIDE
+).right
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (_BOOT_TO_TERMINAL, "nullary H-box"),
+        (par(_SCALAR, par(Gen(Cap()), _BOOT_TO_TERMINAL)), "unexpected generator"),
+        (
+            par(_SCALAR, seq(_LEVEL_CHAIN, par(Gen(MonoidN(1)), wires(1)))),
+            "fan-in .* applied to a non-branch wire",
+        ),
+        (
+            par(_SCALAR, seq(Gen(KetOne()), Gen(ZSpider(1, 1)), Gen(NotXSpider(1, 0)))),
+            "a Z-spider would copy",
+        ),
+        (par(_SCALAR, seq(Gen(KetOne()), Gen(MonoidN(1)))), "no terminal postselection"),
+        (par(_SCALAR, Gen(NotXSpider(1, 0))), "inputs"),
+    ],
+    ids=["no-scalar", "cap", "fan-in-over-level-wire", "z-spider-fan-in",
+         "no-postselection", "chain-with-input"],
+)
+def test_read_back_rejects_malformed_chains(term, message):
+    # each case breaks a chain that reads back (to a height-0 diagram)
+    assert sqmdd_read_back(par(_SCALAR, _BOOT_TO_TERMINAL)).height == 0
+    with pytest.raises(ShapeError, match=message):
+        sqmdd_read_back(term)
 
 
 # --- term -> diagram ----------------------------------------------------------
