@@ -7,7 +7,10 @@ the library after a change, e.g.
     python3 scripts/randomized_audit.py --trials 1000 --max-height 6 --seed 3
 """
 import argparse
+import dataclasses
+import json
 import time
+import typing
 
 import numpy as np
 
@@ -29,9 +32,11 @@ from zhdd import (
 )
 from zhdd.algebra import canonical, contract_edge
 from zhdd.duality import to_state_form
+from zhdd.errors import ShapeError
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
 from zhdd.sqmdd import TERMINAL, Builder
+from zhdd.terms import Gen, GeneratorKind, iter_generators, par, term_from_json, term_to_json
 
 
 def audit_translation(rng, n, max_h, settings):
@@ -215,6 +220,46 @@ def audit_builder_edge(rng, n, max_h, settings):
     return failures
 
 
+def audit_term_json(rng, n, max_h, settings):
+    """term -> JSON text -> term over random instances of every generator
+    kind, with integer params up to 2^40 and complex params that include
+    signed zeros, subnormals and huge values.  The read-back term must be
+    equal and every complex param the same float bit for bit."""
+    kinds = typing.get_args(GeneratorKind)
+    specials = [0.0, -0.0, 5e-324, -1e-300, 1e300, -(2.0 ** 53 + 2), 0.1]
+
+    def component():
+        return specials[rng.integers(len(specials))] if rng.random() < 0.5 else rng.normal()
+
+    def param(f):
+        if f.type == "complex":
+            return complex(component(), component())
+        return int(rng.choice([0, 1, 2, 7, 2 ** 40]))
+
+    def instance(cls):
+        while True:
+            try:
+                return cls(*(param(f) for f in dataclasses.fields(cls)))
+            except ShapeError:  # a draw the kind rejects, e.g. MonoidN(0)
+                pass
+
+    def bits(kind):
+        return [(type(v), v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (type(v), v)
+                for v in (getattr(kind, f.name) for f in dataclasses.fields(kind))]
+
+    failures = 0
+    for k in range(n):
+        t = par(*(Gen(instance(kinds[(k + j) % len(kinds)])) for j in range(1 + k % 4)))
+        try:
+            back = term_from_json(json.loads(json.dumps(term_to_json(t))))
+        except (ValueError, ShapeError):
+            failures += 1
+            continue
+        failures += back != t or any(
+            bits(a) != bits(b) for a, b in zip(iter_generators(t), iter_generators(back)))
+    return failures
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=400)
@@ -233,6 +278,7 @@ def main() -> None:
         ("term -> diagram, exact scalar", audit_contraction),
         ("merge/plug/one-pass close vs dense", audit_primitives),
         ("builder-edge", audit_builder_edge),
+        ("term-json", audit_term_json),
     ]
     print(f"{args.trials} trials per check, heights <= {args.max_height}, "
           f"seed {args.seed}\n")

@@ -31,7 +31,6 @@ from .oracle import (
     colinear,
     interpret_sqmdd,
     interpret_zh,
-    matrices_equal,
     max_deviation,
 )
 from .reduction import (
@@ -93,8 +92,7 @@ __all__ = [
     "DEFAULT", "Settings",
     "from_state_form", "to_state_form",
     "ResourceLimitError", "ShapeError",
-    "colinear", "interpret_sqmdd", "interpret_zh", "matrices_equal",
-    "max_deviation",
+    "colinear", "interpret_sqmdd", "interpret_zh", "max_deviation",
     "Step", "apply_step", "find_candidates", "is_irreducible", "measure",
     "reduce_diagram",
     "Node", "Sqmdd", "iso_equal", "renumber", "sqmdd_from_json",

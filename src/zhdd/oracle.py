@@ -263,19 +263,6 @@ def interpret_sqmdd(d: Sqmdd, settings: Settings = DEFAULT) -> np.ndarray:
 # comparisons
 
 
-def matrices_equal(a: np.ndarray, b: np.ndarray, settings: Settings = DEFAULT) -> bool:
-    """Entrywise max-norm agreement within eps (shape mismatch is False)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b), initial=0.0) <= settings.eps)
-
-
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)

@@ -16,6 +16,14 @@ sugar generator also has a closed-form matrix so interpretation does not
 depend on the expansion being right — that independence is what the
 sugar-invariance tests lean on.
 
+Each generator kind is a frozen dataclass whose fields are its parameters.
+One table maps JSON names to kinds and records the ten fixed arities, and
+everything per-kind reads it: :func:`generator_arity`, the parameter text
+of :func:`describe`, and the JSON codec.  In JSON a generator is
+``{"kind": name, "params": {...}, "children": []}`` whose params are
+exactly its fields, in field order, with complex fields as ``[re, im]``
+pairs; :func:`term_from_json` rejects a param the kind does not have.
+
 Every walk over a term goes through one of two non-recursive traversals,
 so a term may nest far deeper than the interpreter's recursion limit (an
 emitted term is a left-folded chain with one level per row).  :func:`fold`
@@ -32,7 +40,7 @@ the most significant bit of the index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Iterator, TypeVar, Union
 
 from ._json import complex_from_json, complex_to_json
@@ -168,30 +176,40 @@ GeneratorKind = Union[
     BraPlus,
 ]
 
+# The generator table (see the module docstring).  A field annotated
+# ``complex`` travels in JSON as an ``[re, im]`` pair, the others are
+# non-negative integers.
+_KINDS: dict[str, type] = {
+    "zspider": ZSpider, "hbox": HBox, "identity": Identity, "swap": Swap, "cap": Cap,
+    "cup": Cup, "xspider": XSpider, "notxspider": NotXSpider, "monoid": MonoidN,
+    "gadget": Gadget, "weight": WeightBox, "ket0": KetZero, "ket1": KetOne,
+    "ketplus": KetPlus, "braplus": BraPlus,
+}
+_NAMES: dict[type, str] = {cls: name for name, cls in _KINDS.items()}
+# name -> (is complex, default) for each field, in field order
+_PARAMS: dict[type, dict[str, tuple[bool, Any]]] = {
+    cls: {f.name: (f.type == "complex", f.default) for f in fields(cls)} for cls in _NAMES
+}
+# The other kinds have ``inputs`` wires in and ``outputs`` wires out (one
+# out if they have no ``outputs`` field).
+_FIXED_ARITY: dict[type, tuple[int, int]] = {
+    Identity: (1, 1), WeightBox: (1, 1), Swap: (2, 2), Gadget: (2, 2), Cap: (0, 2),
+    Cup: (2, 0), KetZero: (0, 1), KetOne: (0, 1), KetPlus: (0, 1), BraPlus: (1, 0),
+}
+
+
 def generator_arity(kind: GeneratorKind) -> tuple[int, int]:
     """(input count, output count) of a generator."""
-    match kind:
-        case ZSpider(n, m) | HBox(n, m, _) | XSpider(n, m) | NotXSpider(n, m):
-            if n < 0 or m < 0:
-                raise ShapeError(f"negative arity on {kind!r}")
-            return n, m
-        case Identity() | WeightBox(_):
-            return 1, 1
-        case Swap():
-            return 2, 2
-        case Cap():
-            return 0, 2
-        case Cup():
-            return 2, 0
-        case MonoidN(k):
-            return k, 1
-        case Gadget():
-            return 2, 2
-        case KetZero() | KetOne() | KetPlus():
-            return 0, 1
-        case BraPlus():
-            return 1, 0
-    raise ShapeError(f"unknown generator {kind!r}")
+    cls = type(kind)
+    fixed = _FIXED_ARITY.get(cls)
+    if fixed is not None:
+        return fixed
+    if cls not in _NAMES:
+        raise ShapeError(f"unknown generator {kind!r}")
+    n, m = kind.inputs, getattr(kind, "outputs", 1)
+    if n < 0 or m < 0:
+        raise ShapeError(f"negative arity on {kind!r}")
+    return n, m
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +399,19 @@ def describe(t: ZhTerm) -> str:
     """Short one-line description of a term, for error messages."""
     return fold(
         t,
-        lambda kind: type(kind).__name__ + _kind_params_str(kind),
+        lambda kind: type(kind).__name__ + _params_text(kind),
         lambda a, b: f"Seq({a}, {b})",
         lambda a, b: f"Par({a}, {b})",
     )
 
 
-def _kind_params_str(kind: GeneratorKind) -> str:
-    match kind:
-        case ZSpider(n, m) | XSpider(n, m) | NotXSpider(n, m):
-            return f"({n}->{m})"
-        case HBox(n, m, r):
-            return f"({n}->{m}, {r})"
-        case MonoidN(k):
-            return f"({k})"
-        case WeightBox(w):
-            return f"({w})"
-    return ""
+def _params_text(kind: GeneratorKind) -> str:
+    """``(n->m, rest)`` when the kind has ``outputs``, else ``(params)``;
+    empty for a kind without parameters."""
+    text = [str(getattr(kind, name)) for name in _PARAMS[type(kind)]]
+    if hasattr(kind, "outputs"):
+        text[:2] = [f"{text[0]}->{text[1]}"]
+    return f"({', '.join(text)})" if text else ""
 
 
 def iter_generators(t: ZhTerm) -> Iterator[GeneratorKind]:
@@ -434,43 +448,13 @@ def permutation_term(perm: list[int]) -> ZhTerm:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_KIND_NAMES: dict[type, str] = {
-    ZSpider: "zspider",
-    HBox: "hbox",
-    Identity: "identity",
-    Swap: "swap",
-    Cap: "cap",
-    Cup: "cup",
-    XSpider: "xspider",
-    NotXSpider: "notxspider",
-    MonoidN: "monoid",
-    Gadget: "gadget",
-    WeightBox: "weight",
-    KetZero: "ket0",
-    KetOne: "ket1",
-    KetPlus: "ketplus",
-    BraPlus: "braplus",
-}
-
-
-def _kind_to_json(kind: GeneratorKind) -> tuple[str, dict[str, Any]]:
-    name = _KIND_NAMES[type(kind)]
-    params: dict[str, Any] = {}
-    match kind:
-        case ZSpider(n, m) | XSpider(n, m) | NotXSpider(n, m):
-            params = {"inputs": n, "outputs": m}
-        case HBox(n, m, r):
-            params = {"inputs": n, "outputs": m, "label": complex_to_json(r)}
-        case MonoidN(k):
-            params = {"inputs": k}
-        case WeightBox(w):
-            params = {"weight": complex_to_json(w)}
-    return name, params
-
-
 def _gen_to_json(kind: GeneratorKind) -> dict[str, Any]:
-    name, params = _kind_to_json(kind)
-    return {"kind": name, "params": params, "children": []}
+    cls = type(kind)
+    params = {}
+    for name, (is_complex, _) in _PARAMS[cls].items():
+        v = getattr(kind, name)
+        params[name] = complex_to_json(v) if is_complex else v
+    return {"kind": _NAMES[cls], "params": params, "children": []}
 
 
 def _joiner(name: str) -> Callable[[dict, dict], dict]:
@@ -522,36 +506,21 @@ def term_from_json(obj: Any) -> ZhTerm:
     if children:
         raise ValueError(f"generator {kind!r} cannot have children")
 
-    match kind:
-        case "zspider":
-            return Gen(ZSpider(_require_int(params, "inputs", kind), _require_int(params, "outputs", kind)))
-        case "hbox":
-            label = complex_from_json(params.get("label", [-1.0, 0.0]), "hbox label")
-            return Gen(HBox(_require_int(params, "inputs", kind), _require_int(params, "outputs", kind), label))
-        case "xspider":
-            return Gen(XSpider(_require_int(params, "inputs", kind), _require_int(params, "outputs", kind)))
-        case "notxspider":
-            return Gen(NotXSpider(_require_int(params, "inputs", kind), _require_int(params, "outputs", kind)))
-        case "monoid":
-            return Gen(MonoidN(_require_int(params, "inputs", kind)))
-        case "weight":
-            return Gen(WeightBox(complex_from_json(params.get("weight"), "weight")))
-        case "identity":
-            return Gen(Identity())
-        case "swap":
-            return Gen(Swap())
-        case "cap":
-            return Gen(Cap())
-        case "cup":
-            return Gen(Cup())
-        case "gadget":
-            return Gen(Gadget())
-        case "ket0":
-            return Gen(KetZero())
-        case "ket1":
-            return Gen(KetOne())
-        case "ketplus":
-            return Gen(KetPlus())
-        case "braplus":
-            return Gen(BraPlus())
-    raise ValueError(f"unknown term kind {kind!r}")
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown term kind {kind!r}")
+    spec = _PARAMS[cls]
+    if not params.keys() <= spec.keys():
+        raise ValueError(
+            f"generator {kind!r} has no param {min(params.keys() - spec.keys())!r}; "
+            f"its params are {list(spec) or 'none'}"
+        )
+    args = []
+    for name, (is_complex, default) in spec.items():
+        if not is_complex:
+            args.append(_require_int(params, name, kind))
+        elif name in params or default is MISSING:
+            args.append(complex_from_json(params.get(name), f"generator {kind!r} param {name!r}"))
+        else:
+            args.append(complex(default))
+    return Gen(cls(*args))

@@ -171,6 +171,15 @@ def test_malformed_inputs_exit_2(write, capsys, tmp_path):
     assert run(capsys, "interpret", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_unknown_generator_param_exits_2(write, capsys):
+    """A param the generator does not have is malformed input, not ignored."""
+    t = write("t.json", {"kind": "zspider", "params": {"inputs": 0, "outputs": 1,
+                                                       "label": [2, 0]}, "children": []})
+    code, _, err = run(capsys, "to-sqmdd", t)
+    assert code == 2
+    assert "'label'" in err
+
+
 def test_resource_cap_exits_3(write, capsys):
     f = write("z.json", term_to_json(Gen(ZSpider(0, 3))))
     code, _, err = run(capsys, "interpret", f, "--max-qubits", "2")

@@ -1,4 +1,5 @@
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -10,15 +11,24 @@ from zhdd.network import flatten_to_network
 from zhdd.oracle import interpret_zh, max_deviation
 from zhdd.sugar import expand_sugar
 from zhdd.terms import (
+    BraPlus,
+    Cap,
+    Cup,
+    Gadget,
     Gen,
+    GeneratorKind,
     HBox,
     Identity,
+    KetOne,
+    KetPlus,
     KetZero,
     MonoidN,
+    NotXSpider,
     ParNode,
     SeqNode,
     Swap,
     WeightBox,
+    XSpider,
     describe,
     ZSpider,
     ZhTerm,
@@ -106,10 +116,56 @@ def test_json_folds_wide_seq_and_par():
     {"kind": "seq", "params": {}, "children": []},
     {"kind": "hbox", "params": {"inputs": 1, "outputs": 1, "label": "x"}, "children": []},
     {"kind": "identity", "params": {}, "children": [{"kind": "cap", "params": {}, "children": []}]},
+    {"kind": "zspider", "params": {"inputs": 0, "outputs": 1, "label": [2, 0]}, "children": []},
+    {"kind": "monoid", "params": {"inputs": 2, "outputs": 5}, "children": []},
+    {"kind": "zspider", "params": {"inputs": True, "outputs": 1}, "children": []},
+    {"kind": "xspider", "params": {"inputs": 1, "outputs": -2}, "children": []},
+    {"kind": "weight", "params": {}, "children": []},
+    {"kind": "zspider", "params": [0, 1], "children": []},
 ])
 def test_json_rejects_malformed(obj):
     with pytest.raises((ValueError, ShapeError)):
         term_from_json(obj)
+
+
+GOLDEN = [
+    (ZSpider(2, 3), "zspider", {"inputs": 2, "outputs": 3}, "ZSpider(2->3)"),
+    (HBox(1, 2, 0.5 - 2j), "hbox", {"inputs": 1, "outputs": 2, "label": [0.5, -2.0]},
+     "HBox(1->2, (0.5-2j))"),
+    (Identity(), "identity", {}, "Identity"),
+    (Swap(), "swap", {}, "Swap"),
+    (Cap(), "cap", {}, "Cap"),
+    (Cup(), "cup", {}, "Cup"),
+    (XSpider(0, 1), "xspider", {"inputs": 0, "outputs": 1}, "XSpider(0->1)"),
+    (NotXSpider(1, 0), "notxspider", {"inputs": 1, "outputs": 0}, "NotXSpider(1->0)"),
+    (MonoidN(3), "monoid", {"inputs": 3}, "MonoidN(3)"),
+    (Gadget(), "gadget", {}, "Gadget"),
+    (WeightBox(complex(-0.0, 1.5)), "weight", {"weight": [-0.0, 1.5]}, "WeightBox((-0+1.5j))"),
+    (KetZero(), "ket0", {}, "KetZero"),
+    (KetOne(), "ket1", {}, "KetOne"),
+    (KetPlus(), "ketplus", {}, "KetPlus"),
+    (BraPlus(), "braplus", {}, "BraPlus"),
+]
+
+
+@pytest.mark.parametrize("kind,name,params,text", GOLDEN, ids=[g[1] for g in GOLDEN])
+def test_json_and_describe_golden(kind, name, params, text):
+    """The wire format of each kind: param names in field order, complex
+    params as [re, im] floats."""
+    obj = term_to_json(Gen(kind))
+    want = {"kind": name, "params": params, "children": []}
+    assert json.dumps(obj) == json.dumps(want)  # pins key order and float spelling
+    assert describe(Gen(kind)) == text
+    assert term_from_json(json.loads(json.dumps(obj))) == Gen(kind)
+
+
+def test_golden_covers_every_kind():
+    assert {type(g[0]) for g in GOLDEN} == set(typing.get_args(GeneratorKind))
+
+
+def test_hbox_label_defaults_to_minus_one():
+    box = term_from_json({"kind": "hbox", "params": {"inputs": 1, "outputs": 1}}).kind
+    assert type(box.label) is complex and repr(box.label) == "(-1+0j)"
 
 
 @given(seed=st.integers(0, 2**32 - 1))
