@@ -5,6 +5,8 @@ Bigger and more configurable than the test-suite gates: use it to hammer
 the library after a change, e.g.
 
     python3 scripts/randomized_audit.py --trials 1000 --max-height 6 --seed 3
+
+It exits 1 when any check prints FAIL, and 0 otherwise.
 """
 import argparse
 import dataclasses
@@ -43,7 +45,7 @@ def audit_translation(rng, n, max_h, settings):
     worst = 0.0
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
-        got = interpret_zh(sqmdd_to_zh(d, settings), settings).reshape(-1)
+        got = interpret_zh(sqmdd_to_zh(d), settings).reshape(-1)
         worst = max(worst, max_deviation(got, interpret_sqmdd(d, settings)))
     return worst
 
@@ -55,7 +57,7 @@ def audit_round_trip(rng, n, max_h, settings):
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
         want = canonical(d, settings)
-        t = sqmdd_to_zh(d, settings, fan_in=("monoid", "x")[k % 2])
+        t = sqmdd_to_zh(d, fan_in=("monoid", "x")[k % 2])
         if not iso_equal(zh_to_sqmdd(t, settings), want, settings):
             failures += 1
     return failures
@@ -260,7 +262,7 @@ def audit_term_json(rng, n, max_h, settings):
     return failures
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=400)
     ap.add_argument("--max-height", type=int, default=6)
@@ -282,6 +284,7 @@ def main() -> None:
     ]
     print(f"{args.trials} trials per check, heights <= {args.max_height}, "
           f"seed {args.seed}\n")
+    failed = 0
     for name, fn in checks:
         rng = np.random.default_rng(args.seed)
         t0 = time.time()
@@ -293,9 +296,11 @@ def main() -> None:
         else:
             verdict = f"{out} mismatches"
             ok = out == 0
+        failed += not ok
         print(f"  {'ok ' if ok else 'FAIL'} {name:34s} {verdict:24s} ({dt:.1f}s)")
     print("\ndone")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

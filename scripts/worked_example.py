@@ -46,7 +46,7 @@ def main() -> None:
     dev = np.max(np.abs(interpret_sqmdd(direct, SETTINGS) - vec))
     print(f"\ncanonical-from-vector agrees, interpretation deviation {dev:.2e}")
 
-    term = sqmdd_to_zh(direct, SETTINGS)
+    term = sqmdd_to_zh(direct)
     emitted = interpret_zh(term, SETTINGS).reshape(-1)
     dev = np.max(np.abs(emitted - vec))
     print(f"emitted term: {term.n_out} output wires, deviation {dev:.2e}")

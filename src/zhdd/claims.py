@@ -2,16 +2,16 @@
 
 Each claim states that two term constructions denote the same matrix (or
 that a term denotes a pinned constant matrix).  Claims are verified by
-the dense oracle over sampled parameters -- this certifies soundness of
-the identities the library leans on, nothing more.  Statements that only
-exist as pictures in the source material and don't admit a confident
-textual reconstruction are listed as skipped, with the reason attached;
-deliberately broken claims act as negative controls for the runner.
+the dense oracle on fixed cases or over sampled parameters -- this
+certifies soundness of the identities the library leans on, nothing more.
+Statements that only exist as pictures in the source material and don't
+admit a confident textual reconstruction are listed as skipped, with the
+reason attached; deliberately broken claims act as negative controls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +51,9 @@ Builder = Callable[[np.random.Generator], List[Case]]
 class Claim:
     name: str
     origin: str
-    build: Optional[Builder] = None
+    # the claim's fixed cases, checked once, or a builder that draws cases
+    # from the RNG, run ``samples`` times
+    build: Union[Builder, Sequence[Case], None] = None
     samples: int = 20
     expect_fail: bool = False
     skip_reason: Optional[str] = None
@@ -87,21 +89,22 @@ def verify_claim(
     samples: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> ClaimResult:
-    """Evaluate one claim over sampled parameters.
+    """Evaluate one claim: its fixed cases once, or its builder ``samples`` times.
 
-    An ``expect_fail`` claim passes when at least one sample deviates --
+    An ``expect_fail`` claim passes when at least one case deviates --
     it exists to prove the runner can see failures.
     """
     if claim.skip_reason is not None:
         return ClaimResult(claim.name, claim.origin, 0, 0.0, "skipped", claim.skip_reason)
     if rng is None:
         rng = np.random.default_rng(0xC1A1)
-    n_samples = claim.samples if samples is None else samples
+    fixed = not callable(claim.build)
+    n_samples = 1 if fixed else claim.samples if samples is None else samples
     worst = 0.0
     ran = 0
     try:
         for _ in range(n_samples):
-            for lhs, rhs in claim.build(rng):
+            for lhs, rhs in claim.build if fixed else claim.build(rng):
                 got = interpret_zh(lhs, settings)
                 want = rhs if isinstance(rhs, np.ndarray) else interpret_zh(rhs, settings)
                 if got.shape != want.shape:
@@ -164,15 +167,11 @@ def _hrow(k: int) -> ZhTerm:
     return par(*[Gen(HBox(1, 1, -1)) for _ in range(k)])
 
 
-def _fixed(*cases: Case) -> Builder:
-    return lambda rng: list(cases)
-
-
 # ---------------------------------------------------------------------------
-# parametric builders
+# case builders: ``_bld_*(rng)`` draws parameters, the others are fixed
 
 
-def _bld_z_fusion(rng: np.random.Generator) -> List[Case]:
+def _z_fusion() -> List[Case]:
     cases = []
     for a, b, c, d in ((0, 0, 0, 0), (1, 1, 1, 1), (0, 2, 1, 0), (2, 0, 0, 2), (1, 2, 2, 1)):
         lhs = seq(
@@ -210,7 +209,7 @@ def _bld_weight_core(rng: np.random.Generator) -> List[Case]:
     return [(lhs, rhs)]
 
 
-def _bld_x_core(rng: np.random.Generator) -> List[Case]:
+def _x_core() -> List[Case]:
     cases = []
     for n, m in ((0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (0, 3)):
         rows: List[ZhTerm] = []
@@ -244,7 +243,7 @@ def _bld_ket1_hbox(rng: np.random.Generator) -> List[Case]:
     return cases
 
 
-def _bld_one_box_splits(rng: np.random.Generator) -> List[Case]:
+def _one_box_splits() -> List[Case]:
     cases = []
     for n in (0, 1, 2, 3):
         for m in (0, 1, 2):
@@ -265,7 +264,7 @@ def _bld_effect0_weight(rng: np.random.Generator) -> List[Case]:
     return [(seq(Gen(WeightBox(r)), Gen(HBox(1, 0, 0))), Gen(HBox(1, 0, 0)))]
 
 
-def _bld_monoid_gen_unit(rng: np.random.Generator) -> List[Case]:
+def _monoid_gen_unit() -> List[Case]:
     return [
         (
             seq(par(Gen(KetZero()), wires(k - 1)), Gen(MonoidN(k))),
@@ -275,7 +274,7 @@ def _bld_monoid_gen_unit(rng: np.random.Generator) -> List[Case]:
     ]
 
 
-def _bld_monoid_chain(rng: np.random.Generator) -> List[Case]:
+def _monoid_chain() -> List[Case]:
     return [
         (Gen(MonoidN(1)), wires(1)),
         (Gen(MonoidN(3)), seq(par(_M2, wires(1)), _M2)),
@@ -290,10 +289,10 @@ def _bld_monoid_chain(rng: np.random.Generator) -> List[Case]:
 # translation-level builders (rely on the diagram side of the library)
 
 
-def _emit(d, settings: Settings, fan_in: str = "monoid") -> ZhTerm:
+def _emit(d, fan_in: str = "monoid") -> ZhTerm:
     from .translate import sqmdd_to_zh
 
-    return sqmdd_to_zh(d, settings, fan_in=fan_in)
+    return sqmdd_to_zh(d, fan_in=fan_in)
 
 
 def _small_dag(rng: np.random.Generator, height: int):
@@ -305,14 +304,14 @@ def _small_dag(rng: np.random.Generator, height: int):
 
 def _bld_fan_in_interchange(rng: np.random.Generator) -> List[Case]:
     d = _small_dag(rng, int(rng.integers(1, 4)))
-    return [(_emit(d, DEFAULT, "monoid"), _emit(d, DEFAULT, "x"))]
+    return [(_emit(d, "monoid"), _emit(d, "x"))]
 
 
-def _bld_z_state_nf(rng: np.random.Generator) -> List[Case]:
+def _z_state_nf() -> List[Case]:
     from .translate import generator_state_sqmdd
 
     return [
-        (Gen(ZSpider(0, k)), _emit(generator_state_sqmdd("z", k), DEFAULT))
+        (Gen(ZSpider(0, k)), _emit(generator_state_sqmdd("z", k)))
         for k in (1, 2, 3)
     ]
 
@@ -326,7 +325,7 @@ def _bld_h_state_nf(rng: np.random.Generator) -> List[Case]:
         cases.append(
             (
                 Gen(HBox(0, k, r)),
-                _emit(generator_state_sqmdd("h", k, label=r), DEFAULT),
+                _emit(generator_state_sqmdd("h", k, label=r)),
             )
         )
     return cases
@@ -337,8 +336,8 @@ def _bld_tensor_join(rng: np.random.Generator) -> List[Case]:
 
     a = _small_dag(rng, int(rng.integers(1, 3)))
     b = _small_dag(rng, int(rng.integers(1, 3)))
-    lhs = par(_emit(a, DEFAULT), _emit(b, DEFAULT))
-    return [(lhs, _emit(tensor(a, b, DEFAULT), DEFAULT))]
+    lhs = par(_emit(a), _emit(b))
+    return [(lhs, _emit(tensor(a, b, DEFAULT)))]
 
 
 def _bld_swap_propagates(rng: np.random.Generator) -> List[Case]:
@@ -349,8 +348,8 @@ def _bld_swap_propagates(rng: np.random.Generator) -> List[Case]:
     k = int(rng.integers(1, h))  # heights k+1 and k <-> wires h-k-1, h-k
     at = h - k - 1
     row = beside(at, Gen(Swap()), h - at - 2)
-    lhs = seq(_emit(d, DEFAULT), row)
-    return [(lhs, _emit(swap_adjacent_levels(d, k, DEFAULT), DEFAULT))]
+    lhs = seq(_emit(d), row)
+    return [(lhs, _emit(swap_adjacent_levels(d, k, DEFAULT)))]
 
 
 def _bld_merge_propagates(rng: np.random.Generator) -> List[Case]:
@@ -360,8 +359,8 @@ def _bld_merge_propagates(rng: np.random.Generator) -> List[Case]:
     d = _small_dag(rng, h)
     i = int(rng.integers(0, h - 1))
     row = beside(i, Gen(ZSpider(2, 1)), h - i - 2)
-    lhs = seq(_emit(d, DEFAULT), row)
-    return [(lhs, _emit(z_merge_outputs(d, i, i + 1, DEFAULT), DEFAULT))]
+    lhs = seq(_emit(d), row)
+    return [(lhs, _emit(z_merge_outputs(d, i, i + 1, DEFAULT)))]
 
 
 def _bld_plug_propagates(rng: np.random.Generator) -> List[Case]:
@@ -371,8 +370,8 @@ def _bld_plug_propagates(rng: np.random.Generator) -> List[Case]:
     d = _small_dag(rng, h)
     i = int(rng.integers(0, h))
     row = beside(i, Gen(ZSpider(1, 0)), h - i - 1)
-    lhs = seq(_emit(d, DEFAULT), row)
-    return [(lhs, _emit(plug_bra_plus(d, i, DEFAULT), DEFAULT))]
+    lhs = seq(_emit(d), row)
+    return [(lhs, _emit(plug_bra_plus(d, i, DEFAULT)))]
 
 
 # --- reduction soundness: one targeted rewrite, compared through terms -----
@@ -433,7 +432,7 @@ def _bld_reduction_sound(rule: str) -> Builder:
         else:
             raise ShapeError(f"no builder for rule {rule!r}")
         post = _apply_named_rule(d, rule)
-        return [(_emit(d, DEFAULT), _emit(post, DEFAULT))]
+        return [(_emit(d), _emit(post))]
 
     return build
 
@@ -453,27 +452,27 @@ def builtin_suite() -> List[Claim]:
 
     claims: List[Claim] = [
         # -- wiring and scalar conventions
-        Claim("snake", "wiring", _fixed(
+        Claim("snake", "wiring", (
             (seq(par(wires(1), Gen(Cap())), par(Gen(Cup()), wires(1))), wires(1)),
             (seq(par(Gen(Cap()), wires(1)), par(wires(1), Gen(Cup()))), wires(1)),
-        ), samples=1),
-        Claim("swap-involution", "wiring", _fixed(
+        )),
+        Claim("swap-involution", "wiring", (
             (seq(Gen(Swap()), Gen(Swap())), wires(2)),
-        ), samples=1),
-        Claim("closed-loop", "wiring", _fixed(
+        )),
+        Claim("closed-loop", "wiring", (
             (seq(Gen(Cap()), Gen(Cup())), _sb(2)),
-        ), samples=1),
+        )),
         Claim("scalar-product", "wiring", _bld_scalar_product),
         # -- reconstructed axioms (regression net; bodies are standard forms,
         #    the exact source presentation is not textually recoverable)
-        Claim("z-fusion", "axiom (reconstructed)", _bld_z_fusion, samples=1),
-        Claim("z-identity", "axiom (reconstructed)", _fixed(
+        Claim("z-fusion", "axiom (reconstructed)", _z_fusion()),
+        Claim("z-identity", "axiom (reconstructed)", (
             (Gen(ZSpider(1, 1)), wires(1)),
-        ), samples=1),
-        Claim("h-involution", "axiom (reconstructed)", _fixed(
+        )),
+        Claim("h-involution", "axiom (reconstructed)", (
             (seq(Gen(HBox(1, 1, -1)), Gen(HBox(1, 1, -1))), par(_sb(2), wires(1))),
-        ), samples=1),
-        Claim("copy-xor-bialgebra", "axiom (reconstructed)", _fixed(
+        )),
+        Claim("copy-xor-bialgebra", "axiom (reconstructed)", (
             (
                 seq(Gen(XSpider(2, 1)), Gen(ZSpider(1, 2))),
                 seq(
@@ -482,16 +481,16 @@ def builtin_suite() -> List[Claim]:
                     par(Gen(XSpider(2, 1)), Gen(XSpider(2, 1))),
                 ),
             ),
-        ), samples=1),
-        Claim("hopf-copy-xor", "axiom (reconstructed)", _fixed(
+        )),
+        Claim("hopf-copy-xor", "axiom (reconstructed)", (
             (
                 seq(Gen(ZSpider(1, 2)), Gen(XSpider(2, 1))),
                 seq(Gen(ZSpider(1, 0)), Gen(XSpider(0, 1))),
             ),
-        ), samples=1),
-        Claim("one-label-state", "axiom (reconstructed)", _fixed(
+        )),
+        Claim("one-label-state", "axiom (reconstructed)", (
             (Gen(HBox(0, 1, 1)), Gen(ZSpider(0, 1))),
-        ), samples=1),
+        )),
         Claim("label-multiply", "axiom (reconstructed)", _bld_label_multiply),
         Claim("axiom-ba2", "axiom (reconstructed)", skip_reason=(
             "the H/Z bialgebra body is a figure; no reconstruction attempted "
@@ -508,92 +507,92 @@ def builtin_suite() -> List[Claim]:
             "figure-only body; not textually recoverable"
         )),
         # -- monoid laws
-        Claim("monoid-pair-matrix", "monoid laws", _fixed(
+        Claim("monoid-pair-matrix", "monoid laws", (
             (_M2, monoid_pair),
-        ), samples=1),
-        Claim("monoid-unit", "monoid laws", _fixed(
+        )),
+        Claim("monoid-unit", "monoid laws", (
             (seq(par(Gen(KetZero()), wires(1)), _M2), wires(1)),
             (seq(par(wires(1), Gen(KetZero())), _M2), wires(1)),
-        ), samples=1),
-        Claim("monoid-ket1", "monoid laws", _fixed(
+        )),
+        Claim("monoid-ket1", "monoid laws", (
             (
                 seq(par(Gen(KetOne()), wires(1)), _M2),
                 seq(Gen(HBox(1, 0, 0)), Gen(KetOne())),
             ),
-        ), samples=1),
-        Claim("monoid-assoc", "monoid laws", _fixed(
+        )),
+        Claim("monoid-assoc", "monoid laws", (
             (seq(par(_M2, wires(1)), _M2), seq(par(wires(1), _M2), _M2)),
-        ), samples=1),
-        Claim("monoid-comm", "monoid laws", _fixed(
+        )),
+        Claim("monoid-comm", "monoid laws", (
             (seq(Gen(Swap()), _M2), _M2),
-        ), samples=1),
-        Claim("monoid-chain", "monoid laws", _bld_monoid_chain, samples=1),
-        Claim("monoid-gen-unit", "monoid laws", _bld_monoid_gen_unit, samples=1),
+        )),
+        Claim("monoid-chain", "monoid laws", _monoid_chain()),
+        Claim("monoid-gen-unit", "monoid laws", _monoid_gen_unit()),
         Claim("monoid-sum", "monoid laws", skip_reason=(
             "figure-only statement in the proofs appendix"
         )),
         # -- routing gadget
-        Claim("gadget-matrix", "routing gadget", _fixed(
+        Claim("gadget-matrix", "routing gadget", (
             (G, gadget_mat),
-        ), samples=1),
-        Claim("gadget-ctrl0", "routing gadget", _fixed(
+        )),
+        Claim("gadget-ctrl0", "routing gadget", (
             (seq(par(Gen(KetZero()), wires(1)), G), par(wires(1), Gen(KetZero()))),
-        ), samples=1),
-        Claim("gadget-ctrl1", "routing gadget", _fixed(
+        )),
+        Claim("gadget-ctrl1", "routing gadget", (
             (seq(par(Gen(KetOne()), wires(1)), G), par(Gen(KetZero()), wires(1))),
-        ), samples=1),
-        Claim("gadget-swap-legs", "routing gadget", _fixed(
+        )),
+        Claim("gadget-swap-legs", "routing gadget", (
             (seq(G, Gen(Swap())), seq(par(Gen(NotXSpider(1, 1)), wires(1)), G)),
-        ), samples=1),
-        Claim("gadget-ket0-top", "routing gadget", _fixed(
+        )),
+        Claim("gadget-ket0-top", "routing gadget", (
             (seq(G, par(Gen(HBox(1, 0, 0)), wires(1))), gadget_top0),
-        ), samples=1),
+        )),
         # -- layer propagation rewrites
         Claim("weight-product", "layer propagation", _bld_weight_product),
         Claim("effect1-weight", "layer propagation", _bld_effect1_weight),
         Claim("effect0-weight", "layer propagation", _bld_effect0_weight),
-        Claim("z-merge-chain", "layer propagation", _fixed(
+        Claim("z-merge-chain", "layer propagation", (
             (
                 seq(Gen(ZSpider(0, 2)), par(wires(1), Gen(ZSpider(1, 2)))),
                 Gen(ZSpider(0, 3)),
             ),
-        ), samples=1),
+        )),
         # -- H-box plugging
         Claim("ket0-into-hbox", "h-box plugging", _bld_ket0_hbox),
         Claim("ket1-into-hbox", "h-box plugging", _bld_ket1_hbox),
-        Claim("one-box-splits", "h-box plugging", _bld_one_box_splits, samples=1),
+        Claim("one-box-splits", "h-box plugging", _one_box_splits()),
         Claim("zero-box", "h-box plugging", skip_reason=(
             "figure-only statement; the zero-label decomposition body is "
             "not textually recoverable"
         )),
         # -- sugar cores
-        Claim("x-spider-core", "sugar core", _bld_x_core, samples=1),
+        Claim("x-spider-core", "sugar core", _x_core()),
         Claim("weight-core", "sugar core", _bld_weight_core),
-        Claim("plus-state", "sugar core", _fixed(
+        Claim("plus-state", "sugar core", (
             (Gen(KetPlus()), Gen(HBox(0, 1, 1))),
-        ), samples=1),
-        Claim("ketzero-is-hbox", "sugar core", _fixed(
+        )),
+        Claim("ketzero-is-hbox", "sugar core", (
             (Gen(KetZero()), Gen(HBox(0, 1, 0))),
-        ), samples=1),
-        Claim("ketone-is-notx", "sugar core", _fixed(
+        )),
+        Claim("ketone-is-notx", "sugar core", (
             (Gen(KetOne()), Gen(NotXSpider(0, 1))),
-        ), samples=1),
-        Claim("braplus-is-copy", "sugar core", _fixed(
+        )),
+        Claim("braplus-is-copy", "sugar core", (
             (Gen(BraPlus()), Gen(ZSpider(1, 0))),
-        ), samples=1),
+        )),
         # -- composition primitives
-        Claim("cap-from-copy", "composition primitives", _fixed(
+        Claim("cap-from-copy", "composition primitives", (
             (Gen(Cap()), seq(Gen(ZSpider(0, 1)), Gen(ZSpider(1, 2)))),
-        ), samples=1),
-        Claim("cup-from-merge", "composition primitives", _fixed(
+        )),
+        Claim("cup-from-merge", "composition primitives", (
             (Gen(Cup()), seq(Gen(ZSpider(2, 1)), Gen(BraPlus()))),
-        ), samples=1),
-        Claim("closed-copy-scalar", "composition primitives", _fixed(
+        )),
+        Claim("closed-copy-scalar", "composition primitives", (
             (Gen(ZSpider(0, 0)), _sb(2)),
-        ), samples=1),
+        )),
         # -- translation
         Claim("fan-in-interchange", "translation", _bld_fan_in_interchange, samples=6),
-        Claim("z-state-normal-form", "translation", _bld_z_state_nf, samples=1),
+        Claim("z-state-normal-form", "translation", _z_state_nf()),
         Claim("h-state-normal-form", "translation", _bld_h_state_nf, samples=6),
         Claim("tensor-join", "translation", _bld_tensor_join, samples=6),
         Claim("swap-propagates", "translation", _bld_swap_propagates, samples=6),
@@ -644,14 +643,14 @@ def builtin_suite() -> List[Claim]:
             "figure-only statement"
         )),
         # -- negative controls
-        Claim("control-label-shift", "negative control", _fixed(
+        Claim("control-label-shift", "negative control", (
             (Gen(HBox(1, 1, 0.25 + 0.5j)), Gen(HBox(1, 1, 1.25 + 0.5j))),
-        ), samples=1, expect_fail=True),
-        Claim("control-gadget-transpose", "negative control", _fixed(
+        ), expect_fail=True),
+        Claim("control-gadget-transpose", "negative control", (
             (G, gadget_mat.T.copy()),
-        ), samples=1, expect_fail=True),
-        Claim("control-ket1-monoid", "negative control", _fixed(
+        ), expect_fail=True),
+        Claim("control-ket1-monoid", "negative control", (
             (seq(par(Gen(KetOne()), wires(1)), _M2), wires(1)),
-        ), samples=1, expect_fail=True),
+        ), expect_fail=True),
     ]
     return claims

@@ -2,7 +2,13 @@
 
 One command per invocation, JSON in, JSON (or DOT) out.  Exit codes:
 0 success, 1 semantic inequivalence or claim failure, 2 malformed input,
-3 resource cap exceeded, 4 internal error (a bug in zhdd, never a verdict).
+3 resource cap exceeded (also JSON nested past the parser's recursion
+limit), 4 internal error (a bug in zhdd, never a verdict).
+
+Each command offers only the options its code reads: ``-o`` everywhere,
+``--tolerance`` on reduce, to-sqmdd, canonical, check-equiv and verify,
+``--max-qubits`` on interpret and verify, and on to-sqmdd and check-equiv
+for ``--assert-stages``.
 
 The argument parser is built once per process; each call dispatches to
 the module's ``_cmd_<command>`` function by name when it runs.
@@ -16,7 +22,7 @@ import sys
 import traceback
 from typing import Any, Optional
 
-from .config import Settings
+from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
 
 EXIT_OK = 0
@@ -28,7 +34,10 @@ EXIT_INTERNAL = 4
 
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ResourceLimitError(f"{path}: JSON nested past the parser's limit") from None
 
 
 def _detect(obj: Any) -> str:
@@ -59,7 +68,9 @@ def _emit(args: argparse.Namespace, payload: Any) -> None:
 
 
 def _settings(args: argparse.Namespace) -> Settings:
-    return Settings(eps=args.tolerance, max_qubits=args.max_qubits)
+    # a setting whose option the command does not offer keeps its default
+    return Settings(eps=getattr(args, "tolerance", DEFAULT.eps),
+                    max_qubits=getattr(args, "max_qubits", DEFAULT.max_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +86,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     obj = _load_json(args.file)
     what = _detect(obj)
     if what == "sqmdd":
-        vec = interpret_sqmdd(sqmdd_from_json(obj, settings), settings)
+        vec = interpret_sqmdd(sqmdd_from_json(obj), settings)
         _emit(args, vector_to_json(vec))
     elif what == "term":
         t = term_from_json(obj)
@@ -93,9 +104,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     from .reduction import reduce_diagram
     from .sqmdd import renumber, sqmdd_from_json, sqmdd_to_json
 
-    settings = _settings(args)
-    d = sqmdd_from_json(_load_json(args.file), settings)
-    out, steps = reduce_diagram(d, settings)
+    d = sqmdd_from_json(_load_json(args.file))
+    out, steps = reduce_diagram(d, _settings(args))
     _emit(args, {
         "result": sqmdd_to_json(renumber(out)),
         "trace": [s.to_json() for s in steps],
@@ -108,9 +118,8 @@ def _cmd_to_zh(args: argparse.Namespace) -> int:
     from .terms import term_to_json
     from .translate import sqmdd_to_zh
 
-    settings = _settings(args)
-    d = sqmdd_from_json(_load_json(args.file), settings)
-    t = sqmdd_to_zh(d, settings, fan_in=args.fan_in)
+    d = sqmdd_from_json(_load_json(args.file))
+    t = sqmdd_to_zh(d, fan_in=args.fan_in)
     _emit(args, term_to_json(t))
     return EXIT_OK
 
@@ -120,9 +129,8 @@ def _cmd_to_sqmdd(args: argparse.Namespace) -> int:
     from .terms import term_from_json
     from .translate import zh_to_sqmdd
 
-    settings = _settings(args)
     t = term_from_json(_load_json(args.file))
-    d = zh_to_sqmdd(t, settings, assert_stages=args.assert_stages)
+    d = zh_to_sqmdd(t, _settings(args), assert_stages=args.assert_stages)
     _emit(args, sqmdd_to_json(renumber(d)))
     return EXIT_OK
 
@@ -132,9 +140,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     from .oracle import vector_from_json
     from .sqmdd import renumber, sqmdd_to_json
 
-    settings = _settings(args)
     vec = vector_from_json(_load_json(args.file))
-    d = canonical_from_vector(vec, settings)
+    d = canonical_from_vector(vec, _settings(args))
     _emit(args, sqmdd_to_json(renumber(d)))
     return EXIT_OK
 
@@ -149,7 +156,7 @@ def _canonicalize(obj: Any, settings: Settings, assert_stages: bool):
 
     what = _detect(obj)
     if what == "sqmdd":
-        return canonical(sqmdd_from_json(obj, settings), settings)
+        return canonical(sqmdd_from_json(obj), settings)
     if what == "term":
         return zh_to_sqmdd(term_from_json(obj), settings, assert_stages=assert_stages)
     return canonical_from_vector(vector_from_json(obj), settings)
@@ -174,9 +181,9 @@ def _cmd_check_equiv(args: argparse.Namespace) -> int:
         if za or zb:
             same = za and zb
         else:
-            same = iso_equal(replace(da, scalar=1 + 0j), replace(db, scalar=1 + 0j))
+            same = iso_equal(replace(da, scalar=1 + 0j), replace(db, scalar=1 + 0j), settings)
     else:
-        same = iso_equal(da, db)
+        same = iso_equal(da, db, settings)
     if same:
         _emit(args, "EQUIVALENT" + (" (up to scalar)" if args.up_to_scalar else ""))
         return EXIT_OK
@@ -187,9 +194,8 @@ def _cmd_check_equiv(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .claims import run_suite
 
-    settings = _settings(args)
     results = run_suite(
-        settings,
+        _settings(args),
         name_filter=args.filter,
         samples=args.samples,
         seed=args.seed,
@@ -222,8 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     from .sqmdd import renumber, sqmdd_from_json, sqmdd_to_dot
 
-    settings = _settings(args)
-    d = sqmdd_from_json(_load_json(args.file), settings)
+    d = sqmdd_from_json(_load_json(args.file))
     _emit(args, sqmdd_to_dot(renumber(d)))
     return EXIT_OK
 
@@ -233,12 +238,15 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="EPS",
-                        help="numeric tolerance / weight grid (default 1e-9)")
-    common.add_argument("--max-qubits", type=int, default=16, metavar="N",
-                        help="cap on dense wire count (default 16)")
-    common.add_argument("-o", "--output", metavar="FILE",
+    # each command is offered exactly the options its code reads
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=DEFAULT.eps, metavar="EPS",
+                           help="numeric tolerance / weight grid (default 1e-9)")
+    max_qubits = argparse.ArgumentParser(add_help=False)
+    max_qubits.add_argument("--max-qubits", type=int, default=DEFAULT.max_qubits, metavar="N",
+                            help="cap on dense wire count (default 16)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", metavar="FILE",
                         help="write result here instead of stdout")
     assert_stages_help = "check every translation stage against the dense oracle"
 
@@ -246,30 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("interpret", parents=[common],
+    sp = sub.add_parser("interpret", parents=[max_qubits, output],
                         help="evaluate a diagram or term to a dense vector/matrix")
     sp.add_argument("file")
 
-    sp = sub.add_parser("reduce", parents=[common],
+    sp = sub.add_parser("reduce", parents=[tolerance, output],
                         help="rewrite a diagram to its irreducible form, with trace")
     sp.add_argument("file")
 
-    sp = sub.add_parser("to-zh", parents=[common],
+    sp = sub.add_parser("to-zh", parents=[output],
                         help="emit the term normal form of a diagram")
     sp.add_argument("file")
     sp.add_argument("--fan-in", choices=("monoid", "x"), default="monoid",
                     help="how multi-parent joins are realized (default: monoid)")
 
-    sp = sub.add_parser("to-sqmdd", parents=[common],
+    sp = sub.add_parser("to-sqmdd", parents=[tolerance, max_qubits, output],
                         help="contract a term into an irreducible diagram")
     sp.add_argument("file")
     sp.add_argument("--assert-stages", action="store_true", help=assert_stages_help)
 
-    sp = sub.add_parser("canonical", parents=[common],
+    sp = sub.add_parser("canonical", parents=[tolerance, output],
                         help="build the canonical diagram of a dense vector")
     sp.add_argument("file")
 
-    sp = sub.add_parser("check-equiv", parents=[common],
+    sp = sub.add_parser("check-equiv", parents=[tolerance, max_qubits, output],
                         help="canonicalize two inputs (any format) and compare")
     sp.add_argument("a")
     sp.add_argument("b")
@@ -277,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="treat states differing by a global factor as equal")
     sp.add_argument("--assert-stages", action="store_true", help=assert_stages_help)
 
-    sp = sub.add_parser("verify", parents=[common],
+    sp = sub.add_parser("verify", parents=[tolerance, max_qubits, output],
                         help="run the built-in equational claim suite")
     sp.add_argument("--filter", metavar="SUBSTR", default=None,
                     help="only claims whose name contains this")
     sp.add_argument("--samples", type=int, default=None, metavar="N",
-                    help="override per-claim sample count")
+                    help="draws per randomized claim (fixed claims run once)")
     sp.add_argument("--seed", type=int, default=0xC1A1)
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
-    sp = sub.add_parser("export-dot", parents=[common],
+    sp = sub.add_parser("export-dot", parents=[output],
                         help="render a diagram as GraphViz DOT")
     sp.add_argument("file")
 

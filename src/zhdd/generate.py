@@ -141,7 +141,7 @@ def random_dag(
     return d
 
 
-def tree_from_vector(vec, rng: Optional[np.random.Generator] = None) -> Sqmdd:
+def tree_from_vector(vec) -> Sqmdd:
     """The naive full binary tree of a vector: no sharing, no weight
     normalization, one node per internal position."""
     v = np.asarray(vec, dtype=complex).reshape(-1)

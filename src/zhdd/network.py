@@ -91,7 +91,7 @@ class _Tokens:
             self.parent[rb] = ra
 
 
-def flatten_to_network(t: ZhTerm, settings: Settings = DEFAULT) -> Network:
+def flatten_to_network(t: ZhTerm) -> Network:
     """The wiring network of a term.
 
     Derived generators are expanded first; maps are bent into state form,

@@ -111,7 +111,7 @@ def reachable_ids(d: Sqmdd) -> set[int]:
     return seen
 
 
-def validate(d: Sqmdd, settings: Settings = DEFAULT) -> list[str]:
+def validate(d: Sqmdd) -> list[str]:
     """All invariant violations, as human-readable strings; empty = valid."""
     problems: list[str] = []
     if d.height < 0:
@@ -155,8 +155,8 @@ def validate(d: Sqmdd, settings: Settings = DEFAULT) -> list[str]:
     return problems
 
 
-def require_valid(d: Sqmdd, settings: Settings = DEFAULT) -> None:
-    problems = validate(d, settings)
+def require_valid(d: Sqmdd) -> None:
+    problems = validate(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
 
@@ -195,7 +195,7 @@ def measure(d: Sqmdd, settings: Settings = DEFAULT) -> tuple[int, ...]:
 # cofactors
 
 
-def _cofactor(d: Sqmdd, side: int, settings: Settings) -> Sqmdd:
+def _cofactor(d: Sqmdd, side: int) -> Sqmdd:
     if d.height < 1:
         raise ShapeError("cofactor of a height-0 diagram")
     w, c = split_edge(d, (d.scalar, d.root), d.height, side)
@@ -205,14 +205,14 @@ def _cofactor(d: Sqmdd, side: int, settings: Settings) -> Sqmdd:
     return out
 
 
-def left_cofactor(d: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
+def left_cofactor(d: Sqmdd) -> Sqmdd:
     """The sub-diagram for the top qubit fixed to 0 (weight folded into s)."""
-    return _cofactor(d, 0, settings)
+    return _cofactor(d, 0)
 
 
-def right_cofactor(d: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
+def right_cofactor(d: Sqmdd) -> Sqmdd:
     """The sub-diagram for the top qubit fixed to 1."""
-    return _cofactor(d, 1, settings)
+    return _cofactor(d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def sqmdd_to_json(d: Sqmdd) -> dict[str, Any]:
     }
 
 
-def sqmdd_from_json(obj: Any, settings: Settings = DEFAULT) -> Sqmdd:
+def sqmdd_from_json(obj: Any) -> Sqmdd:
     if not isinstance(obj, dict):
         raise ValueError("diagram must be a JSON object")
     try:
@@ -339,7 +339,7 @@ def sqmdd_from_json(obj: Any, settings: Settings = DEFAULT) -> Sqmdd:
             raise ValueError(f"node {i}: height must be an integer")
         nodes[i] = n
     d = Sqmdd(scalar, height, root, nodes)
-    require_valid(d, settings)
+    require_valid(d)
     return d
 
 

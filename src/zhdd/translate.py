@@ -22,6 +22,12 @@ generator at a time through :func:`~zhdd.terms.placed`, so it does not
 depend on how the generators are grouped into rows: generators set beside
 each other act on disjoint wires, and taking them left to right means the
 same.
+
+Emission and read-back are exact and take no settings.  The routines
+that build in a :class:`~zhdd.sqmdd.Builder` (the contraction, the
+generator states, the cofactor of :func:`ket0_propagate`) read ``eps`` as
+its weight grid; ``max_qubits`` caps only the dense mirror of
+``assert_stages``.
 """
 from __future__ import annotations
 
@@ -63,26 +69,15 @@ from .terms import (
 
 
 def generator_state_sqmdd(
-    kind,
-    legs: Optional[int] = None,
+    tag: str,
+    legs: int,
     label: Optional[complex] = None,
     settings: Settings = DEFAULT,
 ) -> Sqmdd:
-    """The reduced diagram of a single spider/box, all legs as outputs.
-
-    ``kind`` is either a :class:`ZSpider`/:class:`HBox` instance or one of
-    the strings "z"/"h" with an explicit leg count (and label for "h").
-    """
-    if isinstance(kind, ZSpider):
-        tag, legs = "z", kind.inputs + kind.outputs
-    elif isinstance(kind, HBox):
-        tag, legs, label = "h", kind.inputs + kind.outputs, kind.label
-    elif kind in ("z", "h"):
-        tag = kind
-        if legs is None:
-            raise ShapeError("string-kind generator state needs a leg count")
-    else:
-        raise ShapeError(f"no generator state for {kind!r}")
+    """The reduced diagram of the Z state ("z") or H-box state ("h", with
+    ``label``, default -1) on ``legs`` legs."""
+    if tag not in ("z", "h"):
+        raise ShapeError(f"no generator state for {tag!r}")
     if legs < 0:
         raise ShapeError(f"negative leg count {legs}")
     bld = Builder(settings)
@@ -141,7 +136,7 @@ def zh_to_sqmdd(
     width fits under the dense wire cap, which is checked before any
     contraction.
     """
-    net = flatten_to_network(t, settings)
+    net = flatten_to_network(t)
     order, peak = contraction_plan(net)
     mirror = None
     if assert_stages:
@@ -250,7 +245,7 @@ def _fan_in(mode: str, k: int) -> ZhTerm:
     raise ShapeError(f"unknown fan_in mode {mode!r}")
 
 
-def sqmdd_to_zh(d: Sqmdd, settings: Settings = DEFAULT, fan_in: str = "monoid") -> ZhTerm:
+def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     """A term denoting exactly the diagram's vector (scalar included).
 
     One |+>-fed copy spider per level drives a routing gadget per node;
@@ -259,7 +254,7 @@ def sqmdd_to_zh(d: Sqmdd, settings: Settings = DEFAULT, fan_in: str = "monoid") 
     selects the gathering generator: "monoid" (partial xor, the default)
     or "x" (full xor) — on the one-hot branch indicators they agree.
     """
-    problems = validate(d, settings)
+    problems = validate(d)
     if problems:
         raise ShapeError("cannot translate invalid diagram: " + "; ".join(problems))
     asm = _Assembler()
@@ -303,7 +298,7 @@ def sqmdd_to_zh(d: Sqmdd, settings: Settings = DEFAULT, fan_in: str = "monoid") 
 # term -> diagram, syntactically: the read-back parser
 
 
-def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:
+def sqmdd_read_back(t: ZhTerm) -> Sqmdd:
     """Parse a term in the emitted layer format back into its diagram.
 
     Strict inverse of :func:`sqmdd_to_zh` on that function's image (both
@@ -442,7 +437,7 @@ def sqmdd_read_back(t: ZhTerm, settings: Settings = DEFAULT) -> Sqmdd:
         (w0, c0), (w1, c1) = edges[(u, 0)], edges[(u, 1)]
         nodes[u] = Node(h, w0, c0, w1, c1)
     out = Sqmdd(scalar, height, root, nodes)
-    problems = validate(out, settings)
+    problems = validate(out)
     if problems:
         raise ShapeError("parsed diagram is invalid: " + "; ".join(problems))
     return out
@@ -476,7 +471,7 @@ def ket0_propagate(t: ZhTerm, settings: Settings = DEFAULT) -> ZhTerm:
         side = 1
     else:
         raise ShapeError(f"unrecognized effect {describe(eff)} (expected <0| or <1|)")
-    d = sqmdd_read_back(inner, settings)
+    d = sqmdd_read_back(inner)
     if d.height == 0:
         raise ShapeError("no wire left to project")
-    return sqmdd_to_zh(restrict(d, 0, side, settings), settings)
+    return sqmdd_to_zh(restrict(d, 0, side, settings))

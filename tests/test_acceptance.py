@@ -58,7 +58,7 @@ def test_criterion_1_translation_soundness(capsys):
     for k in range(200):
         h = 1 + k % 6
         d = random_dag(rng, h, settings=S)
-        t = sqmdd_to_zh(d, S)
+        t = sqmdd_to_zh(d)
         got = interpret_zh(t, S).reshape(-1)
         want = interpret_sqmdd(d, S)
         dev = max_deviation(got, want)
@@ -214,7 +214,7 @@ def test_criterion_5_worked_example(capsys):
     assert d.height == 4
     assert is_irreducible(d, S)
     assert np.max(np.abs(interpret_sqmdd(d, S) - vec)) <= TOL
-    t = sqmdd_to_zh(d, S)
+    t = sqmdd_to_zh(d)
     emitted = interpret_zh(t, S).reshape(-1)
     assert np.max(np.abs(emitted - vec)) <= TOL
     report(capsys, "5 (worked example)", t0, 1)

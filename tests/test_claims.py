@@ -67,6 +67,12 @@ def test_sample_override_and_filter():
     assert checked
 
 
+def test_fixed_claims_run_once():
+    """A claim whose cases do not depend on the RNG is not re-sampled."""
+    snake = next(c for c in builtin_suite() if c.name == "snake")
+    assert verify_claim(snake, samples=20).samples == len(snake.build) == 2
+
+
 def test_results_serialize():
     r = ClaimResult("x", "y", 3, 0.0, "pass")
     obj = r.to_json()

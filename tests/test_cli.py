@@ -129,6 +129,15 @@ def test_check_equiv_scalar_modes(write, capsys):
     assert run(capsys, "check-equiv", a, c, "--up-to-scalar")[0] == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--up-to-scalar"]], ids=["exact", "up-to-scalar"])
+def test_check_equiv_compares_at_the_given_tolerance(write, capsys, flags):
+    """The canonical forms are built and compared on the same grid."""
+    a = write("a.json", vector_to_json(np.array([1, 2], dtype=complex)))
+    b = write("b.json", vector_to_json(np.array([1, 2 + 1e-7], dtype=complex)))
+    assert run(capsys, "check-equiv", a, b, *flags)[0] == 1
+    assert run(capsys, "check-equiv", a, b, *flags, "--tolerance", "1e-6")[0] == 0
+
+
 def test_zero_vector_scalar_equivalence(write, capsys):
     z = write("z.json", vector_to_json(np.zeros(4, dtype=complex)))
     e = write("e.json", vector_to_json(np.eye(4, dtype=complex)[0]))
@@ -185,6 +194,23 @@ def test_resource_cap_exits_3(write, capsys):
     code, _, err = run(capsys, "interpret", f, "--max-qubits", "2")
     assert code == 3
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize(
+    "command", ["interpret", "reduce", "to-zh", "to-sqmdd", "canonical", "check-equiv",
+                "export-dot"])
+def test_deeply_nested_json_exits_3(capsys, tmp_path, command):
+    """A term of 3,000 right-nested seq nodes is nested past the JSON
+    parser's recursion limit: a resource cap, not a traceback."""
+    seq_open = '{"kind": "seq", "params": {}, "children": ['
+    ket0 = '{"kind": "ket0", "params": {}, "children": []}'
+    z = '{"kind": "zspider", "params": {"inputs": 1, "outputs": 1}, "children": []}'
+    deep = tmp_path / "deep.json"
+    deep.write_text(seq_open + ket0 + ", " + (seq_open + z + ", ") * 2999 + z + "]}" * 3000)
+    files = [str(deep)] * (2 if command == "check-equiv" else 1)
+    code, _, err = run(capsys, command, *files)
+    assert code == 3
+    assert "resource cap" in err and "Traceback" not in err
 
 
 def test_output_flag_writes_file(write, capsys, tmp_path, diagram):
@@ -310,11 +336,29 @@ def test_interleaved_calls_match_calls_run_alone(write, capsys):
             assert run(capsys, *argv) == want
 
 
-def test_assert_stages_is_only_offered_where_it_is_read(write, capsys, diagram):
-    f = write("d.json", sqmdd_to_json(diagram))
-    with pytest.raises(SystemExit) as exc:
-        main(["interpret", "--assert-stages", f])
-    assert exc.value.code == 2
+_COMMANDS = ("interpret", "reduce", "to-zh", "to-sqmdd", "canonical", "check-equiv",
+             "verify", "export-dot")
+_OFFERED = {
+    "--tolerance": {"reduce", "to-sqmdd", "canonical", "check-equiv", "verify"},
+    "--max-qubits": {"interpret", "to-sqmdd", "check-equiv", "verify"},
+    "--assert-stages": {"to-sqmdd", "check-equiv"},
+}
+_OPTION_VALUE = {"--tolerance": ["1e-6"], "--max-qubits": ["20"], "--assert-stages": []}
+
+
+@pytest.mark.parametrize("option", list(_OFFERED))
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_option_is_only_offered_where_it_is_read(command, option):
+    """Each command parses exactly the shared options its code reads; any
+    other one is a usage error (argparse exits 2)."""
+    files = {"verify": [], "check-equiv": ["a.json", "b.json"]}.get(command, ["x.json"])
+    argv = [command, *files, option, *_OPTION_VALUE[option]]
+    if command in _OFFERED[option]:
+        cli.build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_to_sqmdd_assert_stages_writes_the_same_bytes(write, capsys, tmp_path, diagram):

@@ -121,4 +121,4 @@ def test_net_interpret_respects_cap():
     from zhdd.errors import ResourceLimitError
 
     with pytest.raises(ResourceLimitError):
-        net_interpret(flatten_to_network(Gen(ZSpider(0, 6)), settings), settings)
+        net_interpret(flatten_to_network(Gen(ZSpider(0, 6))), settings)

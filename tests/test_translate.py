@@ -52,7 +52,7 @@ WIDE = Settings(max_qubits=24)
 def test_emitted_term_denotes_the_diagram(seed, mode):
     rng = np.random.default_rng(seed)
     d = random_dag(rng, 1 + seed % 6, settings=WIDE)
-    t = sqmdd_to_zh(d, WIDE, fan_in=mode)
+    t = sqmdd_to_zh(d, fan_in=mode)
     assert t.n_in == 0 and t.n_out == d.height
     got = interpret_zh(t, WIDE).reshape(-1)
     assert max_deviation(got, interpret_sqmdd(d, WIDE)) <= 1e-9
@@ -69,8 +69,8 @@ def test_read_back_inverts_emission(seed):
     """to-zh output is structured enough to parse right back."""
     rng = np.random.default_rng(seed)
     d = reduce_diagram(random_dag(rng, 1 + seed % 5, settings=WIDE), WIDE)[0]
-    t = sqmdd_to_zh(d, WIDE)
-    back = sqmdd_read_back(t, WIDE)
+    t = sqmdd_to_zh(d)
+    back = sqmdd_read_back(t)
     assert iso_equal(back, d)
 
 
@@ -90,10 +90,10 @@ def test_read_back_does_not_depend_on_row_grouping(seed):
     did, and the parse reads them the same way."""
     rng = np.random.default_rng(seed)
     d = canonical(random_dag(rng, 1 + seed % 4, settings=WIDE), WIDE)
-    t = sqmdd_to_zh(d, WIDE)
+    t = sqmdd_to_zh(d)
     boot, first_level, *rest = _rows(t.right)
     fused = par(t.left, seq(par(boot, first_level.right), *rest))
-    assert iso_equal(sqmdd_read_back(fused, WIDE), d)
+    assert iso_equal(sqmdd_read_back(fused), d)
     got = interpret_zh(fused, WIDE).reshape(-1)
     assert max_deviation(got, interpret_sqmdd(d, WIDE)) <= 1e-9
 
@@ -101,7 +101,7 @@ def test_read_back_does_not_depend_on_row_grouping(seed):
 _SCALAR = Gen(HBox(0, 0, 1))
 _BOOT_TO_TERMINAL = seq(Gen(KetOne()), Gen(MonoidN(1)), Gen(NotXSpider(1, 0)))
 _LEVEL_CHAIN = sqmdd_to_zh(  # the emitted layer chain of a height-2 diagram
-    canonical(random_dag(np.random.default_rng(5), 2, settings=WIDE), WIDE), WIDE
+    canonical(random_dag(np.random.default_rng(5), 2, settings=WIDE), WIDE)
 ).right
 
 
@@ -152,7 +152,7 @@ def test_stage_asserted_contraction(seed):
     only feasible when the desugared network is small."""
     rng = np.random.default_rng(seed)
     t = random_term(rng, max_generators=4, max_boundary=4)
-    net = flatten_to_network(t, WIDE)
+    net = flatten_to_network(t)
     assume(sum(i.arity for i in net.instances) <= 16)
     d = zh_to_sqmdd(t, WIDE, assert_stages=True)
     s = to_state_form(t) if t.n_in else t
@@ -170,8 +170,8 @@ def test_stage_assertions_follow_the_plan():
     network's leg count, so an emitted 3-qubit diagram is checkable."""
     settings = Settings(max_qubits=20)
     d = random_dag(np.random.default_rng(2), 3, settings=settings)
-    t = sqmdd_to_zh(d, settings)
-    net = flatten_to_network(t, settings)
+    t = sqmdd_to_zh(d)
+    net = flatten_to_network(t)
     assert sum(i.arity for i in net.instances) > 200
     back = zh_to_sqmdd(t, settings, assert_stages=True)
     assert iso_equal(back, reduce_diagram(d, settings)[0])
@@ -179,7 +179,7 @@ def test_stage_assertions_follow_the_plan():
 
 def test_contraction_runs_on_one_builder(monkeypatch):
     """Every tensor and closed wire shares one unique table."""
-    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE), WIDE)
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE))
     made = []
     init = Builder.__init__
 
@@ -196,7 +196,7 @@ def test_contraction_runs_on_one_builder(monkeypatch):
 def test_round_trip_from_canonical(seed):
     rng = np.random.default_rng(seed)
     d = canonical_from_vector(random_vector(rng, 1 + seed % 3), WIDE)
-    t = sqmdd_to_zh(d, WIDE)
+    t = sqmdd_to_zh(d)
     back = zh_to_sqmdd(t, WIDE)
     assert iso_equal(back, d)
 
@@ -242,9 +242,9 @@ def test_contraction_is_deterministic(source):
     if source == "term":
         t = random_term(rng, max_generators=10, max_boundary=6)
     else:
-        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE), WIDE, fan_in="x")
-    net = flatten_to_network(t, WIDE)
-    assert contraction_plan(net) == contraction_plan(flatten_to_network(t, WIDE))
+        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE), fan_in="x")
+    net = flatten_to_network(t)
+    assert contraction_plan(net) == contraction_plan(flatten_to_network(t))
     first, second = (json.dumps(sqmdd_to_json(zh_to_sqmdd(t, WIDE))) for _ in range(2))
     assert first == second
 
@@ -280,7 +280,7 @@ def test_ket0_propagate_peels_an_effect(seed, side):
     rng = np.random.default_rng(seed)
     h = 2 + seed % 3
     d = reduce_diagram(random_dag(rng, h, settings=WIDE), WIDE)[0]
-    t = sqmdd_to_zh(d, WIDE)
+    t = sqmdd_to_zh(d)
     eff = Gen(HBox(1, 0, 0)) if side == 0 else Gen(NotXSpider(1, 0))
     plugged = seq(t, par(eff, wires(h - 1)))
     out = ket0_propagate(plugged, WIDE)
