@@ -27,12 +27,7 @@ from .claims import Claim, ClaimResult, builtin_suite, run_suite, verify_claim
 from .config import DEFAULT, Settings
 from .duality import from_state_form, to_state_form
 from .errors import ResourceLimitError, ShapeError
-from .oracle import (
-    colinear,
-    interpret_sqmdd,
-    interpret_zh,
-    max_deviation,
-)
+from .oracle import interpret_sqmdd, interpret_zh, max_deviation
 from .reduction import (
     Step,
     apply_step,
@@ -92,7 +87,7 @@ __all__ = [
     "DEFAULT", "Settings",
     "from_state_form", "to_state_form",
     "ResourceLimitError", "ShapeError",
-    "colinear", "interpret_sqmdd", "interpret_zh", "max_deviation",
+    "interpret_sqmdd", "interpret_zh", "max_deviation",
     "Step", "apply_step", "find_candidates", "is_irreducible", "measure",
     "reduce_diagram",
     "Node", "Sqmdd", "iso_equal", "renumber", "sqmdd_from_json",

@@ -23,7 +23,9 @@ scales the returned edge by the edge weight.  The operations are linear in
 edge weights, so ``act`` runs once per child and the cost is proportional
 to the diagram, not to 2**H.  Closing a wire (:func:`contract_edge`) is a
 single pass: its ``act`` restricts the lower wire to agree with the upper
-one and sums the two branches, a Z merge and a <+| plug in one.
+one and sums the two branches, a Z merge and a <+| plug in one.  A wire
+permutation (:func:`permute_edge`) is one adjacent-level swap per entry of
+the package's one swap schedule, :func:`zhdd.terms.swap_schedule`.
 
 The sum (:func:`_adder`) walks an edge pair with an explicit stack.  Both
 engines read a node's height off the node, so levels that an edge skips
@@ -45,6 +47,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import ShapeError
 from .sqmdd import TERMINAL, Builder, Edge, Sqmdd, split_edge
+from .terms import swap_schedule
 
 Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
 Walk = Callable[[Edge], Edge]
@@ -174,15 +177,9 @@ def swap_edge(bld: Builder, e: Edge, k: int) -> Edge:
 
 def permute_edge(bld: Builder, e: Edge, height: int, perm: Sequence[int]) -> Edge:
     """Rearrange wires so that result wire ``i`` is input wire ``perm[i]``,
-    by a bubble of adjacent-level swaps."""
-    cur = list(range(height))
-    for i in range(height):
-        j = cur.index(perm[i])
-        while j > i:
-            # swap positions (j-1, j), i.e. heights (H-j+1, H-j)
-            e = swap_edge(bld, e, height - j)
-            cur[j - 1], cur[j] = cur[j], cur[j - 1]
-            j -= 1
+    one adjacent-level swap per entry of :func:`~zhdd.terms.swap_schedule`."""
+    for p in swap_schedule(perm):
+        e = swap_edge(bld, e, height - p - 1)  # wires p, p+1 sit at heights H-p, H-p-1
     return e
 
 

@@ -94,6 +94,8 @@ def verify_claim(
     An ``expect_fail`` claim passes when at least one case deviates --
     it exists to prove the runner can see failures.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if claim.skip_reason is not None:
         return ClaimResult(claim.name, claim.origin, 0, 0.0, "skipped", claim.skip_reason)
     if rng is None:

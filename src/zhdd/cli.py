@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
 One command per invocation, JSON in, JSON (or DOT) out.  Exit codes:
-0 success, 1 semantic inequivalence or claim failure, 2 malformed input,
-3 resource cap exceeded (also JSON nested past the parser's recursion
-limit), 4 internal error (a bug in zhdd, never a verdict).
+0 success, 1 semantic inequivalence or claim failure, 2 malformed input
+(also a tolerance that is not finite and positive, a negative qubit cap or
+fewer than one sample), 3 resource cap exceeded (also JSON nested past the
+parser's recursion limit, and a weight beyond the weight grid's range),
+4 internal error (a bug in zhdd, never a verdict).
 
 Each command offers only the options its code reads: ``-o`` everywhere,
 ``--tolerance`` on reduce, to-sqmdd, canonical, check-equiv and verify,
@@ -309,6 +311,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return command(args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OverflowError:  # round(w / eps) past the float range
+        print("resource cap: a weight is beyond the weight grid's range "
+              "(|w| / tolerance must stay below about 1.8e308)", file=sys.stderr)
         return EXIT_RESOURCE
     except (ShapeError, ValueError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)

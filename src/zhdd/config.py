@@ -4,10 +4,13 @@ Everything that compares complex numbers goes through one of the two knobs
 here: ``eps`` bounds entrywise error in dense checks, and the same value is
 used as the rounding grid for structural weight equality (see
 :func:`zhdd.sqmdd.weight_key`).  ``max_qubits`` caps any computation that
-materializes a dense vector or matrix.
+materializes a dense vector or matrix.  Both are checked once, here: a
+``Settings`` with an ``eps`` that is not finite and positive, or a negative
+``max_qubits``, raises :class:`ValueError` when it is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,6 +18,12 @@ from dataclasses import dataclass
 class Settings:
     eps: float = 1e-9
     max_qubits: int = 16
+
+    def __post_init__(self) -> None:
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"tolerance must be finite and greater than 0, got {self.eps}")
+        if self.max_qubits < 0:
+            raise ValueError(f"max qubits must be at least 0, got {self.max_qubits}")
 
 
 DEFAULT = Settings()

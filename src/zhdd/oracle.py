@@ -13,12 +13,17 @@ Conventions (fixed throughout the package):
   significant bit**, so ``par(a, b)`` is ``np.kron(A, B)``;
 * ``seq(a, b)`` composes left-to-right: ``B @ A``.
 
+A term has one entry, :func:`interpret_zh`: an inputs-free term is
+evaluated as a state tensor, one generator at a time, and any other term
+by the definitional matrix recursion.  Both routes stay as references that
+the test suite cross-checks.
+
 Dense work is capped at ``settings.max_qubits`` wires; anything larger
 raises :class:`ResourceLimitError` rather than silently thrashing.
 """
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -152,8 +157,8 @@ def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
 # term interpretation: state-tensor route (inputs-free terms)
 #
 # Keeps the working object a rank-k tensor instead of a 2^k x 2^k matrix,
-# which is what makes wide state terms tractable.  Cross-checked against
-# the matrix route in the test suite.
+# which is what makes wide state terms tractable.  The test suite calls
+# both routes directly and cross-checks them.
 
 
 def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
@@ -193,30 +198,17 @@ def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
 # public entry points
 
 
-def interpret_zh(
-    t: ZhTerm, settings: Settings = DEFAULT, method: str = "auto"
-) -> np.ndarray:
+def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``.
 
-    ``method`` picks the evaluation route: "matrix" is the definitional
-    recursion, "tensor" the state-tensor route (inputs-free terms only),
-    "auto" uses the tensor route whenever it applies.
+    An inputs-free term takes the state-tensor route, any other the
+    definitional matrix recursion.
     """
-    if method == "matrix":
+    if t.n_in:
         return _interpret_matrix(t, settings)
-    if method == "tensor" or (method == "auto" and t.n_in == 0):
-        if t.n_in != 0:
-            raise ShapeError(
-                f"tensor route needs an inputs-free term, got {describe(t)}"
-            )
-        if t.n_out > settings.max_qubits:
-            raise ResourceLimitError(
-                f"term has {t.n_out} outputs (cap is {settings.max_qubits})"
-            )
-        return _interpret_state(t, settings).reshape(-1, 1)
-    if method == "auto":
-        return _interpret_matrix(t, settings)
-    raise ValueError(f"unknown interpretation method {method!r}")
+    if t.n_out > settings.max_qubits:
+        raise ResourceLimitError(f"term has {t.n_out} outputs (cap is {settings.max_qubits})")
+    return _interpret_state(t, settings).reshape(-1, 1)
 
 
 def interpret_zh_state(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
@@ -269,26 +261,6 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         return float("inf")
     return float(np.max(np.abs(a - b), initial=0.0))
-
-
-def colinear(a: np.ndarray, b: np.ndarray, tol: float) -> Optional[complex]:
-    """The factor lam with ``a = lam * b``, or None if there is none.
-
-    Both (near-)zero counts as colinear with factor 1.
-    """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        return None
-    if b.size == 0:
-        return 1.0 + 0j
-    j = int(np.argmax(np.abs(b)))
-    if abs(b[j]) <= tol:
-        return 1.0 + 0j if float(np.max(np.abs(a), initial=0.0)) <= tol else None
-    lam = complex(a[j] / b[j])
-    if float(np.max(np.abs(a - lam * b), initial=0.0)) <= tol * max(1.0, abs(lam)):
-        return lam
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,16 @@ measure.
 
 How the next redex is found: one rewriter (:class:`_Rewriter`) keeps the
 node table, a parent index, each node's :func:`~zhdd.sqmdd.node_key` with
-the ids sharing it, and one min-heap per rule after ``zero``.  A heap
-holds every entry whose guard holds — r3 entries are ``(node, side)``, r6
-entries the id to merge away, the others node ids — and possibly stale
-ones, which are checked against the guard and dropped when they reach
-the top.  A step re-offers every guard that reads what it changed: the
-changed node's own rules, its parents' r3 edges, the r6 entry of its new
-key group's old first id, and r4 for any child that lost an edge.  The
-deterministic pick is the smallest valid entry of the first non-empty
-rule, which is exactly the first candidate of the full scan
+the ids sharing it, and one min-heap of ``(rank, entry)`` pairs, ranked by
+rule priority after ``zero``.  The heap holds every entry whose guard
+holds — r3 entries are ``(node, side)``, r6 entries the id to merge away,
+the others node ids — and possibly stale ones, which are checked against
+their guard and dropped when they reach the top.  A step re-offers every
+guard that reads what it changed: the changed node's own rules, its
+parents' r3 edges, the r6 entry of its new key group's old first id, and
+r4 for any child that lost an edge.  The deterministic pick is the heap's
+smallest valid pair: the smallest valid entry of the first rule that has
+one, which is exactly the first candidate of the full scan
 :func:`find_candidates`, so traces and results match the scan step for
 step while a step costs only the nodes it touches.
 """
@@ -69,8 +70,6 @@ from .sqmdd import (
     node_key,
     weight_key,
 )
-
-RULE_ORDER = ("zero", "r3", "r4", "r2", "r1", "r5", "r6")
 
 _ZERO = (0, 0)  # the grid cell of a zero weight
 
@@ -99,8 +98,8 @@ class _Rewriter:
 
     ``parents`` maps each node to its incoming ``(parent, side)`` edges;
     ``keys`` holds each node's key and ``groups`` the sorted ids per key.
-    ``heaps`` has one lazily pruned min-heap per rule after ``zero`` (see
-    the module docstring for the invariant).
+    ``heap`` is the lazily pruned min-heap of ``(rank in _GUARDS, entry)``
+    (see the module docstring for the invariant).
     """
 
     def __init__(self, d: Sqmdd, settings: Settings) -> None:
@@ -121,10 +120,8 @@ class _Rewriter:
             self.groups.setdefault(key, []).append(i)
         edges = [(i, side) for i in ids for side in (0, 1)]
         # a sorted list is already a heap
-        self.heaps = {
-            rule: [e for e in (edges if rule == "r3" else ids) if ok(self, e)]
-            for rule, ok in self._GUARDS.items()
-        }
+        self.heap = [(rank, e) for rank, (rule, ok) in enumerate(self._GUARDS)
+                     for e in (edges if rule == "r3" else ids) if ok(self, e)]
 
     # -- guards: each one is a predicate on the current table ------------
     # Weights are compared through the grid cells cached in ``keys``
@@ -165,10 +162,12 @@ class _Rewriter:
     def _r6(self, i: int) -> bool:
         return i in self.nodes and self.groups[self.keys[i]][0] < i
 
-    # one per rule after "zero", in priority order; plain functions, since
-    # bound methods kept on the instance would form a reference cycle that
-    # holds each finished rewriter until the cyclic collector runs
-    _GUARDS = {"r3": _r3, "r4": _r4, "r2": _r2, "r1": _r1, "r5": _r5, "r6": _r6}
+    # the rules after "zero" in priority order, which RULE_ORDER reads;
+    # plain functions, since bound methods kept on the instance would form
+    # a reference cycle that holds each finished rewriter until the cyclic
+    # collector runs
+    _GUARDS = (("r3", _r3), ("r4", _r4), ("r2", _r2), ("r1", _r1), ("r5", _r5), ("r6", _r6))
+    _RANKED = {rule: (rank, ok) for rank, (rule, ok) in enumerate(_GUARDS)}
 
     # -- picking ---------------------------------------------------------
 
@@ -181,28 +180,28 @@ class _Rewriter:
         """The first candidate in priority order, as a list of at most one."""
         if self._zero():
             return [("zero", None)]
-        for rule, heap in self.heaps.items():
-            ok = self._GUARDS[rule]
-            while heap:
-                if ok(self, heap[0]):
-                    return [self._candidate(rule, heap[0])]
-                heapq.heappop(heap)
+        heap = self.heap
+        while heap:
+            rank, e = heap[0]
+            rule, ok = self._GUARDS[rank]
+            if ok(self, e):
+                return [self._candidate(rule, e)]
+            heapq.heappop(heap)
         return []
 
     def candidates(self) -> list[Candidate]:
-        """Every candidate in priority order; prunes the heaps on the way."""
+        """Every candidate in priority order; prunes the heap on the way."""
         out: list[Candidate] = [("zero", None)] if self._zero() else []
-        for rule, heap in self.heaps.items():
-            ok = self._GUARDS[rule]
-            heap[:] = sorted({e for e in heap if ok(self, e)})
-            out += (self._candidate(rule, e) for e in heap)
-        return out
+        guards = self._GUARDS
+        self.heap = sorted({(rank, e) for rank, e in self.heap if guards[rank][1](self, e)})
+        return out + [self._candidate(guards[rank][0], e) for rank, e in self.heap]
 
     # -- bookkeeping -----------------------------------------------------
 
     def _offer(self, rule: str, e: Any) -> None:
-        if self._GUARDS[rule](self, e):
-            heapq.heappush(self.heaps[rule], e)
+        rank, ok = self._RANKED[rule]
+        if ok(self, e):
+            heapq.heappush(self.heap, (rank, e))
 
     def _leave_group(self, i: int, key: tuple) -> None:
         group = self.groups[key]
@@ -276,9 +275,7 @@ class _Rewriter:
         rule, payload = cand
         if rule == "zero":
             self.scalar, self.root, self.nodes = 0j, TERMINAL, {}
-            self.parents, self.keys, self.groups = {}, {}, {}
-            for heap in self.heaps.values():
-                heap.clear()
+            self.parents, self.keys, self.groups, self.heap = {}, {}, {}, []
             return Step("zero", None, "diagram denotes zero")
         if rule == "r3":
             i, side = payload
@@ -313,6 +310,9 @@ class _Rewriter:
 
     def diagram(self) -> Sqmdd:
         return Sqmdd(self.scalar, self.height, self.root, self.nodes)
+
+
+RULE_ORDER = ("zero",) + tuple(rule for rule, _ in _Rewriter._GUARDS)
 
 
 def find_candidates(d: Sqmdd, settings: Settings = DEFAULT) -> list[Candidate]:

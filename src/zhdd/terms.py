@@ -34,6 +34,10 @@ network flattener, the read-back parser of :mod:`zhdd.translate`) use
 :func:`placed`, so they see the same sequence however ``seq`` and ``par``
 nest.
 
+Every wire reorder runs one adjacent-swap schedule, :func:`swap_schedule`:
+as swap rows in :func:`permutation_term` and the emitter of
+:mod:`zhdd.translate`, as level swaps in :func:`zhdd.algebra.permute_edge`.
+
 Wire-order conventions used throughout the package: matrix row index
 enumerates outputs, column index inputs, and the *first* (leftmost) wire is
 the most significant bit of the index.
@@ -41,7 +45,7 @@ the most significant bit of the index.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Iterator, TypeVar, Union
+from typing import Any, Callable, Iterator, Sequence, TypeVar, Union
 
 from ._json import complex_from_json, complex_to_json
 from .errors import ShapeError
@@ -419,30 +423,38 @@ def iter_generators(t: ZhTerm) -> Iterator[GeneratorKind]:
     return (g.kind for g, _ in placed(t))
 
 
+def swap_schedule(perm: Sequence[int]) -> list[int]:
+    """The positions ``p``, in order, at which swapping wires ``p`` and
+    ``p + 1`` makes result wire ``i`` input wire ``perm[i]`` (a permutation
+    of ``range(len(perm))``): a bubble that lifts ``perm[0]``, ``perm[1]``,
+    ... into place, one swap per inversion."""
+    cur = list(range(len(perm)))  # wire at each position
+    pos = list(cur)  # position of each wire
+    out: list[int] = []
+    for i, w in enumerate(perm):
+        j = pos[w]
+        out += range(j - 1, i - 1, -1)
+        cur[i : j + 1] = [w, *cur[i:j]]
+        for p in range(i, j + 1):
+            pos[cur[p]] = p
+    return out
+
+
 def permutation_term(perm: list[int]) -> ZhTerm:
     """Wire permutation as a swap network on ``len(perm)`` wires.
 
     ``perm[i]`` is the *input* position that ends up at output position
     ``i`` (so the term's interpretation maps basis state ``x`` to the state
-    whose i-th wire carries ``x[perm[i]]``).  Built from adjacent swaps;
-    the identity permutation yields a plain wire bundle.
+    whose i-th wire carries ``x[perm[i]]``).  One swap row per entry of
+    :func:`swap_schedule`; the identity permutation yields a wire bundle.
     """
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ShapeError(f"not a permutation of range({n}): {perm}")
     if n == 0:
         raise ShapeError("cannot build a permutation on zero wires")
-    current = list(range(n))
-    rows: list[ZhTerm] = []
-    for i in range(n):
-        j = current.index(perm[i])
-        while j > i:
-            rows.append(beside(j - 1, Gen(Swap()), n - j - 1))
-            current[j - 1], current[j] = current[j], current[j - 1]
-            j -= 1
-    if not rows:
-        return wires(n)
-    return seq(*rows)
+    rows = [beside(p, Gen(Swap()), n - p - 2) for p in swap_schedule(perm)]
+    return seq(*rows) if rows else wires(n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ optional per-stage dense mirror is capped by the plan's peak width.
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
 one routing gadget per node; branch indicator wires pick up the edge
-weights in weight boxes and are funnelled into the child's fan-in.  The
-emitted shape is rigid enough that :func:`sqmdd_read_back` can parse it
-back into the exact diagram it came from.  The parser reads the chain one
+weights in weight boxes and are funnelled into the child's fan-in.  Each
+generator is one row, after the swap rows (of
+:func:`~zhdd.terms.swap_schedule`) that gather its inputs.  The emitted
+shape is rigid enough that :func:`sqmdd_read_back` can parse it back into
+the exact diagram it came from.  The parser reads the chain one
 generator at a time through :func:`~zhdd.terms.placed`, so it does not
 depend on how the generators are grouped into rows: generators set beside
 each other act on disjoint wires, and taking them left to right means the
@@ -62,6 +64,7 @@ from .terms import (
     par,
     placed,
     seq,
+    swap_schedule,
 )
 
 # ---------------------------------------------------------------------------
@@ -202,36 +205,30 @@ def zh_to_sqmdd(
 class _Assembler:
     """Builds a term row by row over a list of tagged wire slots.
 
-    Tags must be unique tuples; gathering non-adjacent wires inserts
-    full-width single-swap rows, so the final term is a plain sequential
-    composition of parallel rows.
+    Tags must be unique tuples; the final term is a plain sequential
+    composition of full-width rows.
     """
 
     def __init__(self) -> None:
         self.rows: list[ZhTerm] = []
         self.slots: list[tuple] = []
 
-    def _swap_row(self, p: int) -> None:
-        self.rows.append(beside(p, Gen(Swap()), len(self.slots) - p - 2))
-        self.slots[p], self.slots[p + 1] = self.slots[p + 1], self.slots[p]
-
-    def append_state(self, term: ZhTerm, out_tags: list[tuple]) -> None:
-        self.rows.append(beside(len(self.slots), term, 0))
-        self.slots.extend(out_tags)
-
     def apply(self, term: ZhTerm, in_tags: list[tuple], out_tags: list[tuple]) -> None:
-        """Bubble the tagged wires together (in the given order), apply."""
-        anchor = min(self.slots.index(tag) for tag in in_tags)
-        for off, tag in enumerate(in_tags):
-            cur = self.slots.index(tag)
-            target = anchor + off
-            assert cur >= target, "gather invariant broken"
-            while cur > target:
-                self._swap_row(cur - 1)
-                cur -= 1
-        n_in = len(in_tags)
-        self.rows.append(beside(anchor, term, len(self.slots) - anchor - n_in))
-        self.slots[anchor : anchor + n_in] = list(out_tags)
+        """Swap the tagged wires together, in the given order, at the
+        topmost of them, and apply ``term`` there; a state goes below all."""
+        width, n_in = len(self.slots), len(in_tags)
+        where = [self.slots.index(tag) for tag in in_tags]
+        anchor = min(where, default=width)
+        if where != list(range(anchor, anchor + n_in)):
+            # the stable gather, on the window from the anchor to the lowest
+            # input (it fixes the wires outside): the inputs, then the rest
+            window = range(anchor, max(where) + 1)
+            order = where + [p for p in window if p not in where]
+            for p in swap_schedule([p - anchor for p in order]):
+                self.rows.append(beside(anchor + p, Gen(Swap()), width - anchor - p - 2))
+            self.slots[anchor : window.stop] = [self.slots[p] for p in order]
+        self.rows.append(beside(anchor, term, width - anchor - n_in))
+        self.slots[anchor : anchor + n_in] = out_tags
 
     def term(self) -> ZhTerm:
         return seq(*self.rows)
@@ -263,7 +260,7 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     def to_tag(c: int) -> tuple:
         return ("to", c, next(serial))
 
-    asm.append_state(Gen(KetOne()), [to_tag(d.root)])
+    asm.apply(Gen(KetOne()), [], [to_tag(d.root)])
     by_level: dict[int, list[int]] = {}
     for i, n in d.nodes.items():
         by_level.setdefault(n.height, []).append(i)
@@ -271,12 +268,9 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     for h in range(d.height, 0, -1):
         level = sorted(by_level.get(h, []))
         if not level:
-            asm.append_state(Gen(KetPlus()), [("q", h)])
+            asm.apply(Gen(KetPlus()), [], [("q", h)])
             continue
-        asm.append_state(
-            Gen(ZSpider(0, 1 + len(level))),
-            [("q", h)] + [("ctrl", u) for u in level],
-        )
+        asm.apply(Gen(ZSpider(0, 1 + len(level))), [], [("q", h)] + [("ctrl", u) for u in level])
         for u in level:
             n = d.nodes[u]
             arrivals = [t for t in asm.slots if t[0] == "to" and t[1] == u]

@@ -196,6 +196,41 @@ def test_resource_cap_exits_3(write, capsys):
     assert "resource cap" in err
 
 
+_HUGE = 1e300  # |w| / eps overflows a float at the default eps of 1e-9
+_ONE_NODE = {"scalar": [1, 0], "height": 1, "root": 1,
+             "nodes": [{"id": 1, "h": 1, "w0": [_HUGE, 0], "c0": "t", "w1": [1, 0], "c1": "t"}]}
+_BAD_INPUTS = {
+    "tolerance-0": (["to-sqmdd", "--tolerance", "0", "z"], 2, "tolerance"),
+    "tolerance-nan": (["to-sqmdd", "--tolerance", "nan", "z"], 2, "tolerance"),
+    "tolerance-inf": (["to-sqmdd", "--tolerance", "inf", "z"], 2, "tolerance"),
+    "max-qubits-negative": (["interpret", "--max-qubits", "-1", "z"], 2, "max qubits"),
+    "samples-0": (["verify", "--samples", "0"], 2, "samples"),
+    "samples-negative": (["verify", "--samples", "-3"], 2, "samples"),
+    "canonical-huge-weight": (["canonical", "vec"], 3, "weight grid"),
+    "reduce-huge-weight": (["reduce", "node"], 3, "weight grid"),
+    "check-equiv-huge-weight": (["check-equiv", "node", "node"], 3, "weight grid"),
+    "to-sqmdd-huge-weight": (["to-sqmdd", "hbox"], 3, "weight grid"),
+}
+
+
+@pytest.mark.parametrize("argv, want, names", list(_BAD_INPUTS.values()), ids=list(_BAD_INPUTS))
+def test_out_of_range_settings_and_weights_exit_cleanly(write, capsys, argv, want, names):
+    """Settings out of range are malformed input (exit 2); a finite weight
+    beyond the weight grid's range is a resource cap (exit 3).  Neither is
+    an internal error with a traceback, and the one line on stderr names
+    what is out of range."""
+    files = {
+        "z": write("z.json", term_to_json(Gen(ZSpider(0, 2)))),
+        "vec": write("vec.json", [[_HUGE, 0], [1, 0]]),
+        "node": write("node.json", _ONE_NODE),
+        "hbox": write("hbox.json", term_to_json(Gen(HBox(0, 1, _HUGE)))),
+    }
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == want
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert names in err
+
+
 @pytest.mark.parametrize(
     "command", ["interpret", "reduce", "to-zh", "to-sqmdd", "canonical", "check-equiv",
                 "export-dot"])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zhdd.config import Settings
+from zhdd.config import DEFAULT, Settings
 from zhdd.errors import ResourceLimitError
-from zhdd.oracle import generator_matrix, interpret_zh, max_deviation
+from zhdd.oracle import _interpret_matrix, generator_matrix, interpret_zh, max_deviation
 from zhdd.terms import (
     BraPlus,
     Cap,
@@ -187,8 +187,8 @@ def test_interpreter_methods_agree(seed):
 
     rng = np.random.default_rng(seed)
     t = random_term(rng, max_generators=6, max_boundary=5)
-    a = interpret_zh(t, method="matrix")
-    b = interpret_zh(t, method="auto")
+    a = _interpret_matrix(t, DEFAULT)
+    b = interpret_zh(t)
     assert max_deviation(a, b) <= 1e-9
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import typing
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zhdd.config import DEFAULT
 from zhdd.errors import ShapeError
 from zhdd.generate import random_term
 from zhdd.network import flatten_to_network
-from zhdd.oracle import interpret_zh, max_deviation
+from zhdd.oracle import _interpret_matrix, _interpret_state, interpret_zh, max_deviation
 from zhdd.sugar import expand_sugar
 from zhdd.terms import (
     BraPlus,
@@ -35,7 +37,9 @@ from zhdd.terms import (
     generator_arity,
     par,
     permutation_term,
+    placed,
     seq,
+    swap_schedule,
     term_from_json,
     term_to_json,
     wires,
@@ -77,6 +81,23 @@ def test_permutation_term_routes_wires(perm):
             out = (out << 1) | bits[perm[i]]
         col = mat[:, x]
         assert col[out] == 1 and col.sum() == 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_swap_schedule_realizes_every_permutation(n):
+    """One swap per inversion, the wires end in ``perm`` order, and
+    ``permutation_term`` is exactly the schedule's swap rows."""
+    for perm in itertools.permutations(range(n)):
+        schedule = swap_schedule(perm)
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        assert len(schedule) == inversions
+        wires_now = list(range(n))
+        for p in schedule:
+            wires_now[p], wires_now[p + 1] = wires_now[p + 1], wires_now[p]
+        assert wires_now == list(perm)
+        t = permutation_term(list(perm))
+        assert [at for g, at in placed(t) if isinstance(g.kind, Swap)] == schedule
+        assert sum(1 for _ in placed(t)) == ((n - 1) * len(schedule) or n)  # full-width rows
 
 
 def test_permutation_rejects_non_permutations():
@@ -191,8 +212,8 @@ def test_term_far_above_the_recursion_limit():
         rows.append(Gen(Swap()) if k % 2 == 0 else par(Gen(Identity()), Gen(WeightBox(1j))))
     t = seq(*rows)
     want = np.array([1, 0, 0, 1]).reshape(-1, 1)  # 2500 weights of 1j multiply to 1
-    for method in ("matrix", "tensor"):
-        assert max_deviation(interpret_zh(t, method=method), want) == 0.0
+    for route in (_interpret_matrix, _interpret_state):
+        assert max_deviation(route(t, DEFAULT), want) == 0.0
     core = expand_sugar(t)
     assert (core.n_in, core.n_out) == (0, 2)
     assert describe(t).count("Swap") == 2500
