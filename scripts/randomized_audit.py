@@ -34,8 +34,9 @@ from zhdd import (
 )
 from zhdd.algebra import canonical, contract_edge
 from zhdd.duality import to_state_form
-from zhdd.errors import ShapeError
+from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
+from zhdd.network import flatten_to_network, net_interpret, simplify_network
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
 from zhdd.sqmdd import TERMINAL, Builder
 from zhdd.terms import Gen, GeneratorKind, iter_generators, par, term_from_json, term_to_json
@@ -135,6 +136,26 @@ def audit_contraction(rng, n, max_h, settings):
             worst,
             max_deviation(interpret_sqmdd(d, settings), interpret_zh_state(s, settings)),
         )
+    return worst
+
+
+def audit_network_simplify(rng, n, max_h, settings):
+    """simplify_network keeps the dense tensor of random-term networks and
+    of emitted networks, both fan-in modes; networks whose plan is wider
+    than the dense cap are skipped."""
+    worst = 0.0
+    for k in range(n):
+        if k % 2:
+            t = random_term(rng, max_generators=10, max_boundary=7)
+        else:
+            d = random_dag(rng, 1 + (k // 2) % min(max_h, 3), settings=settings)
+            t = sqmdd_to_zh(d, fan_in=("monoid", "x")[(k // 2) % 2])
+        net = flatten_to_network(t)
+        try:
+            want = net_interpret(net, settings)
+        except ResourceLimitError:
+            continue
+        worst = max(worst, max_deviation(net_interpret(simplify_network(net), settings), want))
     return worst
 
 
@@ -279,6 +300,7 @@ def main() -> int:
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
         ("merge/plug/one-pass close vs dense", audit_primitives),
+        ("network-simplify", audit_network_simplify),
         ("builder-edge", audit_builder_edge),
         ("term-json", audit_term_json),
     ]

@@ -27,13 +27,18 @@ one and sums the two branches, a Z merge and a <+| plug in one.  A wire
 permutation (:func:`permute_edge`) is one adjacent-level swap per entry of
 the package's one swap schedule, :func:`zhdd.terms.swap_schedule`.
 
-The sum (:func:`_adder`) walks an edge pair with an explicit stack.  Both
-engines read a node's height off the node, so levels that an edge skips
-are jumped over, never stepped through, and neither recurses: height is
-bounded by memory, not by the interpreter's recursion limit.  The sum's
-computed table is keyed on the raw edge weights, not on their grid cells:
-two sums whose weights differ below eps would share one result, and the
-output would depend on which of them ran first.
+The sum (:func:`_adder`) walks an edge pair with an explicit stack.  It
+stops where both edges reach the same node (the terminal included): the
+sum of ``(wa, c)`` and ``(wb, c)`` is ``(wa + wb, c)``, as in QMDD
+packages, so a sum never walks the sub-diagram below a shared child.
+Closing a wire from the top relies on this: its two branches share
+everything below the wire's lower end.  Both engines read a node's height
+off the node, so levels that an edge skips are jumped over, never stepped
+through, and neither recurses: height is bounded by memory, not by the
+interpreter's recursion limit.  The sum's computed table is keyed on the
+raw edge weights, not on their grid cells: two sums whose weights differ
+below eps would share one result, and the output would depend on which of
+them ran first.
 
 Wire indexing: output ``i`` counts from the top, so it lives at height
 ``H - i``; output 0 is the most significant bit of the denoted vector.
@@ -109,8 +114,8 @@ def _adder(bld: Builder) -> Act:
                 hit = memo[key] = eb
             elif cb == TERMINAL and wb == 0j:
                 hit = memo[key] = ea
-            elif ca == cb == TERMINAL:
-                hit = memo[key] = (wa + wb, TERMINAL)
+            elif ca == cb:
+                hit = memo[key] = (wa + wb, ca)
         return hit
 
     def total(ea: Edge, eb: Edge) -> Edge:

@@ -184,6 +184,15 @@ def _z_fusion() -> List[Case]:
     return cases
 
 
+def _z_self_loop() -> List[Case]:
+    """A cup on two legs of a Z state drops them; with no legs left, the
+    Z is the scalar 2."""
+    cases = [(seq(Gen(ZSpider(0, 2)), Gen(Cup())), _sb(2))]
+    for n in (1, 2, 3):
+        cases.append((seq(Gen(ZSpider(0, n + 2)), beside(0, Gen(Cup()), n)), Gen(ZSpider(0, n))))
+    return cases
+
+
 def _bld_scalar_product(rng: np.random.Generator) -> List[Case]:
     r, s = _label(rng), _label(rng)
     return [(par(_sb(r), _sb(s)), _sb(r * s))]
@@ -471,6 +480,7 @@ def builtin_suite() -> List[Claim]:
         Claim("z-identity", "axiom (reconstructed)", (
             (Gen(ZSpider(1, 1)), wires(1)),
         )),
+        Claim("z-self-loop", "axiom (reconstructed)", _z_self_loop()),
         Claim("h-involution", "axiom (reconstructed)", (
             (seq(Gen(HBox(1, 1, -1)), Gen(HBox(1, 1, -1))), par(_sb(2), wires(1))),
         )),
@@ -647,6 +657,9 @@ def builtin_suite() -> List[Claim]:
         # -- negative controls
         Claim("control-label-shift", "negative control", (
             (Gen(HBox(1, 1, 0.25 + 0.5j)), Gen(HBox(1, 1, 1.25 + 0.5j))),
+        ), expect_fail=True),
+        Claim("control-h-self-loop", "negative control", (
+            (seq(Gen(HBox(0, 3, -1)), beside(0, Gen(Cup()), 1)), Gen(HBox(0, 1, -1))),
         ), expect_fail=True),
         Claim("control-gadget-transpose", "negative control", (
             (G, gadget_mat.T.copy()),

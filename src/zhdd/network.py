@@ -6,7 +6,19 @@ are soldered to which.  :func:`flatten_to_network` computes it by symbolic
 evaluation — one pass over :func:`~zhdd.terms.placed` keeps a token per
 live wire, each generator unions the tokens it consumes with its leg tokens
 and puts its output tokens in their place, and the resulting token classes
-are exactly the wires of the network.
+are exactly the wires of the network.  Sugar generators are expanded on
+the fly, one :func:`~zhdd.sugar.core_recipe` at a time.
+
+:func:`simplify_network` shrinks a network before it is contracted, with
+exact ZH rules applied to a fixpoint: a one-legged H-box labelled 1 is a
+one-legged Z (``one-label-state``), Z spiders joined by a wire fuse
+(``z-fusion``), a Z self-loop goes (``z-self-loop``; a Z left with no legs
+is the scalar 2, ``closed-copy-scalar``), a two-legged Z is a wire
+(``z-identity``), and two two-legged H-boxes labelled -1 on one wire are a
+wire times 2 (``h-involution``).  This is the spider-fusion step of PyZX's
+``spider_simp`` (Kissinger & van de Wetering, arXiv:1904.04735),
+restricted to rules of the ZH-calculus (Backens & Kissinger,
+arXiv:1805.02175); each rule is a claim of :mod:`zhdd.claims`.
 
 :func:`contraction_plan` orders a network's instances for contraction:
 greedy minimum frontier, after Gray & Kourtis, *Hyper-optimized tensor
@@ -18,24 +30,29 @@ Both Z-spiders and H-boxes are fully symmetric tensors, so a network
 instance needs only a kind, a label, and an arity; leg order is
 bookkeeping, not semantics.
 
-:func:`net_interpret` contracts a network densely.  It shares no code with
-either term-interpretation route in :mod:`zhdd.oracle`, which makes it a
-useful third opinion in the tests.
+:func:`net_interpret` contracts a network densely, in plan order, so its
+dense cap bounds the plan's peak width rather than the network's total leg
+count.  It shares no code with either term-interpretation route in
+:mod:`zhdd.oracle`, which makes it a useful third opinion in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
+from typing import Iterator
 
 import numpy as np
 
 from .config import DEFAULT, Settings
 from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
-from .sugar import expand_sugar
+from .sugar import CORE_KINDS, core_recipe
 from .terms import (
     Cap,
     Cup,
+    Gen,
+    GeneratorKind,
     HBox,
     Identity,
     Swap,
@@ -91,24 +108,42 @@ class _Tokens:
             self.parent[rb] = ra
 
 
+def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
+    """:func:`~zhdd.terms.placed` of ``t`` with its sugar expanded: each
+    sugar generator's core recipe is walked in its place, shifted by its
+    offset.  The same sequence as ``placed(expand_sugar(t))``, without
+    rebuilding the tree."""
+    for g, at in placed(t):
+        if isinstance(g.kind, CORE_KINDS):
+            yield g, at
+        else:
+            for h, off in _recipe_placed(g.kind):
+                yield h, at + off
+
+
+@lru_cache(maxsize=1024)
+def _recipe_placed(kind: GeneratorKind) -> tuple[tuple[Gen, int], ...]:
+    """``placed(core_recipe(kind))``, built once per kind: an emitted term
+    holds many equal gadgets and monoids."""
+    return tuple(placed(core_recipe(kind)))
+
+
 def flatten_to_network(t: ZhTerm) -> Network:
     """The wiring network of a term.
 
-    Derived generators are expanded first; maps are bent into state form,
-    so the network's boundary lists the original outputs followed by one
-    wire per original input.  Closed loops and nullary generators are
-    absorbed: a loop contributes an explicit 2-leg spider wired to itself
-    (which contracts to the scalar 2), a nullary Z or H contributes its
-    scalar directly.
+    Maps are bent into state form, so the network's boundary lists the
+    original outputs followed by one wire per original input.  Each sugar
+    generator is expanded in place, by walking its core recipe at its
+    offset.  Closed loops and nullary generators are absorbed: a loop
+    contributes an explicit 2-leg spider wired to itself (which contracts
+    to the scalar 2), a nullary Z or H contributes its scalar directly.
     """
-    t = expand_sugar(t)
-    t = to_state_form(t)
     toks = _Tokens()
     instances: list[NetInstance] = []
     scalar = 1.0 + 0j
 
     live: list[int] = []  # one token per wire, left to right
-    for g, at in placed(t):
+    for g, at in _core_placed(to_state_form(t)):
         kind = g.kind
         ins = live[at : at + g.n_in]
         if isinstance(kind, Identity):
@@ -207,6 +242,135 @@ def flatten_to_network(t: ZhTerm) -> Network:
     return Network(scalar, instances, edges, resolved)
 
 
+def simplify_network(net: Network) -> Network:
+    """An equal network with the patterns of five exact rules removed.
+
+    One worklist pass reaches the fixpoint of:
+
+    - ``one-label-state``: a one-legged H-box labelled exactly 1 becomes a
+      one-legged Z;
+    - ``z-fusion``: two Z spiders joined by a wire become one;
+    - ``z-self-loop``: a wire from a Z back to itself goes, and a Z left
+      with no legs multiplies the scalar by 2 (``closed-copy-scalar``);
+    - ``z-identity``: a two-legged Z becomes a plain wire, unless both its
+      legs are boundary wires (a network has no boundary-to-boundary
+      wire);
+    - ``h-involution``: two two-legged H-boxes labelled exactly -1 and
+      joined by a wire become one wire times 2, and the scalar 4 when they
+      close a ring.  A pair between two boundary wires stays.
+
+    Labels are compared exactly, not on the weight grid.  Survivors keep
+    their relative order; a fused spider takes the place of the first one
+    the pass visits.
+    """
+    n = len(net.instances)
+    kind = [inst.kind for inst in net.instances]
+    label = [inst.label for inst in net.instances]
+    # Every leg gets an id; mate[x] is the leg at x's wire's other end, or
+    # ~k for boundary wire k.  legs[i] is None once instance i is gone.
+    legs: list[list[int] | None] = []
+    owner: list[int] = []
+    first: list[int] = []
+    for i, inst in enumerate(net.instances):
+        first.append(len(owner))
+        legs.append(list(range(len(owner), len(owner) + inst.arity)))
+        owner += [i] * inst.arity
+    mate = [0] * len(owner)
+    for (a, p), (b, q) in net.edges:
+        x, y = first[a] + p, first[b] + q
+        mate[x], mate[y] = y, x
+    for k, (a, p) in enumerate(net.outputs):
+        mate[first[a] + p] = ~k
+    scalar = net.scalar
+
+    todo = list(range(n - 1, -1, -1))  # a stack: instance 0 comes first
+
+    def join(x: int, y: int) -> None:
+        """Wire the far ends ``x`` and ``y`` (not both boundary) together."""
+        for u, v in ((x, y), (y, x)):
+            if u >= 0:
+                mate[u] = v
+                todo.append(owner[u])
+
+    def h_pair(i: int) -> int:
+        """Apply ``h-involution`` at H-box ``i``; the scalar factor it
+        leaves, 1 when it finds no partner."""
+        mine = legs[i]
+        for x in mine:
+            y = mate[x]
+            if y < 0 or owner[y] == i:
+                continue
+            j = owner[y]
+            theirs = legs[j]
+            if kind[j] != "h" or len(theirs) != 2 or label[j] != -1:
+                continue
+            far_i, far_j = mine[mine[0] == x], theirs[theirs[0] == y]
+            a, b = mate[far_i], mate[far_j]
+            if a == far_j:  # the pair closes a ring
+                factor = 4
+            elif a < 0 and b < 0:
+                continue
+            else:
+                factor = 2
+                join(a, b)
+            legs[i] = legs[j] = None
+            return factor
+        return 1
+
+    while todo:
+        i = todo.pop()
+        mine = legs[i]
+        if mine is None:
+            continue
+        if kind[i] == "h":
+            if len(mine) == 1 and label[i] == 1:
+                kind[i], label[i] = "z", 0j
+                todo.append(i)
+            elif len(mine) == 2 and label[i] == -1:
+                scalar *= h_pair(i)
+            continue
+        k = 0
+        while k < len(mine):  # legs appended by a fusion are scanned too
+            y = mate[mine[k]]
+            j = owner[y] if y >= 0 else -1
+            if j == i:  # a self-loop; its far end y comes later in mine
+                mine.remove(y)
+                del mine[k]
+            elif j >= 0 and kind[j] == "z":
+                del mine[k]
+                theirs = legs[j]
+                theirs.remove(y)
+                for x in theirs:
+                    owner[x] = i
+                mine += theirs
+                legs[j] = None
+            else:
+                k += 1
+        if not mine:
+            scalar *= 2
+            legs[i] = None
+        elif len(mine) == 2 and (mate[mine[0]] >= 0 or mate[mine[1]] >= 0):
+            join(mate[mine[0]], mate[mine[1]])
+            legs[i] = None
+
+    instances: list[NetInstance] = []
+    port: dict[int, Port] = {}
+    for i in range(n):
+        if legs[i] is not None:
+            for p, x in enumerate(legs[i]):
+                port[x] = (len(instances), p)
+            instances.append(NetInstance(kind[i], label[i], len(legs[i])))
+    edges: list[tuple[Port, Port]] = []
+    outputs: list[Port] = [(0, 0)] * len(net.outputs)
+    for x, p in port.items():
+        y = mate[x]
+        if y < 0:
+            outputs[~y] = p
+        elif x < y:
+            edges.append((p, port[y]))
+    return Network(scalar, instances, edges, outputs)
+
+
 def contraction_plan(net: Network) -> tuple[list[int], int]:
     """Instance order for contracting ``net``, and its peak live width.
 
@@ -251,6 +415,16 @@ def contraction_plan(net: Network) -> tuple[list[int], int]:
     return order, peak
 
 
+def closing_wires(net: Network, order: list[int]) -> list[list[tuple[Port, Port]]]:
+    """The wires that close at each step of ``order``: each one right after
+    the later of its two instances is placed, in ``net.edges`` order."""
+    step = {idx: k for k, idx in enumerate(order)}
+    closes: list[list[tuple[Port, Port]]] = [[] for _ in order]
+    for a, b in net.edges:
+        closes[max(step[a[0]], step[b[0]])].append((a, b))
+    return closes
+
+
 def instance_state(inst: NetInstance) -> np.ndarray:
     """Dense leg tensor of one instance, flattened (first leg = MSB)."""
     size = 2**inst.arity
@@ -269,28 +443,25 @@ def instance_state(inst: NetInstance) -> np.ndarray:
 def net_interpret(net: Network, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense contraction of a network, shape ``(2**n_out,)``.
 
-    Tensors all instance states, sums out each internal edge, then orders
-    the surviving legs by the boundary list.
+    Tensors the instance states in :func:`contraction_plan` order, sums
+    out each wire as soon as both its ends are live (the schedule of
+    :func:`closing_wires`), then orders the surviving legs by the boundary
+    list.  The dense cap applies to the plan's peak live width.
     """
-    total = sum(inst.arity for inst in net.instances)
-    if total > settings.max_qubits:
+    order, peak = contraction_plan(net)
+    if peak > settings.max_qubits:
         raise ResourceLimitError(
-            f"network has {total} legs (cap is {settings.max_qubits})"
+            f"network contraction needs {peak} dense wires (cap is {settings.max_qubits})"
         )
-    state = np.array([net.scalar], dtype=complex)
+    ten = np.array(net.scalar, dtype=complex)
     axes: list[Port] = []
-    for i, inst in enumerate(net.instances):
-        state = np.kron(state, instance_state(inst))
-        axes.extend((i, p) for p in range(inst.arity))
-    ten = state.reshape((2,) * len(axes))
-    for a, b in net.edges:
-        ia, ib = axes.index(a), axes.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        ten = np.diagonal(ten, axis1=ia, axis2=ib).sum(-1)
-        del axes[ib]
-        del axes[ia]
-    if not net.outputs:
-        return ten.reshape(-1)
+    for idx, to_close in zip(order, closing_wires(net, order)):
+        inst = net.instances[idx]
+        ten = np.multiply.outer(ten, instance_state(inst).reshape((2,) * inst.arity))
+        axes.extend((idx, p) for p in range(inst.arity))
+        for a, b in to_close:
+            ia, ib = sorted((axes.index(a), axes.index(b)))
+            ten = np.diagonal(ten, axis1=ia, axis2=ib).sum(-1)
+            del axes[ib], axes[ia]
     perm = [axes.index(p) for p in net.outputs]
     return np.transpose(ten, perm).reshape(-1)

@@ -51,6 +51,8 @@ from .terms import (
     wires,
 )
 
+CORE_KINDS = (ZSpider, HBox, Identity, Swap, Cap, Cup)
+
 _HALF = Gen(HBox(0, 0, 0.5))
 
 
@@ -130,9 +132,9 @@ def core_recipe(kind: GeneratorKind) -> ZhTerm:
 
     Core generators come back as themselves (wrapped as a leaf).
     """
+    if isinstance(kind, CORE_KINDS):
+        return Gen(kind)
     match kind:
-        case ZSpider() | HBox() | Identity() | Swap() | Cap() | Cup():
-            return Gen(kind)
         case XSpider(n, m):
             return _x_core(n, m)
         case NotXSpider(n, m):

@@ -497,7 +497,10 @@ def term_from_json(obj: Any) -> ZhTerm:
     """Parse a term from its JSON form, validating structure as it goes.
 
     ``seq``/``par`` accept two or more children (folded left), which is
-    friendlier for hand-written files than strict binary nesting.
+    friendlier for hand-written files than strict binary nesting.  A node
+    has no keys but ``kind``, ``params`` and ``children`` (the ones
+    :func:`term_to_json` writes); a ``seq``/``par`` node has no params and
+    a generator no children.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"term node must be a JSON object, got {type(obj).__name__}")
@@ -508,8 +511,16 @@ def term_from_json(obj: Any) -> ZhTerm:
         raise ValueError("term node is missing its 'kind' string")
     if not isinstance(params, dict) or not isinstance(children, list):
         raise ValueError(f"malformed term node for kind {kind!r}")
+    unknown = obj.keys() - {"kind", "params", "children"}
+    if unknown:
+        raise ValueError(
+            f"term node for kind {kind!r} has no key {min(unknown)!r}; "
+            "its keys are 'kind', 'params' and 'children'"
+        )
 
     if kind in ("seq", "par"):
+        if params:
+            raise ValueError(f"{kind!r} node cannot have params")
         if len(children) < 2:
             raise ValueError(f"{kind!r} node needs at least two children")
         parsed = [term_from_json(c) for c in children]

@@ -1,16 +1,18 @@
 """Translation between terms and diagrams, in both directions.
 
 Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
-the term is flattened to its wiring network and every spider/box becomes a
-small closed-form diagram.  These are tensored in one at a time, in the
-greedy minimum-frontier order of :func:`~zhdd.network.contraction_plan`,
-and each wire is contracted (a Z merge and a <+| plug, fused into one
-level-walker pass of :func:`~zhdd.algebra.contract_edge`) as soon as both
-its ends are live, so the state never grows past the plan's peak live
-width.  All of it happens in one :class:`~zhdd.sqmdd.Builder`: one unique
-table for the whole contraction, packaged once, so the result is
-irreducible by construction and the rewrite system is never run.  The
-optional per-stage dense mirror is capped by the plan's peak width.
+the term is flattened to its wiring network, the network is shrunk by the
+exact rules of :func:`~zhdd.network.simplify_network`, and every remaining
+spider/box becomes a small closed-form diagram.  These are tensored in one
+at a time, on top of the state, in the greedy minimum-frontier order of
+:func:`~zhdd.network.contraction_plan`, and each wire is contracted (a Z
+merge and a <+| plug, fused into one level-walker pass of
+:func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live, so
+the state never grows past the plan's peak live width.  All of it happens
+in one :class:`~zhdd.sqmdd.Builder`: one unique table for the whole
+contraction, packaged once, so the result is irreducible by construction
+and the rewrite system is never run.  The optional per-stage dense mirror
+is capped by the plan's peak width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -39,7 +41,14 @@ from typing import Optional
 from .algebra import contract_edge, permute_edge, restrict, tensor_edge
 from .config import DEFAULT, Settings
 from .errors import ResourceLimitError, ShapeError
-from .network import Port, contraction_plan, flatten_to_network, instance_state
+from .network import (
+    Port,
+    closing_wires,
+    contraction_plan,
+    flatten_to_network,
+    instance_state,
+    simplify_network,
+)
 from .reduction import is_irreducible
 from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
 from .terms import (
@@ -127,10 +136,13 @@ def zh_to_sqmdd(
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
-    The whole contraction runs in one :class:`Builder`.  The network's
-    instances are tensored in, new legs at the bottom, in the order of
-    :func:`~zhdd.network.contraction_plan`; after each one, every wire
-    whose two ends are now live is closed by one pass of
+    The whole contraction runs in one :class:`Builder`, on the network
+    after :func:`~zhdd.network.simplify_network`.  Its instances are
+    tensored in, new legs on top, in the order of
+    :func:`~zhdd.network.contraction_plan`: the walk rebuilds only the
+    instance's few nodes, and a closing wire rebuilds only the levels
+    above its lower end.  After each instance, every wire whose two ends
+    are now live is closed by one pass of
     :func:`~zhdd.algebra.contract_edge` (a Z merge and a <+| plug in one).
     The builder is packaged into a diagram once, at the end.
     ``assert_stages`` re-checks the state after every tensor, every closed
@@ -139,7 +151,7 @@ def zh_to_sqmdd(
     width fits under the dense wire cap, which is checked before any
     contraction.
     """
-    net = flatten_to_network(t)
+    net = simplify_network(flatten_to_network(t))
     order, peak = contraction_plan(net)
     mirror = None
     if assert_stages:
@@ -154,12 +166,6 @@ def zh_to_sqmdd(
             )
         mirror = np.array([1.0 + 0j])
 
-    # each wire closes right after the later of its two instances is tensored
-    step = {idx: k for k, idx in enumerate(order)}
-    closes: list[list[tuple[Port, Port]]] = [[] for _ in order]
-    for a, b in net.edges:
-        closes[max(step[a[0]], step[b[0]])].append((a, b))
-
     # The network prefactor is applied after contraction.  Desugaring piles
     # every 1/2 normalizer into it, with the matching 2s only showing up as
     # <+| plugs along the way; folding it in up front would leave the
@@ -168,13 +174,13 @@ def zh_to_sqmdd(
     bld = Builder(settings)
     state: Edge = (1.0 + 0j, TERMINAL)
     live: list[Port] = []
-    for idx, to_close in zip(order, closes):
+    for idx, to_close in zip(order, closing_wires(net, order)):
         inst = net.instances[idx]
         g = _generator_edge(bld, inst.kind, inst.arity, inst.label)
-        state = tensor_edge(bld, state, g, inst.arity)
-        live.extend((idx, p) for p in range(inst.arity))
+        state = tensor_edge(bld, g, state, len(live))
+        live[:0] = [(idx, p) for p in range(inst.arity)]
         if assert_stages:
-            mirror = np.kron(mirror, instance_state(inst))
+            mirror = np.kron(instance_state(inst), mirror)
             _stage_check(bld, state, mirror, f"tensor {idx}")
         for a, b in to_close:
             i, j = sorted((live.index(a), live.index(b)))

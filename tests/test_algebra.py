@@ -1,4 +1,6 @@
 """Vector-level operations on diagrams, each checked against plain numpy."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -231,3 +233,36 @@ def _all_ones_chain(height):
 def test_ops_far_above_the_recursion_limit(deep_z, op, expected):
     """Every wire operation on a 3000-leg Z state, in closed form."""
     assert iso_equal(op(deep_z), expected())
+
+
+def _shared_child_chain(height):
+    """One node per level, both edges to the level below, a distinct random
+    weight on each 1-edge: ``height`` nodes over 2**height path weights."""
+    rng = np.random.default_rng(height)
+    bld = Builder()
+    e = (1.0 + 0j, TERMINAL)
+    for h in range(1, height + 1):
+        e = bld.edge(h, e, (complex(*rng.normal(size=2)) * e[0], e[1]))
+    return bld.finish(e, height)
+
+
+@pytest.mark.parametrize("height", [4, 12, 40])
+@pytest.mark.parametrize(
+    "op, dense",
+    [
+        (lambda a: add(a, scale(a, 3)), lambda v, h: 4 * v),
+        (lambda a: plug_bra_plus(a, 0), lambda v, h: dense_plug_plus(v, h, 0)),
+    ],
+    ids=["add", "plug"],
+)
+def test_sum_stops_at_a_shared_child(height, op, dense):
+    """The sum of two edges into one child is one edge into that child, so
+    neither op walks the 2**height paths below a shared child."""
+    a = _shared_child_chain(height)
+    assert len(a.nodes) == height
+    t0 = time.perf_counter()
+    got = op(a)
+    assert time.perf_counter() - t0 < 0.5
+    if height <= 12:
+        want = dense(interpret_sqmdd(a), height)
+        assert max_deviation(interpret_sqmdd(got), want) <= 1e-9

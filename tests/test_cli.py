@@ -189,6 +189,20 @@ def test_unknown_generator_param_exits_2(write, capsys):
     assert "'label'" in err
 
 
+@pytest.mark.parametrize("node, key", [
+    ({"kind": "hbox", "params": {"inputs": 0, "outputs": 1}, "label": [2, 0]}, "'label'"),
+    ({"kind": "seq", "params": {"inputs": 1}, "children": [
+        {"kind": "ket0", "params": {}, "children": []},
+        {"kind": "identity", "params": {}, "children": []}]}, "params"),
+])
+def test_unknown_term_node_key_exits_2(write, capsys, node, key):
+    """A key the node does not have is malformed input, not ignored: a
+    label beside the params, or params on a seq."""
+    code, _, err = run(capsys, "to-sqmdd", write("t.json", node))
+    assert code == 2
+    assert key in err
+
+
 def test_resource_cap_exits_3(write, capsys):
     f = write("z.json", term_to_json(Gen(ZSpider(0, 3))))
     code, _, err = run(capsys, "interpret", f, "--max-qubits", "2")

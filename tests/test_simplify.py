@@ -1,0 +1,108 @@
+"""Network simplification before contraction: same tensor, no redex left."""
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from zhdd.config import Settings
+from zhdd.errors import ResourceLimitError
+from zhdd.generate import random_dag, random_term
+from zhdd.network import (
+    NetInstance,
+    Network,
+    flatten_to_network,
+    net_interpret,
+    simplify_network,
+)
+from zhdd.oracle import max_deviation
+from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
+
+CAP = Settings(max_qubits=16)
+
+
+def redexes(net: Network) -> set[str]:
+    """The rules of :func:`simplify_network` whose pattern occurs in ``net``."""
+    found = set()
+    outs = set(net.outputs)
+
+    def is_minus_one_pair(i):
+        inst = net.instances[i]
+        return inst.kind == "h" and inst.arity == 2 and inst.label == -1
+
+    for (a, p), (b, q) in net.edges:
+        za, zb = (net.instances[i].kind == "z" for i in (a, b))
+        if a == b and za:
+            found.add("z-self-loop")
+        elif a != b and za and zb:
+            found.add("z-fusion")
+        elif a != b and is_minus_one_pair(a) and is_minus_one_pair(b):
+            if not ((a, 1 - p) in outs and (b, 1 - q) in outs):
+                found.add("h-involution")
+    for i, inst in enumerate(net.instances):
+        if inst.kind == "h" and inst.arity == 1 and inst.label == 1:
+            found.add("one-label-state")
+        if inst.kind == "z" and inst.arity == 0:
+            found.add("closed-copy-scalar")
+        if inst.kind == "z" and inst.arity == 2 and not {(i, 0), (i, 1)} <= outs:
+            found.add("z-identity")
+    return found
+
+
+def check(net: Network) -> Network:
+    small = simplify_network(net)
+    assert not redexes(small)
+    assert len(small.instances) <= len(net.instances)
+    try:
+        want = net_interpret(net, CAP)
+    except ResourceLimitError:
+        assume(False)
+    assert max_deviation(net_interpret(small, CAP), want) <= 1e-9
+    return small
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_simplify_keeps_random_term_networks(seed):
+    rng = np.random.default_rng(seed)
+    check(flatten_to_network(random_term(rng, max_generators=10, max_boundary=6)))
+
+
+@pytest.mark.parametrize("fan_in", ["monoid", "x"])
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 3))
+def test_simplify_keeps_emitted_networks(seed, height, fan_in):
+    d = random_dag(np.random.default_rng(seed), height)
+    check(flatten_to_network(sqmdd_to_zh(d, fan_in=fan_in)))
+
+
+def _net(instances, edges, outputs, scalar=1.0 + 0j):
+    return Network(scalar, [NetInstance(*i) for i in instances], edges, outputs)
+
+
+def test_minus_one_ring_is_the_scalar_four():
+    h = ("h", -1 + 0j, 2)
+    net = _net([h, h], [((0, 0), (1, 0)), ((0, 1), (1, 1))], [])
+    small = check(net)
+    assert small.instances == [] and small.scalar == 4
+
+
+def test_a_boundary_wire_stays_a_spider():
+    """A network has no boundary-to-boundary wire, so Z(2) and an H pair
+    between two boundary wires stay."""
+    z = _net([("z", 0j, 2)], [], [(0, 0), (0, 1)])
+    assert check(z) == z
+    h = ("h", -1 + 0j, 2)
+    pair = _net([h, h], [((0, 1), (1, 0))], [(0, 0), (1, 1)])
+    assert check(pair) == pair
+
+
+def test_labels_are_compared_exactly():
+    near = 1 + 1e-12 + 0j
+    net = _net([("h", near, 1), ("z", 0j, 2)], [((0, 0), (1, 0))], [(1, 1)])
+    small = check(net)
+    assert [i.kind for i in small.instances] == ["h"]
+    assert small.instances[0].label == near
+
+
+def test_simplify_shrinks_the_emitted_z_state():
+    net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", 16)))
+    small = simplify_network(net)
+    assert not redexes(small)
+    assert len(small.instances) < 0.8 * len(net.instances)

@@ -22,8 +22,10 @@ from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import Builder, iso_equal, sqmdd_to_json, validate
 from zhdd.terms import (
     Cap,
+    Cup,
     Gen,
     HBox,
+    Identity,
     KetOne,
     MonoidN,
     NotXSpider,
@@ -190,6 +192,40 @@ def test_contraction_runs_on_one_builder(monkeypatch):
     monkeypatch.setattr(Builder, "__init__", counting)
     zh_to_sqmdd(t, WIDE)
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("t", [
+    Gen(Identity()),
+    Gen(Cap()),
+    Gen(Cup()),
+    Gen(Swap()),
+    seq(Gen(Cap()), Gen(Cup())),
+    Gen(ZSpider(0, 0)),
+    Gen(NotXSpider(0, 0)),
+], ids=["identity", "cap", "cup", "swap", "loop", "z-scalar", "notx-scalar"])
+def test_boundary_wires_and_scalars_contract(t):
+    """Terms whose network is a bare wire, a boundary-to-boundary spider or
+    a scalar with no instance left after simplification."""
+    s = to_state_form(t) if t.n_in else t
+    got = interpret_sqmdd(zh_to_sqmdd(t, WIDE, assert_stages=True), WIDE)
+    assert max_deviation(got, interpret_zh(s, WIDE).reshape(-1)) <= 1e-9
+
+
+def test_contraction_of_the_z_state_stays_small(monkeypatch):
+    """Simplification and tensoring on top keep the emitted Z-16 state's
+    contraction to about 25,000 Builder.edge calls (87,096 when every
+    instance was tensored in below the state)."""
+    t = sqmdd_to_zh(generator_state_sqmdd("z", 16))
+    calls = [0]
+    edge = Builder.edge
+
+    def counting(self, *args):
+        calls[0] += 1
+        return edge(self, *args)
+
+    monkeypatch.setattr(Builder, "edge", counting)
+    zh_to_sqmdd(t)
+    assert calls[0] <= 37_000
 
 
 @given(seed=st.integers(0, 2**32 - 1))
