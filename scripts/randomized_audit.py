@@ -10,6 +10,7 @@ It exits 1 when any check prints FAIL, and 0 otherwise.
 """
 import argparse
 import dataclasses
+import itertools
 import json
 import time
 import typing
@@ -39,7 +40,20 @@ from zhdd.generate import random_dag, random_term, random_vector, scramble, tree
 from zhdd.network import flatten_to_network, net_interpret, simplify_network
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
 from zhdd.sqmdd import TERMINAL, Builder
-from zhdd.terms import Gen, GeneratorKind, iter_generators, par, term_from_json, term_to_json
+from zhdd.terms import (
+    Gen,
+    GeneratorKind,
+    Identity,
+    KetOne,
+    NotXSpider,
+    SeqNode,
+    Swap,
+    iter_generators,
+    par,
+    placed,
+    term_from_json,
+    term_to_json,
+)
 
 
 def audit_translation(rng, n, max_h, settings):
@@ -62,6 +76,54 @@ def audit_round_trip(rng, n, max_h, settings):
         if not iso_equal(zh_to_sqmdd(t, settings), want, settings):
             failures += 1
     return failures
+
+
+def layout_faults(chain) -> int:
+    """Faults in the row layout of an emitted layer chain: a row that is
+    not one generator between at most one identity bundle on each side,
+    and a swap that moves a finished level wire or crosses the bottom
+    block of wires bound for the terminal."""
+    faults, rows, rest = 0, [], chain
+    while isinstance(rest, SeqNode):
+        rows.append(rest.then)
+        rest = rest.first
+    for row in [rest, *rows]:
+        kinds = [g.kind for g, _ in placed(row)]
+        ops = [i for i, kind in enumerate(kinds) if not isinstance(kind, Identity)]
+        faults += len(ops) != 1 or ops[0] > 1 or len(kinds) - ops[0] > 2
+
+    # one id per wire; a level wire is the first output of a level's state
+    fresh = itertools.count()
+    live, levels, swaps, made_from, terminal = [], set(), [], {}, set()
+    for g, at in placed(chain):
+        kind, ins = g.kind, live[at : at + g.n_in]
+        if isinstance(kind, Identity):
+            continue
+        if isinstance(kind, Swap):
+            swaps.append((ins, live[at + 1 :]))  # the pair, and the lower one's wire and all below
+            live[at], live[at + 1] = live[at + 1], live[at]
+            continue
+        outs = [next(fresh) for _ in range(g.n_out)]
+        if not ins and not isinstance(kind, KetOne):
+            levels.add(outs[0])
+        if outs:
+            made_from[outs[0]] = ins
+        elif isinstance(kind, NotXSpider):  # postselects the terminal's fan-in
+            terminal = set(made_from[ins[0]])
+        live[at : at + g.n_in] = outs
+    for pair, below in swaps:
+        faults += bool(levels.intersection(pair)) or set(below) <= terminal
+    return faults
+
+
+def audit_emit_layout(rng, n, max_h, settings):
+    """Emitted rows, in both fan-in modes, keep the linear-size layout of
+    sqmdd_to_zh (see layout_faults)."""
+    faults = 0
+    for k in range(n):
+        d = random_dag(rng, 1 + k % max_h, settings=settings)
+        faults += layout_faults(sqmdd_to_zh(d, fan_in=("monoid", "x")[k % 2]).right)
+    return faults
 
 
 def audit_canonicity(rng, n, max_h, settings):
@@ -295,6 +357,7 @@ def main() -> int:
     checks = [
         ("diagram -> term -> vector", audit_translation),
         ("diagram -> term -> diagram", audit_round_trip),
+        ("emit-layout", audit_emit_layout),
         ("canonicity of scrambles", audit_canonicity),
         ("canonical-agreement", audit_canonical_agreement),
         ("reduction-trace vs full scan", audit_reduction_trace),

@@ -18,8 +18,9 @@ evaluated as a state tensor, one generator at a time, and any other term
 by the definitional matrix recursion.  Both routes stay as references that
 the test suite cross-checks.
 
-Dense work is capped at ``settings.max_qubits`` wires; anything larger
-raises :class:`ResourceLimitError` rather than silently thrashing.
+Dense work is capped at ``settings.max_qubits`` wires, where a term or a
+generator counts its inputs plus its outputs; anything larger raises
+:class:`ResourceLimitError` rather than silently thrashing.
 """
 from __future__ import annotations
 
@@ -71,14 +72,19 @@ def _z_matrix(n: int, m: int) -> np.ndarray:
     return out
 
 
+def _check_span(span: int, what: str, settings: Settings) -> None:
+    """Cap a map's inputs plus outputs: a ``(2**m, 2**n)`` matrix holds as
+    many entries as a state on ``n + m`` wires."""
+    if span > settings.max_qubits:
+        raise ResourceLimitError(
+            f"{what} spans {span} dense wires (cap is {settings.max_qubits})"
+        )
+
+
 def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.ndarray:
     """Closed-form matrix of a single generator."""
     n, m = generator_arity(kind)
-    if max(n, m) > settings.max_qubits:
-        raise ResourceLimitError(
-            f"generator {kind} needs {max(n, m)} dense wires "
-            f"(cap is {settings.max_qubits})"
-        )
+    _check_span(n + m, f"generator {kind}", settings)
     match kind:
         case ZSpider():
             return _z_matrix(n, m)
@@ -87,7 +93,7 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
             out[-1, -1] = r
             return out
         case Identity():
-            return np.eye(2, dtype=complex)
+            return np.eye(2**n, dtype=complex)
         case Swap():
             out = np.zeros((4, 4), dtype=complex)
             for a in range(2):
@@ -140,8 +146,11 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
 
 
 def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
-    # generator_matrix caps each generator, and a sequential block spans no
-    # more wires than its parts, so only parallel blocks need their own check
+    # generator_matrix caps each generator on its inputs plus outputs.  A
+    # parallel block is capped on its larger side only: the full-width rows
+    # of a bent term (9 wires in and out for a 5-wire state with 4 inputs)
+    # must still evaluate at the default cap, and a sequential block spans
+    # no more wires on either side than its parts.
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         span = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]).bit_length() - 1
         if span > settings.max_qubits:
@@ -162,6 +171,8 @@ def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
 
 
 def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
+    if isinstance(t.kind, Identity):
+        return state
     n, m = t.n_in, t.n_out
     new_rank = state.ndim - n + m
     if new_rank > settings.max_qubits:
@@ -202,12 +213,12 @@ def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``.
 
     An inputs-free term takes the state-tensor route, any other the
-    definitional matrix recursion.
+    definitional matrix recursion.  The term's inputs plus outputs must
+    fit under the dense cap.
     """
+    _check_span(t.n_in + t.n_out, "term", settings)
     if t.n_in:
         return _interpret_matrix(t, settings)
-    if t.n_out > settings.max_qubits:
-        raise ResourceLimitError(f"term has {t.n_out} outputs (cap is {settings.max_qubits})")
     return _interpret_state(t, settings).reshape(-1, 1)
 
 

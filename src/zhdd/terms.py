@@ -17,12 +17,14 @@ depend on the expansion being right — that independence is what the
 sugar-invariance tests lean on.
 
 Each generator kind is a frozen dataclass whose fields are its parameters.
-One table maps JSON names to kinds and records the ten fixed arities, and
+One table maps JSON names to kinds and records the nine fixed arities, and
 everything per-kind reads it: :func:`generator_arity`, the parameter text
 of :func:`describe`, and the JSON codec.  In JSON a generator is
-``{"kind": name, "params": {...}, "children": []}`` whose params are
-exactly its fields, in field order, with complex fields as ``[re, im]``
-pairs; :func:`term_from_json` rejects a param the kind does not have.
+``{"kind": name, "params": {...}, "children": []}`` whose params are its
+fields, in field order, with complex fields as ``[re, im]`` pairs; an
+integer field at its default (Identity's wire count of 1) is left out and
+read back as the default.  :func:`term_from_json` rejects a param the kind
+does not have.
 
 Every walk over a term goes through one of two non-recursive traversals,
 so a term may nest far deeper than the interpreter's recursion limit (an
@@ -81,7 +83,14 @@ class HBox:
 
 @dataclass(frozen=True)
 class Identity:
-    pass
+    """A bundle of ``n`` parallel wires, so a padded row holds one
+    generator on each side however many wires it passes."""
+
+    n: int = 1
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ShapeError(f"Identity needs at least one wire, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,7 @@ GeneratorKind = Union[
 
 # The generator table (see the module docstring).  A field annotated
 # ``complex`` travels in JSON as an ``[re, im]`` pair, the others are
-# non-negative integers.
+# non-negative integers, written only when they differ from their default.
 _KINDS: dict[str, type] = {
     "zspider": ZSpider, "hbox": HBox, "identity": Identity, "swap": Swap, "cap": Cap,
     "cup": Cup, "xspider": XSpider, "notxspider": NotXSpider, "monoid": MonoidN,
@@ -194,10 +203,10 @@ _NAMES: dict[type, str] = {cls: name for name, cls in _KINDS.items()}
 _PARAMS: dict[type, dict[str, tuple[bool, Any]]] = {
     cls: {f.name: (f.type == "complex", f.default) for f in fields(cls)} for cls in _NAMES
 }
-# The other kinds have ``inputs`` wires in and ``outputs`` wires out (one
-# out if they have no ``outputs`` field).
+# Identity has ``n`` wires in and out; the other kinds have ``inputs`` wires
+# in and ``outputs`` wires out (one out if they have no ``outputs`` field).
 _FIXED_ARITY: dict[type, tuple[int, int]] = {
-    Identity: (1, 1), WeightBox: (1, 1), Swap: (2, 2), Gadget: (2, 2), Cap: (0, 2),
+    WeightBox: (1, 1), Swap: (2, 2), Gadget: (2, 2), Cap: (0, 2),
     Cup: (2, 0), KetZero: (0, 1), KetOne: (0, 1), KetPlus: (0, 1), BraPlus: (1, 0),
 }
 
@@ -210,6 +219,8 @@ def generator_arity(kind: GeneratorKind) -> tuple[int, int]:
         return fixed
     if cls not in _NAMES:
         raise ShapeError(f"unknown generator {kind!r}")
+    if cls is Identity:
+        return kind.n, kind.n
     n, m = kind.inputs, getattr(kind, "outputs", 1)
     if n < 0 or m < 0:
         raise ShapeError(f"negative arity on {kind!r}")
@@ -329,14 +340,15 @@ def par(*terms: ZhTerm) -> ZhTerm:
 
 
 def wires(n: int) -> ZhTerm:
-    """Bundle of ``n`` parallel identity wires (n >= 1)."""
+    """Bundle of ``n`` parallel identity wires (n >= 1): one generator."""
     if n < 1:
         raise ShapeError(f"wires() needs n >= 1, got {n}")
-    return par(*(Gen(Identity()) for _ in range(n)))
+    return Gen(Identity(n))
 
 
 def beside(above: int, t: ZhTerm, below: int) -> ZhTerm:
-    """``t`` between ``above`` and ``below`` identity wires; empty bundles are left out."""
+    """``t`` between a bundle of ``above`` and one of ``below`` identity
+    wires, so at most three generators; empty bundles are left out."""
     parts = [wires(above)] if above else []
     parts.append(t)
     if below:
@@ -409,10 +421,20 @@ def describe(t: ZhTerm) -> str:
     )
 
 
+def _shown_params(kind: GeneratorKind) -> Iterator[tuple[str, Any, bool]]:
+    """Each param that the kind's text and JSON show, with whether it is
+    complex: an integer param at its default (a one-wire Identity) is left
+    out."""
+    for name, (is_complex, default) in _PARAMS[type(kind)].items():
+        v = getattr(kind, name)
+        if is_complex or v != default:
+            yield name, v, is_complex
+
+
 def _params_text(kind: GeneratorKind) -> str:
     """``(n->m, rest)`` when the kind has ``outputs``, else ``(params)``;
-    empty for a kind without parameters."""
-    text = [str(getattr(kind, name)) for name in _PARAMS[type(kind)]]
+    empty for a kind without parameters to show."""
+    text = [str(v) for _, v, _ in _shown_params(kind)]
     if hasattr(kind, "outputs"):
         text[:2] = [f"{text[0]}->{text[1]}"]
     return f"({', '.join(text)})" if text else ""
@@ -446,7 +468,9 @@ def permutation_term(perm: list[int]) -> ZhTerm:
     ``perm[i]`` is the *input* position that ends up at output position
     ``i`` (so the term's interpretation maps basis state ``x`` to the state
     whose i-th wire carries ``x[perm[i]]``).  One swap row per entry of
-    :func:`swap_schedule`; the identity permutation yields a wire bundle.
+    :func:`swap_schedule`, each the swap between at most two identity
+    bundles, so the term holds at most three generators per inversion; the
+    identity permutation yields a single wire bundle.
     """
     n = len(perm)
     if sorted(perm) != list(range(n)):
@@ -461,12 +485,11 @@ def permutation_term(perm: list[int]) -> ZhTerm:
 # JSON round trip
 
 def _gen_to_json(kind: GeneratorKind) -> dict[str, Any]:
-    cls = type(kind)
-    params = {}
-    for name, (is_complex, _) in _PARAMS[cls].items():
-        v = getattr(kind, name)
-        params[name] = complex_to_json(v) if is_complex else v
-    return {"kind": _NAMES[cls], "params": params, "children": []}
+    params = {
+        name: complex_to_json(v) if is_complex else v
+        for name, v, is_complex in _shown_params(kind)
+    }
+    return {"kind": _NAMES[type(kind)], "params": params, "children": []}
 
 
 def _joiner(name: str) -> Callable[[dict, dict], dict]:
@@ -540,10 +563,10 @@ def term_from_json(obj: Any) -> ZhTerm:
         )
     args = []
     for name, (is_complex, default) in spec.items():
-        if not is_complex:
-            args.append(_require_int(params, name, kind))
-        elif name in params or default is MISSING:
+        if name not in params and default is not MISSING:
+            args.append(complex(default) if is_complex else default)
+        elif is_complex:
             args.append(complex_from_json(params.get(name), f"generator {kind!r} param {name!r}"))
         else:
-            args.append(complex(default))
+            args.append(_require_int(params, name, kind))
     return Gen(cls(*args))

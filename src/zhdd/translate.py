@@ -18,11 +18,21 @@ Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
 one routing gadget per node; branch indicator wires pick up the edge
 weights in weight boxes and are funnelled into the child's fan-in.  Each
-generator is one row, after the swap rows (of
-:func:`~zhdd.terms.swap_schedule`) that gather its inputs.  The emitted
-shape is rigid enough that :func:`sqmdd_read_back` can parse it back into
-the exact diagram it came from.  The parser reads the chain one
-generator at a time through :func:`~zhdd.terms.placed`, so it does not
+generator is one row, between at most two identity bundles, after the
+swap rows (of :func:`~zhdd.terms.swap_schedule`) that gather its inputs.
+The wires form three blocks: finished level wires on top, the active band
+in the middle, and the branches bound for the terminal at the bottom.
+Each level's state goes directly under the finished block, and each
+terminal branch moves down onto the bottom block as soon as it is made, so
+a gather crosses only band wires and the final terminal fan-in needs no
+swaps.  The term therefore holds O(nodes + height) generators for a
+diagram of bounded width (1,234 with 127 swaps for the Z state of 32
+legs, 3H + 5 for a height-H diagram with no nodes), and is built in time
+linear in its size.
+
+The emitted shape is rigid enough that :func:`sqmdd_read_back` can parse
+it back into the exact diagram it came from.  The parser reads the chain
+one generator at a time through :func:`~zhdd.terms.placed`, so it does not
 depend on how the generators are grouped into rows: generators set beside
 each other act on disjoint wires, and taking them left to right means the
 same.
@@ -211,30 +221,58 @@ def zh_to_sqmdd(
 class _Assembler:
     """Builds a term row by row over a list of tagged wire slots.
 
-    Tags must be unique tuples; the final term is a plain sequential
-    composition of full-width rows.
+    The slots form three blocks: the finished level wires on top, the
+    active band, and the wires bound for the terminal at the bottom.  A
+    gather runs within the band, so it never crosses the other two.  Each
+    row is one generator between at most two identity bundles.  Tags must
+    be unique tuples; the final term is a plain sequential composition of
+    the rows.
     """
 
     def __init__(self) -> None:
         self.rows: list[ZhTerm] = []
         self.slots: list[tuple] = []
+        self.done = 0  # finished level wires, on top
+        self.sunk = 0  # wires bound for the terminal, at the bottom
+
+    def band(self) -> list[tuple]:
+        return self.slots[self.done : len(self.slots) - self.sunk]
+
+    def _row(self, at: int, term: ZhTerm) -> None:
+        self.rows.append(beside(at, term, len(self.slots) - at - term.n_in))
+
+    def _swap(self, p: int) -> None:
+        self._row(p, Gen(Swap()))
+        self.slots[p], self.slots[p + 1] = self.slots[p + 1], self.slots[p]
 
     def apply(self, term: ZhTerm, in_tags: list[tuple], out_tags: list[tuple]) -> None:
-        """Swap the tagged wires together, in the given order, at the
-        topmost of them, and apply ``term`` there; a state goes below all."""
-        width, n_in = len(self.slots), len(in_tags)
-        where = [self.slots.index(tag) for tag in in_tags]
-        anchor = min(where, default=width)
-        if where != list(range(anchor, anchor + n_in)):
+        """Swap the tagged band wires together, in the given order, at the
+        topmost of them, and apply ``term`` there; a state goes on top of
+        the band."""
+        pos = {tag: p for p, tag in enumerate(self.band(), self.done)}
+        where = [pos[tag] for tag in in_tags]
+        anchor = min(where, default=self.done)
+        if where != list(range(anchor, anchor + len(where))):
             # the stable gather, on the window from the anchor to the lowest
             # input (it fixes the wires outside): the inputs, then the rest
-            window = range(anchor, max(where) + 1)
-            order = where + [p for p in window if p not in where]
+            order = where + [p for p in range(anchor, max(where) + 1) if p not in where]
             for p in swap_schedule([p - anchor for p in order]):
-                self.rows.append(beside(anchor + p, Gen(Swap()), width - anchor - p - 2))
-            self.slots[anchor : window.stop] = [self.slots[p] for p in order]
-        self.rows.append(beside(anchor, term, width - anchor - n_in))
-        self.slots[anchor : anchor + n_in] = out_tags
+                self._swap(anchor + p)
+        self._row(anchor, term)
+        self.slots[anchor : anchor + len(where)] = out_tags
+
+    def level(self, term: ZhTerm, out_tags: list[tuple]) -> None:
+        """Apply a level's state on top of the band; its first output is
+        the level's finished wire."""
+        self.apply(term, [], out_tags)
+        self.done += 1
+
+    def sink(self, tag: tuple) -> None:
+        """Move a band wire down onto the top of the terminal block."""
+        bottom = len(self.slots) - self.sunk - 1
+        for p in range(self.slots.index(tag, self.done, bottom + 1), bottom):
+            self._swap(p)
+        self.sunk += 1
 
     def term(self) -> ZhTerm:
         return seq(*self.rows)
@@ -263,10 +301,14 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     asm = _Assembler()
     serial = count()
 
-    def to_tag(c: int) -> tuple:
-        return ("to", c, next(serial))
+    def to_child(term: ZhTerm, in_tags: list[tuple], c: int) -> None:
+        """Apply ``term``, whose one output is bound for ``c``."""
+        tag = ("to", c, next(serial))
+        asm.apply(term, in_tags, [tag])
+        if c == TERMINAL:
+            asm.sink(tag)
 
-    asm.apply(Gen(KetOne()), [], [to_tag(d.root)])
+    to_child(Gen(KetOne()), [], d.root)
     by_level: dict[int, list[int]] = {}
     for i, n in d.nodes.items():
         by_level.setdefault(n.height, []).append(i)
@@ -274,20 +316,22 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     for h in range(d.height, 0, -1):
         level = sorted(by_level.get(h, []))
         if not level:
-            asm.apply(Gen(KetPlus()), [], [("q", h)])
+            asm.level(Gen(KetPlus()), [("q", h)])
             continue
-        asm.apply(Gen(ZSpider(0, 1 + len(level))), [], [("q", h)] + [("ctrl", u) for u in level])
+        asm.level(Gen(ZSpider(0, 1 + len(level))), [("q", h)] + [("ctrl", u) for u in level])
         for u in level:
             n = d.nodes[u]
-            arrivals = [t for t in asm.slots if t[0] == "to" and t[1] == u]
+            arrivals = [t for t in asm.band() if t[0] == "to" and t[1] == u]
             asm.apply(_fan_in(fan_in, len(arrivals)), arrivals, [("data", u)])
             asm.apply(
                 Gen(Gadget()), [("ctrl", u), ("data", u)], [("g0", u), ("g1", u)]
             )
-            asm.apply(Gen(WeightBox(n.w0)), [("g0", u)], [to_tag(n.c0)])
-            asm.apply(Gen(WeightBox(n.w1)), [("g1", u)], [to_tag(n.c1)])
+            to_child(Gen(WeightBox(n.w0)), [("g0", u)], n.c0)
+            to_child(Gen(WeightBox(n.w1)), [("g1", u)], n.c1)
 
-    at_terminal = [t for t in asm.slots if t[0] == "to" and t[1] == TERMINAL]
+    assert not asm.band()
+    asm.sunk = 0  # the terminal block is the band now, already in place
+    at_terminal = asm.band()
     asm.apply(_fan_in(fan_in, len(at_terminal)), at_terminal, [("arrived",)])
     asm.apply(Gen(NotXSpider(1, 0)), [("arrived",)], [])
     assert asm.slots == [("q", h) for h in range(d.height, 0, -1)]

@@ -11,8 +11,16 @@ from zhdd.cli import main
 from zhdd.generate import random_dag, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
-from zhdd.sqmdd import TERMINAL, Builder, iso_equal, renumber, sqmdd_from_json, sqmdd_to_json
-from zhdd.terms import Gen, HBox, ZSpider, term_from_json, term_to_json
+from zhdd.sqmdd import (
+    TERMINAL,
+    Builder,
+    Sqmdd,
+    iso_equal,
+    renumber,
+    sqmdd_from_json,
+    sqmdd_to_json,
+)
+from zhdd.terms import Gen, HBox, ZSpider, term_from_json, term_to_json, wires
 from zhdd.translate import generator_state_sqmdd, sqmdd_read_back, sqmdd_to_zh
 
 
@@ -210,6 +218,21 @@ def test_resource_cap_exits_3(write, capsys):
     assert "resource cap" in err
 
 
+def test_dense_cap_counts_matrix_inputs_and_outputs(write, capsys):
+    """A 3-wire identity bundle is an 8 x 8 matrix: over a cap of 4 wires."""
+    f = write("w.json", term_to_json(wires(3)))
+    code, _, err = run(capsys, "interpret", f, "--max-qubits", "4")
+    assert code == 3
+    assert "resource cap" in err
+
+
+def test_empty_identity_bundle_exits_2(write, capsys):
+    t = write("t.json", {"kind": "identity", "params": {"n": 0}, "children": []})
+    code, _, err = run(capsys, "interpret", t)
+    assert code == 2
+    assert "Traceback" not in err
+
+
 _HUGE = 1e300  # |w| / eps overflows a float at the default eps of 1e-9
 _ONE_NODE = {"scalar": [1, 0], "height": 1, "root": 1,
              "nodes": [{"id": 1, "h": 1, "w0": [_HUGE, 0], "c0": "t", "w1": [1, 0], "c1": "t"}]}
@@ -336,6 +359,20 @@ def test_to_zh_on_deep_emissions(write, capsys, kind, legs):
         deepest = max(deepest, depth)
         todo.extend((c, depth + 1) for c in node["children"])
     assert deepest <= 8
+
+
+@pytest.mark.parametrize("shape, height", [("z", 3_000), ("terminal-only", 20_000)])
+def test_to_zh_on_deep_diagrams(write, capsys, shape, height):
+    """Emission is linear in nodes plus height, so to-zh finishes on a
+    3,000-level Z chain and a 20,000-level diagram with no nodes, and each
+    output reads back to its input."""
+    if shape == "z":
+        d = generator_state_sqmdd("z", height)
+    else:
+        d = Sqmdd(1 + 0j, height, TERMINAL, {})
+    code, out, _ = run(capsys, "to-zh", write("d.json", sqmdd_to_json(d)))
+    assert code == 0
+    assert iso_equal(sqmdd_read_back(term_from_json(json.loads(out))), d)
 
 
 def test_deep_round_trip_at_default_settings(write, capsys):

@@ -31,6 +31,7 @@ from zhdd.terms import (
     ZSpider,
     par,
     seq,
+    wires,
 )
 
 from conftest import weights
@@ -195,3 +196,25 @@ def test_interpreter_methods_agree(seed):
 def test_qubit_cap_enforced():
     with pytest.raises(ResourceLimitError):
         interpret_zh(Gen(ZSpider(0, 5)), Settings(max_qubits=4))
+
+
+def test_qubit_cap_counts_inputs_and_outputs():
+    """A 3-wire bundle is an 8 x 8 matrix, as large as a 6-wire state: a
+    term and each generator are capped on inputs plus outputs."""
+    cap4 = Settings(max_qubits=4)
+    with pytest.raises(ResourceLimitError):
+        interpret_zh(wires(3), cap4)
+    with pytest.raises(ResourceLimitError):
+        generator_matrix(Identity(3), cap4)
+    with pytest.raises(ResourceLimitError):  # an effect, then a state
+        interpret_zh(seq(Gen(ZSpider(3, 0)), Gen(ZSpider(0, 3))), cap4)
+    assert interpret_zh(wires(2), cap4).shape == (4, 4)
+
+
+def test_identity_bundle_passes_its_wires():
+    state = seq(Gen(ZSpider(0, 3)), par(Gen(Identity(2)), Gen(WeightBox(2j))))
+    want = np.zeros(8, dtype=complex)
+    want[0], want[7] = 1, 2j
+    assert max_deviation(interpret_zh(state).reshape(-1), want) == 0.0
+    assert max_deviation(_interpret_matrix(state, DEFAULT).reshape(-1), want) == 0.0
+    assert max_deviation(generator_matrix(Identity(3)), np.eye(8)) == 0.0

@@ -86,7 +86,8 @@ def test_permutation_term_routes_wires(perm):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_swap_schedule_realizes_every_permutation(n):
     """One swap per inversion, the wires end in ``perm`` order, and
-    ``permutation_term`` is exactly the schedule's swap rows."""
+    ``permutation_term`` is exactly the schedule's swap rows, each padded
+    by one identity bundle on each side that has wires."""
     for perm in itertools.permutations(range(n)):
         schedule = swap_schedule(perm)
         inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
@@ -97,7 +98,8 @@ def test_swap_schedule_realizes_every_permutation(n):
         assert wires_now == list(perm)
         t = permutation_term(list(perm))
         assert [at for g, at in placed(t) if isinstance(g.kind, Swap)] == schedule
-        assert sum(1 for _ in placed(t)) == ((n - 1) * len(schedule) or n)  # full-width rows
+        rows = sum(1 + (p > 0) + (p < n - 2) for p in schedule)
+        assert sum(1 for _ in placed(t)) == (rows or 1)
 
 
 def test_permutation_rejects_non_permutations():
@@ -182,6 +184,21 @@ def test_json_and_describe_golden(kind, name, params, text):
 
 def test_golden_covers_every_kind():
     assert {type(g[0]) for g in GOLDEN} == set(typing.get_args(GeneratorKind))
+
+
+def test_identity_bundle_json():
+    """A bundle's wire count is written only when it is above one."""
+    obj = term_to_json(Gen(Identity(3)))
+    assert obj == {"kind": "identity", "params": {"n": 3}, "children": []}
+    assert describe(Gen(Identity(3))) == "Identity(3)"
+    back = term_from_json(json.loads(json.dumps(obj)))
+    assert back == Gen(Identity(3)) and (back.n_in, back.n_out) == (3, 3)
+    one = term_from_json({"kind": "identity", "params": {}, "children": []})
+    assert one == Gen(Identity()) and (one.n_in, one.n_out) == (1, 1)
+    assert term_from_json({"kind": "identity", "params": {"n": 1}}) == one
+    with pytest.raises(ShapeError):
+        term_from_json({"kind": "identity", "params": {"n": 0}})
+    assert wires(4) == Gen(Identity(4))
 
 
 def test_hbox_label_defaults_to_minus_one():
