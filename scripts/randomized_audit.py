@@ -45,12 +45,15 @@ from zhdd.terms import (
     GeneratorKind,
     Identity,
     KetOne,
+    KetPlus,
     NotXSpider,
     SeqNode,
     Swap,
+    XSpider,
     iter_generators,
     par,
     placed,
+    seq,
     term_from_json,
     term_to_json,
 )
@@ -188,10 +191,20 @@ def audit_reduction_trace(rng, n, max_h, settings):
 
 
 def audit_contraction(rng, n, max_h, settings):
-    worst = 0.0
+    """zh_to_sqmdd with every stage checked against dense_stages (a plain
+    run when the plan is wider than the dense cap), on random terms and on
+    a chain of 1,200 X spiders whose sugar halves must not underflow."""
+    def contracted(t):
+        try:
+            return zh_to_sqmdd(t, settings, assert_stages=True)
+        except ResourceLimitError:
+            return zh_to_sqmdd(t, settings)
+
+    chain = seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)
+    worst = max_deviation(interpret_sqmdd(contracted(chain), settings), [1, 1])
     for k in range(n):
         t = random_term(rng, max_generators=10, max_boundary=7)
-        d = zh_to_sqmdd(t, settings)
+        d = contracted(t)
         assert is_irreducible(d, settings)
         s = to_state_form(t) if t.n_in else t
         worst = max(

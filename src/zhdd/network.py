@@ -1,13 +1,18 @@
-"""From syntax trees to wiring networks.
+"""From syntax trees to wiring networks, and their contraction steps.
 
 A term is a composition tree; what the translation to decision diagrams
 actually needs is the underlying undirected network: which spider/box legs
-are soldered to which.  :func:`flatten_to_network` computes it by symbolic
-evaluation — one pass over :func:`~zhdd.terms.placed` keeps a token per
-live wire, each generator unions the tokens it consumes with its leg tokens
-and puts its output tokens in their place, and the resulting token classes
-are exactly the wires of the network.  Sugar generators are expanded on
-the fly, one :func:`~zhdd.sugar.core_recipe` at a time.
+are soldered to which.  :func:`flatten_to_network` computes it in one pass
+over :func:`~zhdd.terms.placed`, keeping the instance leg at the upper end
+of each live wire: a generator that consumes a wire closes it with an edge
+to one of its own legs.  A cap is a Z(0, 2) instance and a cup a Z(2, 0)
+instance, as in PyZX (Kissinger & van de Wetering, arXiv:1904.04735), so
+every wire runs from one instance leg to another or to the boundary, and
+closed loops and boundary-to-boundary wires need no case of their own.
+Sugar generators are expanded on the fly, one
+:func:`~zhdd.sugar.core_recipe` at a time.  The prefactor is kept as a
+mantissa and a power of two, so the many 1/2s of desugaring cannot
+underflow it.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
 exact ZH rules applied to a fixpoint: a one-legged H-box labelled 1 is a
@@ -16,30 +21,34 @@ one-legged Z (``one-label-state``), Z spiders joined by a wire fuse
 is the scalar 2, ``closed-copy-scalar``), a two-legged Z is a wire
 (``z-identity``), and two two-legged H-boxes labelled -1 on one wire are a
 wire times 2 (``h-involution``).  This is the spider-fusion step of PyZX's
-``spider_simp`` (Kissinger & van de Wetering, arXiv:1904.04735),
-restricted to rules of the ZH-calculus (Backens & Kissinger,
-arXiv:1805.02175); each rule is a claim of :mod:`zhdd.claims`.
+``spider_simp``, restricted to rules of the ZH-calculus (Backens &
+Kissinger, arXiv:1805.02175); each rule is a claim of :mod:`zhdd.claims`.
+It turns the Z(2)s of caps and cups into plain wires, the scalar 2 of a
+loop, or the spider between two boundary wires.
 
 :func:`contraction_plan` orders a network's instances for contraction:
 greedy minimum frontier, after Gray & Kourtis, *Hyper-optimized tensor
 network contraction* (arXiv:2002.01935).  Each step takes, among the
 instances wired to what is already placed, the one that leaves the fewest
-open legs.
+open legs.  :func:`contraction_steps` turns the plan into steps on a list
+of live legs: the instance tensored in on top, then the live positions of
+each wire that closes, and at the end the output permutation.  Both
+contraction engines run these steps: :func:`zhdd.translate.zh_to_sqmdd` on
+decision diagrams, and :func:`dense_stages` on dense vectors, which is
+the mirror of ``assert_stages`` and, through :func:`net_interpret`, a dense
+interpreter whose cap bounds the plan's peak width rather than the
+network's total leg count.
 
 Both Z-spiders and H-boxes are fully symmetric tensors, so a network
 instance needs only a kind, a label, and an arity; leg order is
 bookkeeping, not semantics.
-
-:func:`net_interpret` contracts a network densely, in plan order, so its
-dense cap bounds the plan's peak width rather than the network's total leg
-count.  It shares no code with either term-interpretation route in
-:mod:`zhdd.oracle`, which makes it a useful third opinion in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
+from math import frexp, ldexp
 from typing import Iterator
 
 import numpy as np
@@ -48,18 +57,7 @@ from .config import DEFAULT, Settings
 from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
 from .sugar import CORE_KINDS, core_recipe
-from .terms import (
-    Cap,
-    Cup,
-    Gen,
-    GeneratorKind,
-    HBox,
-    Identity,
-    Swap,
-    ZSpider,
-    ZhTerm,
-    placed,
-)
+from .terms import Gen, GeneratorKind, HBox, Identity, Swap, ZhTerm, placed
 
 Port = tuple[int, int]  # (instance index, leg index)
 
@@ -73,39 +71,28 @@ class NetInstance:
 
 @dataclass
 class Network:
+    """Instances, the wires between their legs, and the leg at each
+    boundary wire.  The prefactor is ``scalar * 2**exp2``: desugaring piles
+    up a 1/2 per X spider or AND, and only simplification multiplies the
+    matching 2s back in, so a plain float would underflow on long chains."""
+
     scalar: complex
     instances: list[NetInstance]
     edges: list[tuple[Port, Port]]
     outputs: list[Port]
+    exp2: int = 0
     n_out: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.n_out = len(self.outputs)
 
+    def prefactor(self, times: complex = 1.0) -> complex:
+        """``times`` times the prefactor, scaled by its power of two last."""
+        return _ldexp(times * self.scalar, self.exp2)
 
-class _Tokens:
-    """Union-find over wire tokens, with per-token attachment lists."""
 
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.attached: list[list[tuple]] = []
-
-    def fresh(self, attachment: tuple | None = None) -> int:
-        tok = len(self.parent)
-        self.parent.append(tok)
-        self.attached.append([attachment] if attachment else [])
-        return tok
-
-    def find(self, tok: int) -> int:
-        while self.parent[tok] != tok:
-            self.parent[tok] = self.parent[self.parent[tok]]
-            tok = self.parent[tok]
-        return tok
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(ldexp(z.real, k), ldexp(z.imag, k))
 
 
 def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
@@ -134,112 +121,35 @@ def flatten_to_network(t: ZhTerm) -> Network:
     Maps are bent into state form, so the network's boundary lists the
     original outputs followed by one wire per original input.  Each sugar
     generator is expanded in place, by walking its core recipe at its
-    offset.  Closed loops and nullary generators are absorbed: a loop
-    contributes an explicit 2-leg spider wired to itself (which contracts
-    to the scalar 2), a nullary Z or H contributes its scalar directly.
+    offset.  A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, so
+    every wire runs from one instance leg to another or to the boundary; a
+    nullary Z or H contributes its scalar directly.
     """
-    toks = _Tokens()
     instances: list[NetInstance] = []
-    scalar = 1.0 + 0j
-
-    live: list[int] = []  # one token per wire, left to right
-    for g, at in _core_placed(to_state_form(t)):
-        kind = g.kind
-        ins = live[at : at + g.n_in]
-        if isinstance(kind, Identity):
-            outs = ins
-        elif isinstance(kind, Swap):
-            outs = [ins[1], ins[0]]
-        elif isinstance(kind, Cap):
-            a, b = toks.fresh(), toks.fresh()
-            toks.union(a, b)
-            outs = [a, b]
-        elif isinstance(kind, Cup):
-            toks.union(ins[0], ins[1])
-            outs = []
-        elif isinstance(kind, (ZSpider, HBox)):
-            n = kind.inputs
-            m = kind.outputs
-            if n + m == 0:
-                scalar *= 2.0 if isinstance(kind, ZSpider) else complex(kind.label)
-                continue
-            idx = len(instances)
-            if isinstance(kind, ZSpider):
-                instances.append(NetInstance("z", 0j, n + m))
-            else:
-                instances.append(NetInstance("h", complex(kind.label), n + m))
-            legs = [toks.fresh(("port", idx, p)) for p in range(n + m)]
-            for wire_tok, leg_tok in zip(ins, legs[:n]):
-                toks.union(wire_tok, leg_tok)
-            outs = legs[n:]
-        else:
-            raise ShapeError(f"cannot flatten non-core generator {kind!r}")
-        live[at : at + g.n_in] = outs
-
-    boundary = live
-    for k, tok in enumerate(boundary):
-        toks.attached[tok].append(("out", k))
-
-    # Group attachments by token class, in token-creation order.
-    class_order: list[int] = []
-    class_members: dict[int, list[tuple]] = {}
-    for tok in range(len(toks.parent)):
-        root = toks.find(tok)
-        if root not in class_members:
-            class_members[root] = []
-            class_order.append(root)
-        class_members[root].extend(toks.attached[tok])
-
     edges: list[tuple[Port, Port]] = []
-    outputs: list[Port | None] = [None] * len(boundary)
-    for root in class_order:
-        atts = class_members[root]
-        if len(atts) == 0:
-            # a closed loop: an explicit wire with nothing on it
+    scalar, exp2 = 1.0 + 0j, 0
+    live: list[Port] = []  # the upper end of each wire, left to right
+    for g, at in _core_placed(to_state_form(t)):
+        kind, n, m = g.kind, g.n_in, g.n_out
+        if isinstance(kind, Identity):
+            continue
+        if isinstance(kind, Swap):
+            live[at], live[at + 1] = live[at + 1], live[at]
+        elif n + m == 0 and isinstance(kind, HBox):
+            scalar *= complex(kind.label)
+            k = frexp(max(abs(scalar.real), abs(scalar.imag)))[1]
+            scalar, exp2 = _ldexp(scalar, -k), exp2 + k
+        elif n + m == 0:  # the Z scalar 2
+            exp2 += 1
+        else:  # a Z spider, H-box, cap or cup
             idx = len(instances)
-            instances.append(NetInstance("z", 0j, 2))
-            edges.append(((idx, 0), (idx, 1)))
-        elif len(atts) == 2:
-            a, b = atts
-            if a[0] == "port" and b[0] == "port":
-                edges.append(((a[1], a[2]), (b[1], b[2])))
-            elif a[0] == "port" and b[0] == "out":
-                outputs[b[1]] = (a[1], a[2])
-            elif a[0] == "out" and b[0] == "port":
-                outputs[a[1]] = (b[1], b[2])
+            if isinstance(kind, HBox):
+                instances.append(NetInstance("h", complex(kind.label), n + m))
             else:
-                # two boundary wires directly connected
-                idx = len(instances)
-                instances.append(NetInstance("z", 0j, 2))
-                outputs[a[1]] = (idx, 0)
-                outputs[b[1]] = (idx, 1)
-        else:
-            raise ShapeError(
-                f"wire resolves to {len(atts)} endpoints (internal error)"
-            )
-
-    resolved: list[Port] = []
-    for k, p in enumerate(outputs):
-        if p is None:
-            raise ShapeError(f"boundary wire {k} left unresolved (internal error)")
-        resolved.append(p)
-
-    # Sanity: every leg is used exactly once.
-    used: set[Port] = set()
-    for a, b in edges:
-        for p in (a, b):
-            if p in used:
-                raise ShapeError(f"leg {p} wired twice (internal error)")
-            used.add(p)
-    for p in resolved:
-        if p in used:
-            raise ShapeError(f"leg {p} wired twice (internal error)")
-        used.add(p)
-    expected = {(i, p) for i, inst in enumerate(instances) for p in range(inst.arity)}
-    if used != expected:
-        raise ShapeError("dangling instance legs (internal error)")
-
-    return Network(scalar, instances, edges, resolved)
+                instances.append(NetInstance("z", 0j, n + m))
+            edges += zip(live[at : at + n], [(idx, p) for p in range(n)])
+            live[at : at + n] = [(idx, p) for p in range(n, n + m)]
+    return Network(scalar, instances, edges, live, exp2)
 
 
 def simplify_network(net: Network) -> Network:
@@ -259,7 +169,8 @@ def simplify_network(net: Network) -> Network:
       joined by a wire become one wire times 2, and the scalar 4 when they
       close a ring.  A pair between two boundary wires stays.
 
-    Labels are compared exactly, not on the weight grid.  Survivors keep
+    Labels are compared exactly, not on the weight grid.  Every scalar
+    these rules leave is a power of two, added to ``exp2``.  Survivors keep
     their relative order; a fused spider takes the place of the first one
     the pass visits.
     """
@@ -281,7 +192,7 @@ def simplify_network(net: Network) -> Network:
         mate[x], mate[y] = y, x
     for k, (a, p) in enumerate(net.outputs):
         mate[first[a] + p] = ~k
-    scalar = net.scalar
+    exp2 = net.exp2
 
     todo = list(range(n - 1, -1, -1))  # a stack: instance 0 comes first
 
@@ -293,8 +204,8 @@ def simplify_network(net: Network) -> Network:
                 todo.append(owner[u])
 
     def h_pair(i: int) -> int:
-        """Apply ``h-involution`` at H-box ``i``; the scalar factor it
-        leaves, 1 when it finds no partner."""
+        """Apply ``h-involution`` at H-box ``i``; the power of two it
+        leaves, 0 when it finds no partner."""
         mine = legs[i]
         for x in mine:
             y = mate[x]
@@ -306,16 +217,16 @@ def simplify_network(net: Network) -> Network:
                 continue
             far_i, far_j = mine[mine[0] == x], theirs[theirs[0] == y]
             a, b = mate[far_i], mate[far_j]
-            if a == far_j:  # the pair closes a ring
-                factor = 4
+            if a == far_j:  # the pair closes a ring: the scalar 4
+                k = 2
             elif a < 0 and b < 0:
                 continue
             else:
-                factor = 2
+                k = 1
                 join(a, b)
             legs[i] = legs[j] = None
-            return factor
-        return 1
+            return k
+        return 0
 
     while todo:
         i = todo.pop()
@@ -327,7 +238,7 @@ def simplify_network(net: Network) -> Network:
                 kind[i], label[i] = "z", 0j
                 todo.append(i)
             elif len(mine) == 2 and label[i] == -1:
-                scalar *= h_pair(i)
+                exp2 += h_pair(i)
             continue
         k = 0
         while k < len(mine):  # legs appended by a fusion are scanned too
@@ -347,7 +258,7 @@ def simplify_network(net: Network) -> Network:
             else:
                 k += 1
         if not mine:
-            scalar *= 2
+            exp2 += 1
             legs[i] = None
         elif len(mine) == 2 and (mate[mine[0]] >= 0 or mate[mine[1]] >= 0):
             join(mate[mine[0]], mate[mine[1]])
@@ -368,7 +279,7 @@ def simplify_network(net: Network) -> Network:
             outputs[~y] = p
         elif x < y:
             edges.append((p, port[y]))
-    return Network(scalar, instances, edges, outputs)
+    return Network(net.scalar, instances, edges, outputs, exp2)
 
 
 def contraction_plan(net: Network) -> tuple[list[int], int]:
@@ -415,14 +326,36 @@ def contraction_plan(net: Network) -> tuple[list[int], int]:
     return order, peak
 
 
-def closing_wires(net: Network, order: list[int]) -> list[list[tuple[Port, Port]]]:
-    """The wires that close at each step of ``order``: each one right after
-    the later of its two instances is placed, in ``net.edges`` order."""
+Step = tuple[int, list[tuple[int, int]]]
+
+
+def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
+    """The contraction of ``net`` as steps on a list of live legs.
+
+    Each step tensors one instance of :func:`contraction_plan` in on top
+    (its legs go first, in leg order), then closes every wire whose two
+    ends are now live, in ``net.edges`` order: a closing wire is given by
+    the live positions ``(i, j)``, ``i < j``, of its ends just before it
+    closes, and both leave the list.  Also returns the output permutation
+    (boundary wire ``k`` is the live leg ``perm[k]``) and the plan's peak
+    live width.
+    """
+    order, peak = contraction_plan(net)
     step = {idx: k for k, idx in enumerate(order)}
     closes: list[list[tuple[Port, Port]]] = [[] for _ in order]
     for a, b in net.edges:
         closes[max(step[a[0]], step[b[0]])].append((a, b))
-    return closes
+    live: list[Port] = []
+    steps: list[Step] = []
+    for idx, wires in zip(order, closes):
+        live[:0] = [(idx, p) for p in range(net.instances[idx].arity)]
+        at = []
+        for a, b in wires:
+            i, j = sorted((live.index(a), live.index(b)))
+            at.append((i, j))
+            del live[j], live[i]
+        steps.append((idx, at))
+    return steps, [live.index(p) for p in net.outputs], peak
 
 
 def instance_state(inst: NetInstance) -> np.ndarray:
@@ -440,28 +373,37 @@ def instance_state(inst: NetInstance) -> np.ndarray:
     raise ShapeError(f"unknown instance kind {inst.kind!r}")
 
 
-def net_interpret(net: Network, settings: Settings = DEFAULT) -> np.ndarray:
-    """Dense contraction of a network, shape ``(2**n_out,)``.
+def dense_stages(
+    net: Network, settings: Settings = DEFAULT
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Each state of :func:`contraction_steps`, densely, with a name: after
+    each tensor, after each closed wire, and the result (output order and
+    prefactor applied), a vector over the live legs, first leg = MSB.
 
-    Tensors the instance states in :func:`contraction_plan` order, sums
-    out each wire as soon as both its ends are live (the schedule of
-    :func:`closing_wires`), then orders the surviving legs by the boundary
-    list.  The dense cap applies to the plan's peak live width.
+    Raises :class:`ResourceLimitError`, before the first state, when the
+    plan's peak live width is above the dense wire cap.
     """
-    order, peak = contraction_plan(net)
+    steps, perm, peak = contraction_steps(net)
     if peak > settings.max_qubits:
         raise ResourceLimitError(
             f"network contraction needs {peak} dense wires (cap is {settings.max_qubits})"
         )
-    ten = np.array(net.scalar, dtype=complex)
-    axes: list[Port] = []
-    for idx, to_close in zip(order, closing_wires(net, order)):
-        inst = net.instances[idx]
-        ten = np.multiply.outer(ten, instance_state(inst).reshape((2,) * inst.arity))
-        axes.extend((idx, p) for p in range(inst.arity))
-        for a, b in to_close:
-            ia, ib = sorted((axes.index(a), axes.index(b)))
-            ten = np.diagonal(ten, axis1=ia, axis2=ib).sum(-1)
-            del axes[ib], axes[ia]
-    perm = [axes.index(p) for p in net.outputs]
-    return np.transpose(ten, perm).reshape(-1)
+    ten = np.ones(1, dtype=complex)
+    for idx, closes in steps:
+        ten = np.kron(instance_state(net.instances[idx]), ten)
+        yield f"tensor {idx}", ten
+        for i, j in closes:
+            ten = np.diagonal(ten.reshape((2,) * (ten.size.bit_length() - 1)), 0, i, j)
+            ten = ten.sum(-1).reshape(-1)
+            yield f"close {i}~{j}", ten
+    ten = np.transpose(ten.reshape((2,) * len(perm)), perm).reshape(-1)
+    yield "output permutation", net.prefactor() * ten
+
+
+def net_interpret(net: Network, settings: Settings = DEFAULT) -> np.ndarray:
+    """Dense contraction of a network, shape ``(2**n_out,)``: the last of
+    :func:`dense_stages`.  The dense cap applies to the plan's peak live
+    width."""
+    for _, ten in dense_stages(net, settings):
+        pass
+    return ten

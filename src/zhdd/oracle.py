@@ -13,14 +13,16 @@ Conventions (fixed throughout the package):
   significant bit**, so ``par(a, b)`` is ``np.kron(A, B)``;
 * ``seq(a, b)`` composes left-to-right: ``B @ A``.
 
-A term has one entry, :func:`interpret_zh`: an inputs-free term is
-evaluated as a state tensor, one generator at a time, and any other term
-by the definitional matrix recursion.  Both routes stay as references that
-the test suite cross-checks.
+A term has one entry, :func:`interpret_zh`: every term is evaluated as a
+state tensor, one generator at a time, a map after bending its inputs into
+trailing outputs (:func:`~zhdd.duality.to_state_form`), and the state is
+read back as the row-major matrix.  The definitional matrix recursion stays
+as the reference that the test suite cross-checks it against.
 
 Dense work is capped at ``settings.max_qubits`` wires, where a term or a
-generator counts its inputs plus its outputs; anything larger raises
-:class:`ResourceLimitError` rather than silently thrashing.
+generator counts its inputs plus its outputs and a state its wires, so no
+intermediate holds more than ``2**max_qubits`` entries; anything larger
+raises :class:`ResourceLimitError` rather than silently thrashing.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
+from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
 from .sqmdd import TERMINAL, Sqmdd
 from .terms import (
@@ -166,8 +169,8 @@ def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
 # term interpretation: state-tensor route (inputs-free terms)
 #
 # Keeps the working object a rank-k tensor instead of a 2^k x 2^k matrix,
-# which is what makes wide state terms tractable.  The test suite calls
-# both routes directly and cross-checks them.
+# which is what makes wide terms tractable.  The test suite calls both
+# routes directly and cross-checks them.
 
 
 def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
@@ -210,16 +213,13 @@ def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
 
 
 def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
-    """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``.
-
-    An inputs-free term takes the state-tensor route, any other the
-    definitional matrix recursion.  The term's inputs plus outputs must
-    fit under the dense cap.
+    """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``: the
+    state-tensor route on the term's state form, read row-major.  The
+    term's inputs plus outputs, and every state on the way, must fit under
+    the dense cap.
     """
     _check_span(t.n_in + t.n_out, "term", settings)
-    if t.n_in:
-        return _interpret_matrix(t, settings)
-    return _interpret_state(t, settings).reshape(-1, 1)
+    return _interpret_state(to_state_form(t), settings).reshape(2**t.n_out, 2**t.n_in)
 
 
 def interpret_zh_state(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:

@@ -4,15 +4,16 @@ Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
 the term is flattened to its wiring network, the network is shrunk by the
 exact rules of :func:`~zhdd.network.simplify_network`, and every remaining
 spider/box becomes a small closed-form diagram.  These are tensored in one
-at a time, on top of the state, in the greedy minimum-frontier order of
-:func:`~zhdd.network.contraction_plan`, and each wire is contracted (a Z
+at a time, on top of the state, by the steps of
+:func:`~zhdd.network.contraction_steps`, and each wire is contracted (a Z
 merge and a <+| plug, fused into one level-walker pass of
 :func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live, so
 the state never grows past the plan's peak live width.  All of it happens
 in one :class:`~zhdd.sqmdd.Builder`: one unique table for the whole
 contraction, packaged once, so the result is irreducible by construction
 and the rewrite system is never run.  The optional per-stage dense mirror
-is capped by the plan's peak width.
+is :func:`~zhdd.network.dense_stages`, the same steps on dense vectors,
+capped by the plan's peak width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -46,19 +47,14 @@ its weight grid; ``max_qubits`` caps only the dense mirror of
 from __future__ import annotations
 
 from itertools import count
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .algebra import contract_edge, permute_edge, restrict, tensor_edge
 from .config import DEFAULT, Settings
-from .errors import ResourceLimitError, ShapeError
-from .network import (
-    Port,
-    closing_wires,
-    contraction_plan,
-    flatten_to_network,
-    instance_state,
-    simplify_network,
-)
+from .errors import ShapeError
+from .network import contraction_steps, dense_stages, flatten_to_network, simplify_network
 from .reduction import is_irreducible
 from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
 from .terms import (
@@ -132,11 +128,13 @@ def _generator_edge(bld: Builder, tag: str, legs: int, label: Optional[complex])
 # term -> diagram
 
 
-def _stage_check(bld: Builder, top: Edge, mirror, what: str) -> None:
+def _stage_check(bld: Builder, top: Edge, stages: Iterator[tuple[str, np.ndarray]]) -> None:
+    """Compare the state ``top`` with the next of the dense ``stages``."""
     from .oracle import interpret_sqmdd, max_deviation
 
-    state = Sqmdd(top[0], mirror.size.bit_length() - 1, top[1], bld.nodes)
-    dev = max_deviation(interpret_sqmdd(state, bld.settings), mirror)
+    what, want = next(stages)
+    state = Sqmdd(top[0], want.size.bit_length() - 1, top[1], bld.nodes)
+    dev = max_deviation(interpret_sqmdd(state, bld.settings), want)
     if dev > bld.settings.eps:
         raise AssertionError(f"contraction stage '{what}' drifted by {dev:.3e}")
 
@@ -146,69 +144,43 @@ def zh_to_sqmdd(
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
-    The whole contraction runs in one :class:`Builder`, on the network
-    after :func:`~zhdd.network.simplify_network`.  Its instances are
-    tensored in, new legs on top, in the order of
-    :func:`~zhdd.network.contraction_plan`: the walk rebuilds only the
-    instance's few nodes, and a closing wire rebuilds only the levels
-    above its lower end.  After each instance, every wire whose two ends
-    are now live is closed by one pass of
-    :func:`~zhdd.algebra.contract_edge` (a Z merge and a <+| plug in one).
-    The builder is packaged into a diagram once, at the end.
-    ``assert_stages`` re-checks the state after every tensor, every closed
-    wire and the output permutation against a dense mirror vector, and
+    Runs :func:`~zhdd.network.contraction_steps` in one :class:`Builder`:
+    tensoring an instance in on top rebuilds only its few nodes, and
+    closing a wire only the levels above its lower end.  The output
+    permutation and the network's prefactor come last.  ``assert_stages``
+    re-checks every state against :func:`~zhdd.network.dense_stages`, and
     the result for irreducibility; only feasible when the plan's peak live
-    width fits under the dense wire cap, which is checked before any
-    contraction.
+    width fits under the dense wire cap (else the first check raises
+    :class:`~zhdd.errors.ResourceLimitError`).
     """
     net = simplify_network(flatten_to_network(t))
-    order, peak = contraction_plan(net)
-    mirror = None
-    if assert_stages:
-        import numpy as np
-
-        from .oracle import dense_merge_outputs, dense_permute, dense_plug_plus
-
-        if peak > settings.max_qubits:
-            raise ResourceLimitError(
-                f"stage assertions need {peak} dense wires "
-                f"(cap is {settings.max_qubits})"
-            )
-        mirror = np.array([1.0 + 0j])
-
-    # The network prefactor is applied after contraction.  Desugaring piles
-    # every 1/2 normalizer into it, with the matching 2s only showing up as
-    # <+| plugs along the way; folding it in up front would leave the
-    # intermediate states with an artificially minuscule scalar that the
-    # weight grid would then round to an honest zero.
+    steps, perm, _ = contraction_steps(net)
+    stages = dense_stages(net, settings) if assert_stages else None
     bld = Builder(settings)
     state: Edge = (1.0 + 0j, TERMINAL)
-    live: list[Port] = []
-    for idx, to_close in zip(order, closing_wires(net, order)):
+    height = 0
+    for idx, closes in steps:
         inst = net.instances[idx]
         g = _generator_edge(bld, inst.kind, inst.arity, inst.label)
-        state = tensor_edge(bld, g, state, len(live))
-        live[:0] = [(idx, p) for p in range(inst.arity)]
+        state = tensor_edge(bld, g, state, height)
+        height += inst.arity
         if assert_stages:
-            mirror = np.kron(instance_state(inst), mirror)
-            _stage_check(bld, state, mirror, f"tensor {idx}")
-        for a, b in to_close:
-            i, j = sorted((live.index(a), live.index(b)))
-            state = contract_edge(bld, state, len(live), i, j)
+            _stage_check(bld, state, stages)
+        for i, j in closes:
+            state = contract_edge(bld, state, height, i, j)
+            height -= 2
             if assert_stages:
-                n = len(live)
-                mirror = dense_plug_plus(dense_merge_outputs(mirror, n, i, j), n - 1, i)
-                _stage_check(bld, state, mirror, f"close {a}~{b}")
-            del live[j], live[i]
+                _stage_check(bld, state, stages)
 
-    perm = [live.index(p) for p in net.outputs]
-    lam, root = permute_edge(bld, state, len(live), perm)
-    state = (lam * complex(net.scalar), root)
+    # The prefactor goes in last: desugaring piles every 1/2 normalizer into
+    # it, with the matching 2s only showing up as <+| plugs along the way;
+    # folding it in up front would leave the intermediate states with a
+    # minuscule scalar that the weight grid would round to an honest zero.
+    lam, root = permute_edge(bld, state, height, perm)
+    state = (net.prefactor(lam), root)
     if assert_stages:
-        mirror = net.scalar * dense_permute(mirror, len(live), perm)
-        _stage_check(bld, state, mirror, "output permutation")
-
-    out = bld.finish(state, len(live))
+        _stage_check(bld, state, stages)
+    out = bld.finish(state, height)
     if assert_stages and not is_irreducible(out, settings):
         raise AssertionError("contracted diagram is not irreducible")
     return out

@@ -20,7 +20,17 @@ from zhdd.sqmdd import (
     sqmdd_from_json,
     sqmdd_to_json,
 )
-from zhdd.terms import Gen, HBox, ZSpider, term_from_json, term_to_json, wires
+from zhdd.terms import (
+    Gen,
+    HBox,
+    KetPlus,
+    XSpider,
+    ZSpider,
+    seq,
+    term_from_json,
+    term_to_json,
+    wires,
+)
 from zhdd.translate import generator_state_sqmdd, sqmdd_read_back, sqmdd_to_zh
 
 
@@ -125,6 +135,15 @@ def test_check_equiv_map_against_its_row_major_vector(write, capsys):
     t = write("t.json", term_to_json(Gen(HBox(1, 1, -1))))
     v = write("v.json", vector_to_json(np.array([1, 1, 1, -1], dtype=complex)))
     assert run(capsys, "check-equiv", t, v)[0] == 0
+
+
+def test_check_equiv_of_a_long_x_spider_chain(write, capsys):
+    """The chain's 1,200 sugar halves must not underflow to the zero
+    state."""
+    t = write("t.json", term_to_json(seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)))
+    v = write("v.json", [[1, 0], [1, 0]])
+    code, out, _ = run(capsys, "check-equiv", t, v)
+    assert (code, out.strip()) == (0, "EQUIVALENT")
 
 
 def test_check_equiv_scalar_modes(write, capsys):

@@ -6,8 +6,14 @@ from hypothesis import given, strategies as st
 from zhdd.config import Settings
 from zhdd.duality import from_state_form, to_state_form
 from zhdd.errors import ShapeError
-from zhdd.generate import random_term
-from zhdd.network import flatten_to_network, instance_state, net_interpret
+from zhdd.generate import random_dag, random_term
+from zhdd.network import (
+    NetInstance,
+    flatten_to_network,
+    instance_state,
+    net_interpret,
+    simplify_network,
+)
 from zhdd.oracle import (
     generator_matrix,
     interpret_zh,
@@ -27,6 +33,7 @@ from zhdd.terms import (
     seq,
     wires,
 )
+from zhdd.translate import sqmdd_to_zh
 
 
 def test_state_form_shape():
@@ -90,6 +97,37 @@ def test_flatten_instances_are_z_or_h():
     t = seq(Gen(ZSpider(0, 2)), Gen(Swap()), par(Gen(HBox(1, 1, -1)), wires(1)))
     net = flatten_to_network(t)
     assert {i.kind for i in net.instances} <= {"z", "h"}
+
+
+def wired_once(net) -> bool:
+    """Each instance leg is the end of exactly one wire or boundary wire."""
+    ends = [p for edge in net.edges for p in edge] + list(net.outputs)
+    legs = [(i, p) for i, inst in enumerate(net.instances) for p in range(inst.arity)]
+    return sorted(ends) == legs
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_flatten_wires_every_leg_once(seed):
+    rng = np.random.default_rng(seed)
+    assert wired_once(flatten_to_network(random_term(rng, max_generators=12, max_boundary=8)))
+    t = sqmdd_to_zh(random_dag(rng, 1 + seed % 4), fan_in=("monoid", "x")[seed % 2])
+    assert wired_once(flatten_to_network(t))
+
+
+def test_caps_and_cups_are_two_legged_z_spiders():
+    """A cap is Z(0, 2) and a cup Z(2, 0); simplification turns them into
+    the spider between two boundary wires, or the scalar 2 for a loop."""
+    z2 = NetInstance("z", 0j, 2)
+    cap = flatten_to_network(Gen(Cap()))
+    assert cap.instances == [z2] and cap.edges == [] and cap.outputs == [(0, 0), (0, 1)]
+    assert simplify_network(cap) == cap
+    cup = flatten_to_network(Gen(Cup()))  # bent: two caps, then the cup
+    assert cup.instances == [z2] * 3 and wired_once(cup)
+    assert simplify_network(cup).instances == [z2]
+    loop = flatten_to_network(seq(Gen(Cap()), Gen(Cup())))
+    assert loop.instances == [z2] * 2 and loop.edges == [((0, 0), (1, 0)), ((0, 1), (1, 1))]
+    small = simplify_network(loop)
+    assert small.instances == [] and small.prefactor() == 2
 
 
 def test_instance_state_is_flat_leg_tensor():

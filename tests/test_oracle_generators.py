@@ -5,6 +5,8 @@ the interpreter existed; everything else in the test suite leans on them.
 Shape convention: a generator with n inputs and m outputs is a
 (2**m, 2**n) matrix, first wire = most significant bit.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -183,7 +185,8 @@ def test_scalar_times_scalar():
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_interpreter_methods_agree(seed):
-    """State-evolution and matrix-product evaluation give the same answer."""
+    """State evolution (on the state form, for a map) and the matrix
+    recursion give the same answer."""
     from zhdd.generate import random_term
 
     rng = np.random.default_rng(seed)
@@ -209,6 +212,26 @@ def test_qubit_cap_counts_inputs_and_outputs():
     with pytest.raises(ResourceLimitError):  # an effect, then a state
         interpret_zh(seq(Gen(ZSpider(3, 0)), Gen(ZSpider(0, 3))), cap4)
     assert interpret_zh(wires(2), cap4).shape == (4, 4)
+
+
+def test_a_map_is_evaluated_within_the_cap():
+    """A map is evaluated on its state form, so no intermediate holds
+    more than 2**max_qubits entries.  Ten wires into a Z effect are
+    refused at a cap of 10 without building the 2**10 x 2**10 identity
+    block (16 MiB) that the matrix route would."""
+    cap = Settings(max_qubits=10)
+    want = np.zeros((1, 32))
+    want[0, 0] = want[0, -1] = 1
+    tracemalloc.start()
+    try:
+        got = interpret_zh(seq(wires(5), Gen(ZSpider(5, 0))), cap)
+        with pytest.raises(ResourceLimitError):
+            interpret_zh(seq(par(*[Gen(Identity())] * 10), Gen(ZSpider(10, 0))), cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max_deviation(got, want) == 0.0
+    assert peak < 2**20
 
 
 def test_identity_bundle_passes_its_wires():

@@ -1,7 +1,7 @@
 """Network simplification before contraction: same tensor, no redex left."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from zhdd.config import Settings
 from zhdd.errors import ResourceLimitError
@@ -17,6 +17,9 @@ from zhdd.oracle import max_deviation
 from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
 CAP = Settings(max_qubits=16)
+# Simplification can widen the plan (the seed pinned below peaks at 11
+# wires raw and 17 simplified), so the simplified side gets more room.
+SMALL_CAP = Settings(max_qubits=20)
 
 
 def redexes(net: Network) -> set[str]:
@@ -55,11 +58,12 @@ def check(net: Network) -> Network:
         want = net_interpret(net, CAP)
     except ResourceLimitError:
         assume(False)
-    assert max_deviation(net_interpret(small, CAP), want) <= 1e-9
+    assert max_deviation(net_interpret(small, SMALL_CAP), want) <= 1e-9
     return small
 
 
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=61564691)
 def test_simplify_keeps_random_term_networks(seed):
     rng = np.random.default_rng(seed)
     check(flatten_to_network(random_term(rng, max_generators=10, max_boundary=6)))
@@ -80,7 +84,7 @@ def test_minus_one_ring_is_the_scalar_four():
     h = ("h", -1 + 0j, 2)
     net = _net([h, h], [((0, 0), (1, 0)), ((0, 1), (1, 1))], [])
     small = check(net)
-    assert small.instances == [] and small.scalar == 4
+    assert small.instances == [] and small.prefactor() == 4
 
 
 def test_a_boundary_wire_stays_a_spider():

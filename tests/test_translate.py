@@ -27,16 +27,19 @@ from zhdd.terms import (
     HBox,
     Identity,
     KetOne,
+    KetPlus,
     MonoidN,
     NotXSpider,
     SeqNode,
     Swap,
+    XSpider,
     ZSpider,
     iter_generators,
     par,
     seq,
     wires,
 )
+import zhdd.translate
 from zhdd.translate import (
     generator_state_sqmdd,
     ket0_propagate,
@@ -219,6 +222,31 @@ def test_stage_assertions_follow_the_plan():
     assert sum(i.arity for i in net.instances) > 200
     back = zh_to_sqmdd(t, settings, assert_stages=True)
     assert iso_equal(back, reduce_diagram(d, settings)[0])
+
+
+def test_stage_assertions_catch_a_drifting_contraction(monkeypatch):
+    """The dense mirror can fail: a closed wire scaled by 1 + 1e-6 is
+    caught at that stage."""
+    t = seq(Gen(ZSpider(0, 3)), par(Gen(HBox(1, 1, -1)), wires(2)))
+    zh_to_sqmdd(t, WIDE, assert_stages=True)
+    close = zhdd.translate.contract_edge
+
+    def drifting(*args):
+        w, c = close(*args)
+        return w * (1 + 1e-6), c
+
+    monkeypatch.setattr(zhdd.translate, "contract_edge", drifting)
+    with pytest.raises(AssertionError, match="drifted"):
+        zh_to_sqmdd(t, WIDE, assert_stages=True)
+
+
+def test_long_x_spider_chain_keeps_its_prefactor():
+    """Each X(1, 1) desugars to a 1/2 and an H pair that simplifies to a
+    wire times 2.  The 1,200 halves would underflow a plain float before
+    the 2s come back; as a power of two they cancel exactly."""
+    t = seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)
+    d = zh_to_sqmdd(t, assert_stages=True)
+    assert max_deviation(interpret_sqmdd(d), [1, 1]) <= 1e-12
 
 
 def test_contraction_runs_on_one_builder(monkeypatch):
