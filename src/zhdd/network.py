@@ -374,36 +374,50 @@ def instance_state(inst: NetInstance) -> np.ndarray:
 
 
 def dense_stages(
-    net: Network, settings: Settings = DEFAULT
-) -> Iterator[tuple[str, np.ndarray]]:
-    """Each state of :func:`contraction_steps`, densely, with a name: after
-    each tensor, after each closed wire, and the result (output order and
-    prefactor applied), a vector over the live legs, first leg = MSB.
+    net: Network,
+    plan: tuple[list[Step], list[int], int],
+    settings: Settings = DEFAULT,
+) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each state of ``plan``, the :func:`contraction_steps` of ``net``,
+    densely, with a name: after each tensor, after each closed wire, and
+    the result (output order and prefactor applied), a vector over the live
+    legs, first leg = MSB.  A state is ``ldexp_vector(ten, shift)`` of the
+    yielded ``(name, ten, shift)``: it is carried as a mantissa times a
+    power of two, like the prefactor, which it meets only at the end.
 
     Raises :class:`ResourceLimitError`, before the first state, when the
     plan's peak live width is above the dense wire cap.
     """
-    steps, perm, peak = contraction_steps(net)
+    steps, perm, peak = plan
     if peak > settings.max_qubits:
         raise ResourceLimitError(
             f"network contraction needs {peak} dense wires (cap is {settings.max_qubits})"
         )
-    ten = np.ones(1, dtype=complex)
+    ten, shift = np.ones(1, dtype=complex), 0
     for idx, closes in steps:
         ten = np.kron(instance_state(net.instances[idx]), ten)
-        yield f"tensor {idx}", ten
+        yield f"tensor {idx}", ten, shift
         for i, j in closes:
             ten = np.diagonal(ten.reshape((2,) * (ten.size.bit_length() - 1)), 0, i, j)
             ten = ten.sum(-1).reshape(-1)
-            yield f"close {i}~{j}", ten
+            k = frexp(np.abs(ten.view(float)).max())[1]
+            ten, shift = ldexp_vector(ten, -k), shift + k
+            yield f"close {i}~{j}", ten, shift
     ten = np.transpose(ten.reshape((2,) * len(perm)), perm).reshape(-1)
-    yield "output permutation", net.prefactor() * ten
+    yield "output permutation", net.scalar * ten, shift + net.exp2
+
+
+def ldexp_vector(v: np.ndarray, k: int) -> np.ndarray:
+    """``v * 2**k``, exact wherever the result is a normal float."""
+    out = np.empty_like(v)
+    out.real, out.imag = np.ldexp(v.real, k), np.ldexp(v.imag, k)
+    return out
 
 
 def net_interpret(net: Network, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense contraction of a network, shape ``(2**n_out,)``: the last of
     :func:`dense_stages`.  The dense cap applies to the plan's peak live
     width."""
-    for _, ten in dense_stages(net, settings):
+    for _, ten, shift in dense_stages(net, contraction_steps(net), settings):
         pass
-    return ten
+    return ldexp_vector(ten, shift)

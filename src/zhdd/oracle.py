@@ -13,16 +13,17 @@ Conventions (fixed throughout the package):
   significant bit**, so ``par(a, b)`` is ``np.kron(A, B)``;
 * ``seq(a, b)`` composes left-to-right: ``B @ A``.
 
-A term has one entry, :func:`interpret_zh`: every term is evaluated as a
-state tensor, one generator at a time, a map after bending its inputs into
-trailing outputs (:func:`~zhdd.duality.to_state_form`), and the state is
-read back as the row-major matrix.  The definitional matrix recursion stays
-as the reference that the test suite cross-checks it against.
+A term has one entry, :func:`interpret_zh`: a term is evaluated as a
+state tensor, one generator at a time, with a trailing batch axis of input
+basis states for a map, cut into chunks so that the term's widest row
+times a chunk fits under the cap.  A map whose widest row alone is above
+the cap takes the definitional matrix recursion instead, which also stays
+as the reference that the test suite cross-checks the state route against.
 
 Dense work is capped at ``settings.max_qubits`` wires, where a term or a
-generator counts its inputs plus its outputs and a state its wires, so no
-intermediate holds more than ``2**max_qubits`` entries; anything larger
-raises :class:`ResourceLimitError` rather than silently thrashing.
+generator counts its inputs plus its outputs, a state its wires plus its
+batch bits, and a block of the matrix recursion its larger side; anything
+larger raises :class:`ResourceLimitError` rather than silently thrashing.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ import numpy as np
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
-from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
 from .sqmdd import TERMINAL, Sqmdd
 from .terms import (
@@ -166,24 +166,24 @@ def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# term interpretation: state-tensor route (inputs-free terms)
+# term interpretation: state-tensor route
 #
 # Keeps the working object a rank-k tensor instead of a 2^k x 2^k matrix,
-# which is what makes wide terms tractable.  The test suite calls both
+# which is what makes wide terms tractable.  The last axis is a batch of
+# input basis states (of size 1 for a state).  The test suite calls both
 # routes directly and cross-checks them.
 
 
-def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -> np.ndarray:
-    if isinstance(t.kind, Identity):
-        return state
+def _apply_to_state(
+    t: Gen, mat: np.ndarray, state: np.ndarray, start: int, settings: Settings
+) -> np.ndarray:
     n, m = t.n_in, t.n_out
-    new_rank = state.ndim - n + m
-    if new_rank > settings.max_qubits:
+    new_bits = state.size.bit_length() - 1 - n + m
+    if new_bits > settings.max_qubits:
         raise ResourceLimitError(
-            f"state grows to {new_rank} wires at {describe(t)} "
+            f"state grows to {new_bits} wires at {describe(t)} "
             f"(cap is {settings.max_qubits})"
         )
-    mat = generator_matrix(t.kind, settings)
     if n == 0 and m == 0:
         return state * mat[0, 0]
     if n == 0:
@@ -201,11 +201,36 @@ def _apply_to_state(t: Gen, state: np.ndarray, start: int, settings: Settings) -
     return np.moveaxis(res, range(res.ndim - m, res.ndim), range(start, start + m))
 
 
+def _rows(t: ZhTerm) -> tuple[list[tuple[Gen, int]], int]:
+    """The placed generators of ``t`` and the most wires live at once."""
+    gens = list(placed(t))
+    width = widest = t.n_in
+    for g, _ in gens:
+        width += g.n_out - g.n_in
+        widest = max(widest, width)
+    return gens, widest
+
+
 def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
-    state = np.ones((), dtype=complex)
-    for g, at in placed(t):
-        state = _apply_to_state(g, state, at, settings)
-    return state.reshape(-1)
+    """``t`` applied to every input basis state, as a ``(2**n_out,
+    2**n_in)`` matrix, in chunks of as many columns as the term's widest
+    row leaves room for under the cap."""
+    gens, widest = _rows(t)
+    steps = [
+        (g, generator_matrix(g.kind, settings), at)
+        for g, at in gens
+        if not isinstance(g.kind, Identity)
+    ]
+    chunk = 2 ** max(0, min(t.n_in, settings.max_qubits - widest))
+    cols = []
+    for first in range(0, 2**t.n_in, chunk):
+        state = np.zeros((2**t.n_in, chunk), dtype=complex)
+        state[np.arange(first, first + chunk), np.arange(chunk)] = 1.0
+        state = state.reshape((2,) * t.n_in + (chunk,))
+        for g, mat, at in steps:
+            state = _apply_to_state(g, mat, state, at, settings)
+        cols.append(state.reshape(2**t.n_out, chunk))
+    return np.concatenate(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +238,17 @@ def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
 
 
 def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
-    """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``: the
-    state-tensor route on the term's state form, read row-major.  The
-    term's inputs plus outputs, and every state on the way, must fit under
-    the dense cap.
+    """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``.
+
+    The state-tensor route, unless the term is a map with a row wider than
+    the dense cap (a bent term passes its bent wires beside every row):
+    that takes the matrix recursion, which caps each block on its larger
+    side.  The term's inputs plus outputs must fit under the cap.
     """
     _check_span(t.n_in + t.n_out, "term", settings)
-    return _interpret_state(to_state_form(t), settings).reshape(2**t.n_out, 2**t.n_in)
+    if t.n_in and _rows(t)[1] > settings.max_qubits:
+        return _interpret_matrix(t, settings)
+    return _interpret_state(t, settings)
 
 
 def interpret_zh_state(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:

@@ -12,8 +12,8 @@ the state never grows past the plan's peak live width.  All of it happens
 in one :class:`~zhdd.sqmdd.Builder`: one unique table for the whole
 contraction, packaged once, so the result is irreducible by construction
 and the rewrite system is never run.  The optional per-stage dense mirror
-is :func:`~zhdd.network.dense_stages`, the same steps on dense vectors,
-capped by the plan's peak width.
+is :func:`~zhdd.network.dense_stages`, the same step list run on dense
+vectors, capped by the plan's peak width.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -54,7 +54,13 @@ import numpy as np
 from .algebra import contract_edge, permute_edge, restrict, tensor_edge
 from .config import DEFAULT, Settings
 from .errors import ShapeError
-from .network import contraction_steps, dense_stages, flatten_to_network, simplify_network
+from .network import (
+    contraction_steps,
+    dense_stages,
+    flatten_to_network,
+    ldexp_vector,
+    simplify_network,
+)
 from .reduction import is_irreducible
 from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
 from .terms import (
@@ -128,11 +134,14 @@ def _generator_edge(bld: Builder, tag: str, legs: int, label: Optional[complex])
 # term -> diagram
 
 
-def _stage_check(bld: Builder, top: Edge, stages: Iterator[tuple[str, np.ndarray]]) -> None:
+def _stage_check(
+    bld: Builder, top: Edge, stages: Iterator[tuple[str, np.ndarray, int]]
+) -> None:
     """Compare the state ``top`` with the next of the dense ``stages``."""
     from .oracle import interpret_sqmdd, max_deviation
 
-    what, want = next(stages)
+    what, ten, shift = next(stages)
+    want = ldexp_vector(ten, shift)
     state = Sqmdd(top[0], want.size.bit_length() - 1, top[1], bld.nodes)
     dev = max_deviation(interpret_sqmdd(state, bld.settings), want)
     if dev > bld.settings.eps:
@@ -148,14 +157,15 @@ def zh_to_sqmdd(
     tensoring an instance in on top rebuilds only its few nodes, and
     closing a wire only the levels above its lower end.  The output
     permutation and the network's prefactor come last.  ``assert_stages``
-    re-checks every state against :func:`~zhdd.network.dense_stages`, and
-    the result for irreducibility; only feasible when the plan's peak live
-    width fits under the dense wire cap (else the first check raises
-    :class:`~zhdd.errors.ResourceLimitError`).
+    re-checks every state against :func:`~zhdd.network.dense_stages` of
+    the same step list, and the result for irreducibility; only feasible
+    when the plan's peak live width fits under the dense wire cap (else the
+    first check raises :class:`~zhdd.errors.ResourceLimitError`).
     """
     net = simplify_network(flatten_to_network(t))
-    steps, perm, _ = contraction_steps(net)
-    stages = dense_stages(net, settings) if assert_stages else None
+    plan = contraction_steps(net)
+    steps, perm, _ = plan
+    stages = dense_stages(net, plan, settings) if assert_stages else None
     bld = Builder(settings)
     state: Edge = (1.0 + 0j, TERMINAL)
     height = 0

@@ -11,7 +11,13 @@ from zhdd.config import Settings
 from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector
-from zhdd.network import NetInstance, Network, contraction_plan, flatten_to_network
+from zhdd.network import (
+    NetInstance,
+    Network,
+    contraction_plan,
+    flatten_to_network,
+    net_interpret,
+)
 from zhdd.oracle import (
     interpret_sqmdd,
     interpret_zh,
@@ -243,10 +249,15 @@ def test_stage_assertions_catch_a_drifting_contraction(monkeypatch):
 def test_long_x_spider_chain_keeps_its_prefactor():
     """Each X(1, 1) desugars to a 1/2 and an H pair that simplifies to a
     wire times 2.  The 1,200 halves would underflow a plain float before
-    the 2s come back; as a power of two they cancel exactly."""
+    the 2s come back; as a power of two they cancel exactly.  The dense
+    contraction of the raw network meets the same 2**-1200 prefactor
+    against a vector that has grown by 2 per H pair."""
     t = seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)
     d = zh_to_sqmdd(t, assert_stages=True)
     assert max_deviation(interpret_sqmdd(d), [1, 1]) <= 1e-12
+    raw = flatten_to_network(t)
+    assert raw.exp2 < -1100
+    assert max_deviation(net_interpret(raw), [1, 1]) <= 1e-12
 
 
 def test_contraction_runs_on_one_builder(monkeypatch):
