@@ -41,8 +41,10 @@ from zhdd.network import flatten_to_network, net_interpret, simplify_network
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
 from zhdd.sqmdd import TERMINAL, Builder
 from zhdd.terms import (
+    Cup,
     Gen,
     GeneratorKind,
+    HBox,
     Identity,
     KetOne,
     KetPlus,
@@ -59,12 +61,25 @@ from zhdd.terms import (
 )
 
 
+def worst_of(*devs: float) -> float:
+    """The largest deviation, NaN when any is: a NaN never reads as ok."""
+    return float(np.max(devs))
+
+
+def verdict(out, eps: float) -> tuple[str, bool]:
+    """The printed verdict of a check's result, and whether it passes: a
+    deviation within ``eps`` (so not NaN) or no mismatches."""
+    if isinstance(out, float):
+        return f"worst deviation {out:.2e}", out <= eps
+    return f"{out} mismatches", out == 0
+
+
 def audit_translation(rng, n, max_h, settings):
     worst = 0.0
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
         got = interpret_zh(sqmdd_to_zh(d), settings).reshape(-1)
-        worst = max(worst, max_deviation(got, interpret_sqmdd(d, settings)))
+        worst = worst_of(worst, max_deviation(got, interpret_sqmdd(d, settings)))
     return worst
 
 
@@ -207,9 +222,28 @@ def audit_contraction(rng, n, max_h, settings):
         d = contracted(t)
         assert is_irreducible(d, settings)
         s = to_state_form(t) if t.n_in else t
-        worst = max(
+        worst = worst_of(
             worst,
             max_deviation(interpret_sqmdd(d, settings), interpret_zh_state(s, settings)),
+        )
+    return worst
+
+
+def audit_contraction_scale(rng, n, max_h, settings):
+    """zh_to_sqmdd on random terms padded with up to 1,500 scalar
+    components that each denote 1: a loop H-box closed by a cup (the
+    scalar 2) beside a compensating 1/2.  The contraction's running
+    scalar grows by 2 per loop while the 1/2s wait in the prefactor; the
+    result must match the dense value of the unpadded term, so a scalar
+    that is not finite reads as an infinite or NaN deviation."""
+    one = par(seq(Gen(HBox(0, 2, 1)), Gen(Cup())), Gen(HBox(0, 0, 0.5)))
+    worst = 0.0
+    for k in range(n):
+        t = random_term(rng, max_generators=10, max_boundary=7)
+        d = zh_to_sqmdd(par(t, *[one] * int(rng.integers(1, 1501))), settings)
+        s = to_state_form(t) if t.n_in else t
+        worst = worst_of(
+            worst, max_deviation(interpret_sqmdd(d, settings), interpret_zh_state(s, settings))
         )
     return worst
 
@@ -230,7 +264,7 @@ def audit_network_simplify(rng, n, max_h, settings):
             want = net_interpret(net, settings)
         except ResourceLimitError:
             continue
-        worst = max(worst, max_deviation(net_interpret(simplify_network(net), settings), want))
+        worst = worst_of(worst, max_deviation(net_interpret(simplify_network(net), settings), want))
     return worst
 
 
@@ -242,18 +276,18 @@ def audit_primitives(rng, n, max_h, settings):
         v = interpret_sqmdd(d, settings)
         i = int(rng.integers(h - 1))
         j = int(rng.integers(i + 1, h))
-        worst = max(worst, max_deviation(
+        worst = worst_of(worst, max_deviation(
             interpret_sqmdd(z_merge_outputs(d, i, j, settings), settings),
             dense_merge_outputs(v, h, i, j),
         ))
         p = int(rng.integers(h))
-        worst = max(worst, max_deviation(
+        worst = worst_of(worst, max_deviation(
             interpret_sqmdd(plug_bra_plus(d, p, settings), settings),
             dense_plug_plus(v, h, p),
         ))
         bld = Builder(settings)
         closed = contract_edge(bld, bld.import_edge(d, (d.scalar, d.root)), h, i, j)
-        worst = max(worst, max_deviation(
+        worst = worst_of(worst, max_deviation(
             interpret_sqmdd(bld.finish(closed, h - 2), settings),
             dense_plug_plus(dense_merge_outputs(v, h, i, j), h - 1, i),
         ))
@@ -375,6 +409,7 @@ def main() -> int:
         ("canonical-agreement", audit_canonical_agreement),
         ("reduction-trace vs full scan", audit_reduction_trace),
         ("term -> diagram, exact scalar", audit_contraction),
+        ("contraction-scale", audit_contraction_scale),
         ("merge/plug/one-pass close vs dense", audit_primitives),
         ("network-simplify", audit_network_simplify),
         ("builder-edge", audit_builder_edge),
@@ -388,14 +423,9 @@ def main() -> int:
         t0 = time.time()
         out = fn(rng, args.trials, args.max_height, settings)
         dt = time.time() - t0
-        if isinstance(out, float):
-            verdict = f"worst deviation {out:.2e}"
-            ok = out <= settings.eps
-        else:
-            verdict = f"{out} mismatches"
-            ok = out == 0
+        text, ok = verdict(out, settings.eps)
         failed += not ok
-        print(f"  {'ok ' if ok else 'FAIL'} {name:34s} {verdict:24s} ({dt:.1f}s)")
+        print(f"  {'ok ' if ok else 'FAIL'} {name:34s} {text:24s} ({dt:.1f}s)")
     print("\ndone")
     return 1 if failed else 0
 

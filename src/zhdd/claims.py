@@ -92,7 +92,8 @@ def verify_claim(
     """Evaluate one claim: its fixed cases once, or its builder ``samples`` times.
 
     An ``expect_fail`` claim passes when at least one case deviates --
-    it exists to prove the runner can see failures.
+    it exists to prove the runner can see failures.  A NaN deviation fails
+    either kind.
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -113,7 +114,7 @@ def verify_claim(
                     raise ShapeError(
                         f"sides disagree on arity: {got.shape} vs {want.shape}"
                     )
-                worst = max(worst, max_deviation(got, want))
+                worst = float(np.maximum(worst, max_deviation(got, want)))  # NaN sticks
                 ran += 1
     except Exception as exc:  # malformed claim or resource blowup
         return ClaimResult(

@@ -2,42 +2,45 @@
 
 A term is a composition tree; what the translation to decision diagrams
 actually needs is the underlying undirected network: which spider/box legs
-are soldered to which.  :func:`flatten_to_network` computes it in one pass
-over :func:`~zhdd.terms.placed`, keeping the instance leg at the upper end
-of each live wire: a generator that consumes a wire closes it with an edge
-to one of its own legs.  A cap is a Z(0, 2) instance and a cup a Z(2, 0)
-instance, as in PyZX (Kissinger & van de Wetering, arXiv:1904.04735), so
-every wire runs from one instance leg to another or to the boundary, and
-closed loops and boundary-to-boundary wires need no case of their own.
-Sugar generators are expanded on the fly, one
-:func:`~zhdd.sugar.core_recipe` at a time.  The prefactor is kept as a
-mantissa and a power of two, so the many 1/2s of desugaring cannot
-underflow it.
+are soldered to which.  A :class:`Network` stores it in one form: each
+instance leg has a global id, and one array ``mate`` maps every leg to the
+leg at its wire's other end, or to ``~k`` for boundary wire ``k``.
+:func:`flatten_to_network` writes it in one pass over
+:func:`~zhdd.terms.placed`, keeping the leg at the upper end of each live
+wire: a generator that consumes a wire mates it with one of its own legs.
+A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, as in PyZX
+(Kissinger & van de Wetering, arXiv:1904.04735), so every wire runs from
+one instance leg to another or to the boundary, and closed loops and
+boundary-to-boundary wires need no case of their own.  Sugar generators
+are expanded on the fly, one :func:`~zhdd.sugar.core_recipe` at a time.
+The prefactor is kept as a mantissa and a power of two (:func:`scaled`),
+so the many 1/2s of desugaring cannot underflow it.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
-exact ZH rules applied to a fixpoint: a one-legged H-box labelled 1 is a
-one-legged Z (``one-label-state``), Z spiders joined by a wire fuse
-(``z-fusion``), a Z self-loop goes (``z-self-loop``; a Z left with no legs
-is the scalar 2, ``closed-copy-scalar``), a two-legged Z is a wire
-(``z-identity``), and two two-legged H-boxes labelled -1 on one wire are a
-wire times 2 (``h-involution``).  This is the spider-fusion step of PyZX's
-``spider_simp``, restricted to rules of the ZH-calculus (Backens &
-Kissinger, arXiv:1805.02175); each rule is a claim of :mod:`zhdd.claims`.
-It turns the Z(2)s of caps and cups into plain wires, the scalar 2 of a
-loop, or the spider between two boundary wires.
+exact ZH rules applied to a fixpoint on a copy of ``mate``: a one-legged
+H-box labelled 1 is a one-legged Z (``one-label-state``), Z spiders joined
+by a wire fuse (``z-fusion``), a Z self-loop goes (``z-self-loop``; a Z
+left with no legs is the scalar 2, ``closed-copy-scalar``), a two-legged Z
+is a wire (``z-identity``), and two two-legged H-boxes labelled -1 on one
+wire are a wire times 2 (``h-involution``).  This is the spider-fusion
+step of PyZX's ``spider_simp``, restricted to rules of the ZH-calculus
+(Backens & Kissinger, arXiv:1805.02175); each rule is a claim of
+:mod:`zhdd.claims`.  It turns the Z(2)s of caps and cups into plain wires,
+the scalar 2 of a loop, or the spider between two boundary wires.
 
-:func:`contraction_plan` orders a network's instances for contraction:
-greedy minimum frontier, after Gray & Kourtis, *Hyper-optimized tensor
-network contraction* (arXiv:2002.01935).  Each step takes, among the
-instances wired to what is already placed, the one that leaves the fewest
-open legs.  :func:`contraction_steps` turns the plan into steps on a list
-of live legs: the instance tensored in on top, then the live positions of
-each wire that closes, and at the end the output permutation.  Both
-contraction engines run these steps: :func:`zhdd.translate.zh_to_sqmdd` on
-decision diagrams, and :func:`dense_stages` on dense vectors, which is
-the mirror of ``assert_stages`` and, through :func:`net_interpret`, a dense
-interpreter whose cap bounds the plan's peak width rather than the
-network's total leg count.
+:func:`contraction_steps` orders a network's instances and turns the
+order into steps on a list of live legs, in one pass: greedy minimum
+frontier, after Gray & Kourtis, *Hyper-optimized tensor network
+contraction* (arXiv:2002.01935).  Each step takes, among the instances
+wired to what is already placed, the one that leaves the fewest open legs,
+tensors it in on top, and closes its wires to live legs in its leg order;
+the output permutation is read off ``~mate`` of the legs left at the end.
+Both contraction engines run these steps:
+:func:`zhdd.translate.zh_to_sqmdd` on decision diagrams, and
+:func:`dense_stages` on dense vectors, which is the mirror of
+``assert_stages`` and, through :func:`net_interpret`, a dense interpreter
+whose cap bounds the steps' peak width rather than the network's total leg
+count.
 
 Both Z-spiders and H-boxes are fully symmetric tensors, so a network
 instance needs only a kind, a label, and an arity; leg order is
@@ -45,7 +48,7 @@ bookkeeping, not semantics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import frexp, ldexp
@@ -59,8 +62,6 @@ from .errors import ResourceLimitError, ShapeError
 from .sugar import CORE_KINDS, core_recipe
 from .terms import Gen, GeneratorKind, HBox, Identity, Swap, ZhTerm, placed
 
-Port = tuple[int, int]  # (instance index, leg index)
-
 
 @dataclass(frozen=True)
 class NetInstance:
@@ -71,28 +72,33 @@ class NetInstance:
 
 @dataclass
 class Network:
-    """Instances, the wires between their legs, and the leg at each
-    boundary wire.  The prefactor is ``scalar * 2**exp2``: desugaring piles
-    up a 1/2 per X spider or AND, and only simplification multiplies the
-    matching 2s back in, so a plain float would underflow on long chains."""
+    """Instances and the wires between their legs.  Instance ``i`` owns the
+    leg ids ``legs[i]``, in leg order; ``mate[x]`` is the leg at the other
+    end of leg ``x``'s wire, or ``~k`` when it is boundary wire ``k`` (an
+    id that no instance owns any more is never read).  The prefactor is
+    ``scalar * 2**exp2``: desugaring piles up a 1/2 per X spider or AND,
+    and only simplification multiplies the matching 2s back in, so a plain
+    float would underflow on long chains."""
 
-    scalar: complex
     instances: list[NetInstance]
-    edges: list[tuple[Port, Port]]
-    outputs: list[Port]
+    legs: list[tuple[int, ...]]
+    mate: list[int]
+    n_out: int
+    scalar: complex = 1.0 + 0j
     exp2: int = 0
-    n_out: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.n_out = len(self.outputs)
-
-    def prefactor(self, times: complex = 1.0) -> complex:
-        """``times`` times the prefactor, scaled by its power of two last."""
-        return _ldexp(times * self.scalar, self.exp2)
 
 
-def _ldexp(z: complex, k: int) -> complex:
+def ldexp_complex(z: complex, k: int) -> complex:
+    """``z * 2**k``, exact wherever the result is a normal float."""
     return complex(ldexp(z.real, k), ldexp(z.imag, k))
+
+
+def scaled(m: complex, exp2: int, w: complex) -> tuple[complex, int]:
+    """``w`` times ``m * 2**exp2``, as a mantissa whose larger part is below
+    1 in modulus and at least 1/2 (0 for zero), and a power of two."""
+    m *= w
+    k = frexp(max(abs(m.real), abs(m.imag)))[1]
+    return ldexp_complex(m, -k), exp2 + k
 
 
 def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
@@ -123,12 +129,14 @@ def flatten_to_network(t: ZhTerm) -> Network:
     generator is expanded in place, by walking its core recipe at its
     offset.  A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, so
     every wire runs from one instance leg to another or to the boundary; a
-    nullary Z or H contributes its scalar directly.
+    nullary Z or H contributes its scalar directly.  Leg ids are handed
+    out in instance order, each instance's in leg order.
     """
     instances: list[NetInstance] = []
-    edges: list[tuple[Port, Port]] = []
+    legs: list[tuple[int, ...]] = []
+    mate: list[int] = []
     scalar, exp2 = 1.0 + 0j, 0
-    live: list[Port] = []  # the upper end of each wire, left to right
+    live: list[int] = []  # the leg at the upper end of each wire, left to right
     for g, at in _core_placed(to_state_form(t)):
         kind, n, m = g.kind, g.n_in, g.n_out
         if isinstance(kind, Identity):
@@ -136,26 +144,29 @@ def flatten_to_network(t: ZhTerm) -> Network:
         if isinstance(kind, Swap):
             live[at], live[at + 1] = live[at + 1], live[at]
         elif n + m == 0 and isinstance(kind, HBox):
-            scalar *= complex(kind.label)
-            k = frexp(max(abs(scalar.real), abs(scalar.imag)))[1]
-            scalar, exp2 = _ldexp(scalar, -k), exp2 + k
+            scalar, exp2 = scaled(scalar, exp2, complex(kind.label))
         elif n + m == 0:  # the Z scalar 2
             exp2 += 1
         else:  # a Z spider, H-box, cap or cup
-            idx = len(instances)
             if isinstance(kind, HBox):
                 instances.append(NetInstance("h", complex(kind.label), n + m))
             else:
                 instances.append(NetInstance("z", 0j, n + m))
-            edges += zip(live[at : at + n], [(idx, p) for p in range(n)])
-            live[at : at + n] = [(idx, p) for p in range(n, n + m)]
-    return Network(scalar, instances, edges, live, exp2)
+            x, ins = len(mate), live[at : at + n]
+            legs.append(tuple(range(x, x + n + m)))
+            mate += ins + [0] * m  # an output leg is mated once its wire ends
+            for p, y in enumerate(ins, x):
+                mate[y] = p
+            live[at : at + n] = range(x + n, x + n + m)
+    for k, y in enumerate(live):
+        mate[y] = ~k
+    return Network(instances, legs, mate, len(live), scalar, exp2)
 
 
 def simplify_network(net: Network) -> Network:
     """An equal network with the patterns of five exact rules removed.
 
-    One worklist pass reaches the fixpoint of:
+    One worklist pass over a copy of ``net.mate`` reaches the fixpoint of:
 
     - ``one-label-state``: a one-legged H-box labelled exactly 1 becomes a
       one-legged Z;
@@ -171,27 +182,15 @@ def simplify_network(net: Network) -> Network:
 
     Labels are compared exactly, not on the weight grid.  Every scalar
     these rules leave is a power of two, added to ``exp2``.  Survivors keep
-    their relative order; a fused spider takes the place of the first one
-    the pass visits.
+    their relative order and leg ids; a fused spider takes the place of the
+    first one the pass visits.  ``net`` is left as it was.
     """
     n = len(net.instances)
     kind = [inst.kind for inst in net.instances]
     label = [inst.label for inst in net.instances]
-    # Every leg gets an id; mate[x] is the leg at x's wire's other end, or
-    # ~k for boundary wire k.  legs[i] is None once instance i is gone.
-    legs: list[list[int] | None] = []
-    owner: list[int] = []
-    first: list[int] = []
-    for i, inst in enumerate(net.instances):
-        first.append(len(owner))
-        legs.append(list(range(len(owner), len(owner) + inst.arity)))
-        owner += [i] * inst.arity
-    mate = [0] * len(owner)
-    for (a, p), (b, q) in net.edges:
-        x, y = first[a] + p, first[b] + q
-        mate[x], mate[y] = y, x
-    for k, (a, p) in enumerate(net.outputs):
-        mate[first[a] + p] = ~k
+    legs: list[list[int] | None] = [list(ls) for ls in net.legs]  # None once gone
+    owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
+    mate = list(net.mate)
     exp2 = net.exp2
 
     todo = list(range(n - 1, -1, -1))  # a stack: instance 0 comes first
@@ -264,49 +263,44 @@ def simplify_network(net: Network) -> Network:
             join(mate[mine[0]], mate[mine[1]])
             legs[i] = None
 
-    instances: list[NetInstance] = []
-    port: dict[int, Port] = {}
-    for i in range(n):
-        if legs[i] is not None:
-            for p, x in enumerate(legs[i]):
-                port[x] = (len(instances), p)
-            instances.append(NetInstance(kind[i], label[i], len(legs[i])))
-    edges: list[tuple[Port, Port]] = []
-    outputs: list[Port] = [(0, 0)] * len(net.outputs)
-    for x, p in port.items():
-        y = mate[x]
-        if y < 0:
-            outputs[~y] = p
-        elif x < y:
-            edges.append((p, port[y]))
-    return Network(net.scalar, instances, edges, outputs, exp2)
+    keep = [i for i in range(n) if legs[i] is not None]
+    instances = [NetInstance(kind[i], label[i], len(legs[i])) for i in keep]
+    return Network(instances, [tuple(legs[i]) for i in keep], mate, net.n_out, net.scalar, exp2)
 
 
-def contraction_plan(net: Network) -> tuple[list[int], int]:
-    """Instance order for contracting ``net``, and its peak live width.
+Step = tuple[int, list[tuple[int, int]]]
 
-    Starts at instance 0.  Each next instance is, among those wired to an
-    already placed one, the one that leaves the fewest live legs once the
-    wires to placed instances (and its self-loops) are closed:
-    ``arity - 2 * closed``, ties to the lowest index.  With nothing wired
-    to the placed part, the lowest unplaced index starts the next
-    component.  The peak is the widest state the order builds: the live
-    legs before an instance plus its arity.
+
+def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
+    """The contraction of ``net`` as steps on a list of live legs.
+
+    The order starts at instance 0.  Each next instance is, among those
+    wired to an already placed one, the one that leaves the fewest live
+    legs once the wires to placed instances (and its self-loops) are
+    closed: ``arity - 2 * closed``, ties to the lowest index.  With nothing
+    wired to the placed part, the lowest unplaced index starts the next
+    component.
+
+    Each step tensors its instance in on top (its legs go first, in leg
+    order), then closes each wire from one of its legs to a live leg, in
+    its leg order: a closing wire is given by the live positions
+    ``(i, j)``, ``i < j``, of its ends just before it closes, and both
+    leave the list.  Also returns the output permutation (boundary wire
+    ``k`` is the live leg ``perm[k]``) and the peak live width: the live
+    legs before an instance plus its arity, at the widest step.
     """
-    n = len(net.instances)
-    score = [inst.arity for inst in net.instances]
-    nbrs: list[list[int]] = [[] for _ in range(n)]  # one entry per edge end
-    for (a, _), (b, _) in net.edges:
-        if a == b:
-            score[a] -= 2
-        else:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
+    mate, n = net.mate, len(net.instances)
+    owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
+    score = [  # an instance's live legs once placed; a self-loop closes two
+        len(mine) - sum(mate[x] >= 0 and owner[mate[x]] == i for x in mine)
+        for i, mine in enumerate(net.legs)
+    ]
     placed = [False] * n
     heap: list[tuple[int, int]] = []  # (score, index), lazily pruned
-    order: list[int] = []
-    live = peak = lowest = 0
-    while len(order) < n:
+    live: list[int] = []
+    steps: list[Step] = []
+    peak = lowest = 0
+    while len(steps) < n:
         while heap and (placed[heap[0][1]] or heap[0][0] != score[heap[0][1]]):
             heappop(heap)
         if heap:
@@ -316,46 +310,24 @@ def contraction_plan(net: Network) -> tuple[list[int], int]:
                 lowest += 1
             k = lowest
         placed[k] = True
-        order.append(k)
-        peak = max(peak, live + net.instances[k].arity)
-        live += score[k]
-        for m in nbrs[k]:
+        peak = max(peak, len(live) + len(net.legs[k]))
+        live[:0] = net.legs[k]
+        at = []
+        for x in net.legs[k]:
+            y = mate[x]
+            if y < 0:
+                continue
+            m = owner[y]
             if not placed[m]:
                 score[m] -= 2
                 heappush(heap, (score[m], m))
-    return order, peak
-
-
-Step = tuple[int, list[tuple[int, int]]]
-
-
-def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
-    """The contraction of ``net`` as steps on a list of live legs.
-
-    Each step tensors one instance of :func:`contraction_plan` in on top
-    (its legs go first, in leg order), then closes every wire whose two
-    ends are now live, in ``net.edges`` order: a closing wire is given by
-    the live positions ``(i, j)``, ``i < j``, of its ends just before it
-    closes, and both leave the list.  Also returns the output permutation
-    (boundary wire ``k`` is the live leg ``perm[k]``) and the plan's peak
-    live width.
-    """
-    order, peak = contraction_plan(net)
-    step = {idx: k for k, idx in enumerate(order)}
-    closes: list[list[tuple[Port, Port]]] = [[] for _ in order]
-    for a, b in net.edges:
-        closes[max(step[a[0]], step[b[0]])].append((a, b))
-    live: list[Port] = []
-    steps: list[Step] = []
-    for idx, wires in zip(order, closes):
-        live[:0] = [(idx, p) for p in range(net.instances[idx].arity)]
-        at = []
-        for a, b in wires:
-            i, j = sorted((live.index(a), live.index(b)))
-            at.append((i, j))
-            del live[j], live[i]
-        steps.append((idx, at))
-    return steps, [live.index(p) for p in net.outputs], peak
+            elif m != k or x < y:  # a self-loop closes once, at its lower leg id
+                i, j = sorted((live.index(x), live.index(y)))
+                at.append((i, j))
+                del live[j], live[i]
+        steps.append((k, at))
+    perm = sorted(range(len(live)), key=lambda p: ~mate[live[p]])  # by boundary wire
+    return steps, perm, peak
 
 
 def instance_state(inst: NetInstance) -> np.ndarray:

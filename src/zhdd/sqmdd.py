@@ -23,13 +23,13 @@ complex double precision.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from typing import Any
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
-from .errors import ShapeError
+from .errors import ResourceLimitError, ShapeError
 
 TERMINAL = 0
 
@@ -116,10 +116,7 @@ def validate(d: Sqmdd) -> list[str]:
     problems: list[str] = []
     if d.height < 0:
         problems.append(f"height must be non-negative, got {d.height}")
-    if not all(
-        math.isfinite(x)
-        for x in (d.scalar.real, d.scalar.imag)
-    ):
+    if not cmath.isfinite(d.scalar):
         problems.append("overall scalar must be finite")
     if d.root != TERMINAL and d.root not in d.nodes:
         problems.append(f"root {d.root} is not in the node table")
@@ -137,7 +134,7 @@ def validate(d: Sqmdd) -> list[str]:
         if n.height < 1:
             problems.append(f"node {i}: height must be >= 1, got {n.height}")
         for w, c in (n.edge(0), n.edge(1)):
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            if not cmath.isfinite(w):
                 problems.append(f"node {i}: non-finite weight")
             if c != TERMINAL:
                 child = d.nodes.get(c)
@@ -220,14 +217,15 @@ def right_cofactor(d: Sqmdd) -> Sqmdd:
 
 
 def structurally_same(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> bool:
-    """Graph isomorphism with weights compared within eps.
+    """Graph isomorphism with weights compared within eps (a NaN weight
+    matches nothing).
 
     Makes no canonicity assumption — use :func:`iso_equal` for the
     Theorem-backed comparison of reduced diagrams.
     """
     if a.height != b.height:
         return False
-    if abs(a.scalar - b.scalar) > settings.eps:
+    if not abs(a.scalar - b.scalar) <= settings.eps:
         return False
     pair_ab: dict[int, int] = {}
     pair_ba: dict[int, int] = {}
@@ -245,7 +243,7 @@ def structurally_same(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> bool:
         na, nb = a.nodes.get(x), b.nodes.get(y)
         if na is None or nb is None or na.height != nb.height:
             return False
-        if abs(na.w0 - nb.w0) > settings.eps or abs(na.w1 - nb.w1) > settings.eps:
+        if not (abs(na.w0 - nb.w0) <= settings.eps and abs(na.w1 - nb.w1) <= settings.eps):
             return False
         pair_ab[x] = y
         pair_ba[y] = x
@@ -509,8 +507,11 @@ class Builder:
         return (w * lam, c2)
 
     def finish(self, top: Edge, height: int) -> Sqmdd:
-        """Package a top edge as a diagram, pruning builder garbage."""
+        """Package a top edge as a diagram, pruning builder garbage.  A top
+        weight that is not finite raises :class:`ResourceLimitError`."""
         lam, root = top
+        if not cmath.isfinite(lam):
+            raise ResourceLimitError(f"the top weight {lam} is beyond the float range")
         if root == TERMINAL and lam == 0j:
             return zero_form(height)
         if root != TERMINAL and is_zero_weight(lam, self.settings):

@@ -46,6 +46,7 @@ the most significant bit of the index.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Iterator, Sequence, TypeVar, Union
 
@@ -493,20 +494,31 @@ def _gen_to_json(kind: GeneratorKind) -> dict[str, Any]:
 
 
 def _joiner(name: str) -> Callable[[dict, dict], dict]:
+    """Join two written parts; a ``name`` part on either side gives up its
+    children, kept in a deque (an O(1) prepend) until :func:`_written`."""
+
     def join(a: dict, b: dict) -> dict:
-        if a["kind"] == name:  # a left-folded chain: one node, all children
-            a["children"].append(b)
-            return a
-        return {"kind": name, "params": {}, "children": [a, b]}
+        if a["kind"] != name and b["kind"] == name:
+            b["children"].appendleft(_written(a))
+            return b
+        if a["kind"] != name:
+            a = {"kind": name, "params": {}, "children": deque([_written(a)])}
+        a["children"] += b["children"] if b["kind"] == name else [_written(b)]
+        return a
 
     return join
 
 
+def _written(node: dict) -> dict:
+    node["children"] = list(node["children"])
+    return node
+
+
 def term_to_json(t: ZhTerm) -> dict[str, Any]:
-    """JSON form of a term; a left-folded ``seq``/``par`` chain is written as
-    one node with all of its children, which :func:`term_from_json` folds
-    back to the same tree."""
-    return fold(t, _gen_to_json, _joiner("seq"), _joiner("par"))
+    """JSON form of a term; a ``seq``/``par`` chain nested to either side is
+    written as one node with all of its children, which
+    :func:`term_from_json` reads back as the left fold."""
+    return _written(fold(t, _gen_to_json, _joiner("seq"), _joiner("par")))
 
 
 def _require_int(params: dict[str, Any], key: str, kind: str) -> int:
@@ -519,8 +531,10 @@ def _require_int(params: dict[str, Any], key: str, kind: str) -> int:
 def term_from_json(obj: Any) -> ZhTerm:
     """Parse a term from its JSON form, validating structure as it goes.
 
-    ``seq``/``par`` accept two or more children (folded left), which is
-    friendlier for hand-written files than strict binary nesting.  A node
+    ``seq``/``par`` accept two or more children, folded left (a term
+    written from a right-nested chain comes back as the left fold, with
+    the same generators in the same places), which is friendlier for
+    hand-written files than strict binary nesting.  A node
     has no keys but ``kind``, ``params`` and ``children`` (the ones
     :func:`term_to_json` writes); a ``seq``/``par`` node has no params and
     a generator no children.

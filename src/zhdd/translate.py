@@ -1,19 +1,20 @@
 """Translation between terms and diagrams, in both directions.
 
 Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
-the term is flattened to its wiring network, the network is shrunk by the
-exact rules of :func:`~zhdd.network.simplify_network`, and every remaining
-spider/box becomes a small closed-form diagram.  These are tensored in one
-at a time, on top of the state, by the steps of
-:func:`~zhdd.network.contraction_steps`, and each wire is contracted (a Z
-merge and a <+| plug, fused into one level-walker pass of
-:func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live, so
-the state never grows past the plan's peak live width.  All of it happens
+the term is flattened to its wiring network, shrunk by the exact rules of
+:func:`~zhdd.network.simplify_network`, and contracted by the steps of
+:func:`~zhdd.network.contraction_steps` on a state kept as a root of unit
+weight.  Each remaining spider/box is built as a small closed-form diagram
+directly on top of it, and each wire is closed (a Z merge and a <+| plug,
+fused into one level-walker pass of :func:`~zhdd.algebra.contract_edge`)
+as soon as both its ends are live, so the state never grows past the
+steps' peak live width.  Each step's top weight joins one scalar, a
+mantissa times a power of two that meets the network's prefactor at the
+end, so no builder weight depends on the state's scale.  All of it happens
 in one :class:`~zhdd.sqmdd.Builder`: one unique table for the whole
 contraction, packaged once, so the result is irreducible by construction
 and the rewrite system is never run.  The optional per-stage dense mirror
-is :func:`~zhdd.network.dense_stages`, the same step list run on dense
-vectors, capped by the plan's peak width.
+is :func:`~zhdd.network.dense_stages`, the same step list on dense vectors.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -47,20 +48,20 @@ its weight grid; ``max_qubits`` caps only the dense mirror of
 from __future__ import annotations
 
 from itertools import count
-from typing import Iterator, Optional
+from typing import Optional
 
-import numpy as np
-
-from .algebra import contract_edge, permute_edge, restrict, tensor_edge
+from .algebra import contract_edge, permute_edge, restrict
 from .config import DEFAULT, Settings
 from .errors import ShapeError
 from .network import (
     contraction_steps,
     dense_stages,
     flatten_to_network,
-    ldexp_vector,
+    ldexp_complex,
+    scaled,
     simplify_network,
 )
+from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
 from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
 from .terms import (
@@ -108,25 +109,31 @@ def generator_state_sqmdd(
     return bld.finish(_generator_edge(bld, tag, legs, label), legs)
 
 
-def _generator_edge(bld: Builder, tag: str, legs: int, label: Optional[complex]) -> Edge:
+def _generator_edge(
+    bld: Builder,
+    tag: str,
+    legs: int,
+    label: Optional[complex],
+    below: int = TERMINAL,
+    base: int = 0,
+) -> Edge:
     """Top edge of the Z state ("z") or H-box state ("h") on ``legs`` legs,
-    built in ``bld``."""
+    built in ``bld`` on top of the state ``(1, below)`` of height ``base``:
+    their tensor product, the generator's legs first."""
+    unit = (1.0 + 0j, below)
     if tag == "z":
         if legs == 0:
-            return (2.0 + 0j, TERMINAL)
-        lo = hi = (1.0 + 0j, TERMINAL)  # the |0...0> and |1...1> corners
-        for h in range(1, legs):
+            return (2.0 + 0j, below)
+        lo = hi = unit  # the |0...0> and |1...1> corners
+        for h in range(base + 1, base + legs):
             lo = bld.edge(h, lo, (0j, TERMINAL))
-        for h in range(1, legs):
+        for h in range(base + 1, base + legs):
             hi = bld.edge(h, (0j, TERMINAL), hi)
-        return bld.edge(legs, lo, hi)
+        return bld.edge(base + legs, lo, hi)
 
-    r = complex(label) if label is not None else -1.0 + 0j
-    if legs == 0:
-        return (r, TERMINAL)
-    ones_but_last = bld.edge(1, (1.0 + 0j, TERMINAL), (r, TERMINAL))
-    for h in range(2, legs + 1):
-        ones_but_last = bld.edge(h, (1.0 + 0j, TERMINAL), ones_but_last)
+    ones_but_last = (complex(label) if label is not None else -1.0 + 0j, below)
+    for h in range(base + 1, base + legs + 1):
+        ones_but_last = bld.edge(h, unit, ones_but_last)
     return ones_but_last
 
 
@@ -134,63 +141,53 @@ def _generator_edge(bld: Builder, tag: str, legs: int, label: Optional[complex])
 # term -> diagram
 
 
-def _stage_check(
-    bld: Builder, top: Edge, stages: Iterator[tuple[str, np.ndarray, int]]
-) -> None:
-    """Compare the state ``top`` with the next of the dense ``stages``."""
-    from .oracle import interpret_sqmdd, max_deviation
-
-    what, ten, shift = next(stages)
-    want = ldexp_vector(ten, shift)
-    state = Sqmdd(top[0], want.size.bit_length() - 1, top[1], bld.nodes)
-    dev = max_deviation(interpret_sqmdd(state, bld.settings), want)
-    if dev > bld.settings.eps:
-        raise AssertionError(f"contraction stage '{what}' drifted by {dev:.3e}")
-
-
 def zh_to_sqmdd(
     t: ZhTerm, settings: Settings = DEFAULT, assert_stages: bool = False
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
-    Runs :func:`~zhdd.network.contraction_steps` in one :class:`Builder`:
-    tensoring an instance in on top rebuilds only its few nodes, and
-    closing a wire only the levels above its lower end.  The output
-    permutation and the network's prefactor come last.  ``assert_stages``
-    re-checks every state against :func:`~zhdd.network.dense_stages` of
-    the same step list, and the result for irreducibility; only feasible
-    when the plan's peak live width fits under the dense wire cap (else the
-    first check raises :class:`~zhdd.errors.ResourceLimitError`).
+    Runs :func:`~zhdd.network.contraction_steps` in one :class:`Builder`
+    on a state kept as a root of unit weight: each instance is built on top
+    of it, and closing a wire rebuilds only the levels above its lower end.
+    Each step's top weight joins one scalar, a mantissa times a power of
+    two (:func:`~zhdd.network.scaled`), so no builder weight depends on the
+    state's scale; the output permutation and the network's prefactor come
+    last.  ``assert_stages`` re-checks every state against
+    :func:`~zhdd.network.dense_stages` of the same step list, and the
+    result for irreducibility; only feasible when the steps' peak live
+    width fits under the dense wire cap (else the first check raises
+    :class:`~zhdd.errors.ResourceLimitError`).
     """
     net = simplify_network(flatten_to_network(t))
-    plan = contraction_steps(net)
-    steps, perm, _ = plan
+    steps, perm, _ = plan = contraction_steps(net)
     stages = dense_stages(net, plan, settings) if assert_stages else None
     bld = Builder(settings)
-    state: Edge = (1.0 + 0j, TERMINAL)
-    height = 0
+    scalar, root, height = (1.0 + 0j, 0), TERMINAL, 0
+
+    def take(e: Edge, exp2: int = 0) -> int:
+        """Fold ``e``'s weight times ``2**exp2`` into the scalar; ``e``'s
+        root is the new state, compared with the next dense stage in the
+        dense mantissa's scale when asked (a NaN deviation fails)."""
+        nonlocal scalar
+        scalar = scaled(scalar[0], scalar[1] + exp2, e[0])
+        if assert_stages:
+            what, ten, shift = next(stages)
+            m = ldexp_complex(scalar[0], scalar[1] - shift)
+            got = interpret_sqmdd(Sqmdd(m, ten.size.bit_length() - 1, e[1], bld.nodes), settings)
+            dev = max_deviation(got, ten)
+            if not dev <= settings.eps:
+                raise AssertionError(f"contraction stage '{what}' drifted by {dev:.3e}")
+        return e[1]
+
     for idx, closes in steps:
         inst = net.instances[idx]
-        g = _generator_edge(bld, inst.kind, inst.arity, inst.label)
-        state = tensor_edge(bld, g, state, height)
+        root = take(_generator_edge(bld, inst.kind, inst.arity, inst.label, root, height))
         height += inst.arity
-        if assert_stages:
-            _stage_check(bld, state, stages)
         for i, j in closes:
-            state = contract_edge(bld, state, height, i, j)
+            root = take(contract_edge(bld, (1.0 + 0j, root), height, i, j))
             height -= 2
-            if assert_stages:
-                _stage_check(bld, state, stages)
-
-    # The prefactor goes in last: desugaring piles every 1/2 normalizer into
-    # it, with the matching 2s only showing up as <+| plugs along the way;
-    # folding it in up front would leave the intermediate states with a
-    # minuscule scalar that the weight grid would round to an honest zero.
-    lam, root = permute_edge(bld, state, height, perm)
-    state = (net.prefactor(lam), root)
-    if assert_stages:
-        _stage_check(bld, state, stages)
-    out = bld.finish(state, height)
+    root = take(permute_edge(bld, (net.scalar, root), height, perm), net.exp2)
+    out = bld.finish((ldexp_complex(*scalar), root), height)
     if assert_stages and not is_irreducible(out, settings):
         raise AssertionError("contracted diagram is not irreducible")
     return out

