@@ -144,16 +144,28 @@ def audit_emit_layout(rng, n, max_h, settings):
     return faults
 
 
+def zero_cell_vector(rng, height, eps):
+    """Gaussian (off-palette) entries, one of them inside the grid's zero
+    cell: both parts below eps/2."""
+    v = rng.standard_normal(2**height) + 1j * rng.standard_normal(2**height)
+    v[rng.integers(v.size)] = complex(*rng.uniform(-eps / 2, eps / 2, 2))
+    return v
+
+
 def audit_canonicity(rng, n, max_h, settings):
+    """Two scrambles of a vector's naive tree reduce to its canonical form;
+    so does the naive tree of a vector with one zero-cell entry, where r1
+    must snap the entry as the Builder does."""
     failures = 0
     for k in range(n):
-        v = random_vector(rng, 1 + k % max_h)
+        h = 1 + k % max_h
+        v = random_vector(rng, h)
         tree = tree_from_vector(v)
-        a = reduce_diagram(scramble(tree, rng), settings)[0]
-        b = reduce_diagram(scramble(tree, rng), settings)[0]
-        want = canonical_from_vector(v, settings)
-        if not (iso_equal(a, want, settings) and iso_equal(b, want, settings)):
-            failures += 1
+        got = [reduce_diagram(scramble(tree, rng), settings)[0] for _ in range(2)]
+        z = zero_cell_vector(rng, h, settings.eps)
+        got.append(reduce_diagram(tree_from_vector(z), settings)[0])
+        wants = [canonical_from_vector(x, settings) for x in (v, v, z)]
+        failures += not all(iso_equal(a, b, settings) for a, b in zip(got, wants))
     return failures
 
 

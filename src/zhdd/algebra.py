@@ -3,31 +3,32 @@
 The operations are edge-level routines ``(bld, edge, ...) -> edge``.  They
 read their input nodes from a :class:`Builder`'s table and write their
 results into the same table, so a chain of them (the contraction in
-:func:`zhdd.translate.zh_to_sqmdd`) shares one unique table and is
-packaged once, by :meth:`Builder.finish`.  Each public operation on
-diagrams is a thin wrapper around one routine: a fresh builder, an
-``import_edge`` of its input(s), the routine, one ``finish``;
+:func:`zhdd.translate.zh_to_sqmdd`) shares the builder's unique table and
+sum table, and is packaged once, by :meth:`Builder.finish`.  Each public
+operation on diagrams is a thin wrapper around one routine: a fresh
+builder, an ``import_edge`` of its input(s), the routine, one ``finish``;
 :func:`canonical` is the wrapper with no routine.  The import makes every
 output reduced by construction (given sanely-scaled weights — see the grid
 caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to be reduced;
 the operations only rely on validity.
 
-The wire operations share one level-walker (:func:`_walker`).  It visits
-each node above a target height once, bottom-up in ascending height, and
-rebuilds it ``drop`` levels lower: 2 when a wire is closed, 1 when the
-target wire disappears, 0 when it stays, and minus the lower factor's
-height when a tensor lifts the upper factor over it.  An edge that arrives
-at or crosses the target is cut there: the two cofactors of its child at
-the target height go to the operation's ``act(e0, e1)``, and the walker
-scales the returned edge by the edge weight.  The operations are linear in
-edge weights, so ``act`` runs once per child and the cost is proportional
-to the diagram, not to 2**H.  Closing a wire (:func:`contract_edge`) is a
+The wire operations share one level-walker, :func:`zhdd.sqmdd.walker`,
+which the builder's own import also runs.  It visits each node above a
+target height once, bottom-up in ascending height, and rebuilds it
+``drop`` levels lower: 2 when a wire is closed, 1 when the target wire
+disappears, 0 when it stays, and minus the lower factor's height when a
+tensor lifts the upper factor over it.  An edge that arrives at or crosses
+the target is cut there: the two cofactors of its child at the target
+height go to the operation's ``act(e0, e1)``, and the walker scales the
+returned edge by the edge weight.  The operations are linear in edge
+weights, so ``act`` runs once per child and the cost is proportional to
+the diagram, not to 2**H.  Closing a wire (:func:`contract_edge`) is a
 single pass: its ``act`` restricts the lower wire to agree with the upper
 one and sums the two branches, a Z merge and a <+| plug in one.  A wire
 permutation (:func:`permute_edge`) is one adjacent-level swap per entry of
 the package's one swap schedule, :func:`zhdd.terms.swap_schedule`.
 
-The sum (:func:`_adder`) walks an edge pair with an explicit stack.  It
+The sum (:func:`add_edge`) walks an edge pair with an explicit stack.  It
 stops where both edges reach the same node (the terminal included): the
 sum of ``(wa, c)`` and ``(wb, c)`` is ``(wa + wb, c)``, as in QMDD
 packages, so a sum never walks the sub-diagram below a shared child.
@@ -35,8 +36,14 @@ Closing a wire from the top relies on this: its two branches share
 everything below the wire's lower end.  Both engines read a node's height
 off the node, so levels that an edge skips are jumped over, never stepped
 through, and neither recurses: height is bounded by memory, not by the
-interpreter's recursion limit.  The sum's computed table is keyed on the
-raw edge weights, not on their grid cells: two sums whose weights differ
+interpreter's recursion limit.
+
+The sum's computed table is the builder's (``Builder.sums``) and lives as
+long as the builder, so every wire that a contraction closes reuses the
+sums of the wires closed before it.  This is sound because builder nodes
+are never changed or freed, so a key names one sum for the builder's
+life, and a hit returns exactly what recomputing it would.  The key is the
+raw edge weights, not their grid cells: two sums whose weights differ
 below eps would share one result, and the output would depend on which of
 them ran first.
 
@@ -45,94 +52,52 @@ Wire indexing: output ``i`` counts from the top, so it lives at height
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import ShapeError
-from .sqmdd import TERMINAL, Builder, Edge, Sqmdd, split_edge
+from .sqmdd import TERMINAL, Builder, Edge, Sqmdd, Walk, split_edge, walker
 from .terms import swap_schedule
-
-Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
-Walk = Callable[[Edge], Edge]
 
 
 def _height(bld: Builder, c: int) -> int:
     return 0 if c == TERMINAL else bld.nodes[c].height
 
 
-def _walker(bld: Builder, target: int, drop: int, act: Act) -> Walk:
-    """Rebuild the part of an edge's diagram above height ``target``.
-
-    Nodes above the target come back ``drop`` levels lower; every child at
-    or below it becomes ``act`` of its two cofactors at the target.  The
-    returned function may be called on several edges; they share one
-    table of rebuilt nodes.
-    """
-    nodes, done = bld.nodes, {}
-
-    def walk(top: Edge) -> Edge:
-        order, stack = [], [top[1]]
-        while stack:
-            u = stack.pop()
-            if u in done:
-                continue
-            if _height(bld, u) <= target:
-                unit = (1.0 + 0j, u)
-                done[u] = act(split_edge(bld, unit, target, 0), split_edge(bld, unit, target, 1))
-            else:
-                done[u] = None  # rebuilt below, once its children are
-                order.append(u)
-                stack += (nodes[u].c0, nodes[u].c1)
-        for u in sorted(order, key=lambda u: nodes[u].height):
-            n = nodes[u]
-            (l0, c0), (l1, c1) = done[n.c0], done[n.c1]
-            done[u] = bld.edge(n.height - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
-        lam, c = done[top[1]]
-        return (top[0] * lam, c)
-
-    return walk
-
-
 def _restrictor(bld: Builder, target: int, bit: int) -> Walk:
     """A walker that fixes the variable at ``target`` to ``bit``."""
-    return _walker(bld, target, 1, lambda e0, e1: (e0, e1)[bit])
+    return walker(bld, target, 1, lambda e0, e1: (e0, e1)[bit])
 
 
-def _adder(bld: Builder) -> Act:
-    """Pointwise sum of two edges; the returned function's calls share one
-    computed table."""
-    memo: dict[tuple, Edge] = {}
+def _known(sums: dict, ea: Edge, eb: Edge) -> Edge | None:
+    """The sum of two edges when it needs no walk or the table holds it."""
+    (wa, ca), (wb, cb) = ea, eb
+    if ca == TERMINAL and wa == 0j:
+        return eb
+    if cb == TERMINAL and wb == 0j:
+        return ea
+    if ca == cb:
+        return (wa + wb, ca)
+    return sums.get((ca, wa, cb, wb))
 
-    def known(ea: Edge, eb: Edge) -> Edge | None:
-        (wa, ca), (wb, cb) = ea, eb
-        key = (ca, wa, cb, wb)
-        hit = memo.get(key)
-        if hit is None:
-            if ca == TERMINAL and wa == 0j:
-                hit = memo[key] = eb
-            elif cb == TERMINAL and wb == 0j:
-                hit = memo[key] = ea
-            elif ca == cb:
-                hit = memo[key] = (wa + wb, ca)
-        return hit
 
-    def total(ea: Edge, eb: Edge) -> Edge:
-        stack = [(ea, eb, 0, None)]
-        while stack:
-            pa, pb, h, halves = stack.pop()
-            if halves is not None:  # second visit: both halves are known
-                (wa, ca), (wb, cb) = pa, pb
-                memo[(ca, wa, cb, wb)] = bld.edge(h, *(known(*p) for p in halves))
-            elif known(pa, pb) is None:
-                h = max(_height(bld, pa[1]), _height(bld, pb[1]))
-                halves = [(split_edge(bld, pa, h, s), split_edge(bld, pb, h, s)) for s in (0, 1)]
-                stack.append((pa, pb, h, halves))
-                stack += [(*p, 0, None) for p in reversed(halves)]  # the 0-side first
-        return known(ea, eb)
-
-    return total
+def add_edge(bld: Builder, ea: Edge, eb: Edge) -> Edge:
+    """Pointwise sum of two edges, through the builder's sum table."""
+    sums = bld.sums
+    stack = [(ea, eb, 0, None)]
+    while stack:
+        pa, pb, h, halves = stack.pop()
+        if halves is not None:  # second visit: both halves are known
+            (wa, ca), (wb, cb) = pa, pb
+            sums[(ca, wa, cb, wb)] = bld.edge(h, *(_known(sums, *p) for p in halves))
+        elif _known(sums, pa, pb) is None:
+            h = max(_height(bld, pa[1]), _height(bld, pb[1]))
+            halves = [(split_edge(bld, pa, h, s), split_edge(bld, pb, h, s)) for s in (0, 1)]
+            stack.append((pa, pb, h, halves))
+            stack += [(*p, 0, None) for p in reversed(halves)]  # the 0-side first
+    return _known(sums, ea, eb)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +107,7 @@ def _adder(bld: Builder) -> Act:
 def tensor_edge(bld: Builder, top: Edge, bottom: Edge, bottom_height: int) -> Edge:
     """Kronecker product: ``top``'s nodes are rebuilt ``bottom_height``
     levels higher, with ``bottom`` in place of the terminal."""
-    return _walker(bld, 0, -bottom_height, lambda e0, e1: bottom)(top)
+    return walker(bld, 0, -bottom_height, lambda e0, e1: bottom)(top)
 
 
 def restrict_edge(bld: Builder, e: Edge, height: int, i: int, bit: int) -> Edge:
@@ -154,20 +119,19 @@ def merge_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
     """Keep the entries where the bits of wires ``i < j`` agree; ``j`` goes."""
     hi = height - i
     r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
-    return _walker(bld, hi, 1, lambda e0, e1: bld.edge(hi - 1, r0(e0), r1(e1)))(e)
+    return walker(bld, hi, 1, lambda e0, e1: bld.edge(hi - 1, r0(e0), r1(e1)))(e)
 
 
 def plug_edge(bld: Builder, e: Edge, height: int, i: int) -> Edge:
     """Sum output wire ``i`` out."""
-    return _walker(bld, height - i, 1, _adder(bld))(e)
+    return walker(bld, height - i, 1, lambda e0, e1: add_edge(bld, e0, e1))(e)
 
 
 def contract_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
     """Close the wire joining outputs ``i < j``: both go, and the result is
     ``plug_edge(merge_edge(e, i, j), i)``, computed in one pass."""
     r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
-    add = _adder(bld)
-    return _walker(bld, height - i, 2, lambda e0, e1: add(r0(e0), r1(e1)))(e)
+    return walker(bld, height - i, 2, lambda e0, e1: add_edge(bld, r0(e0), r1(e1)))(e)
 
 
 def swap_edge(bld: Builder, e: Edge, k: int) -> Edge:
@@ -177,7 +141,7 @@ def swap_edge(bld: Builder, e: Edge, k: int) -> Edge:
         ll, lr, rl, rr = (split_edge(bld, x, k, side) for x in (e0, e1) for side in (0, 1))
         return bld.edge(k + 1, bld.edge(k, ll, rl), bld.edge(k, lr, rr))
 
-    return _walker(bld, k + 1, 0, act)(e)
+    return walker(bld, k + 1, 0, act)(e)
 
 
 def permute_edge(bld: Builder, e: Edge, height: int, perm: Sequence[int]) -> Edge:
@@ -235,7 +199,7 @@ def add(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
     if a.height != b.height:
         raise ShapeError(f"cannot add heights {a.height} and {b.height}")
     bld, ea, eb = _imported(settings, a, b)
-    return bld.finish(_adder(bld)(ea, eb), a.height)
+    return bld.finish(add_edge(bld, ea, eb), a.height)
 
 
 def tensor(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:

@@ -4,8 +4,9 @@ One command per invocation, JSON in, JSON (or DOT) out.  Exit codes:
 0 success, 1 semantic inequivalence or claim failure, 2 malformed input
 (also a tolerance that is not finite and positive, a negative qubit cap or
 fewer than one sample), 3 resource cap exceeded (also JSON nested past the
-parser's recursion limit, and a weight beyond the weight grid's range),
-4 internal error (a bug in zhdd, never a verdict).
+parser's recursion limit, a weight beyond the weight grid's range, a dense
+result wider than 58 wires whatever ``--max-qubits`` says, and running out
+of memory), 4 internal error (a bug in zhdd, never a verdict).
 
 Each command offers only the options its code reads: ``-o`` everywhere,
 ``--tolerance`` on reduce, to-sqmdd, canonical, check-equiv and verify,
@@ -311,6 +312,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return command(args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:  # a dense input within the caps but beyond memory
+        print(f"resource cap: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OverflowError:  # round(w / eps) past the float range
         print("resource cap: a weight is beyond the weight grid's range "

@@ -4,7 +4,8 @@ Everything that compares complex numbers goes through one of the two knobs
 here: ``eps`` bounds entrywise error in dense checks, and the same value is
 used as the rounding grid for structural weight equality (see
 :func:`zhdd.sqmdd.weight_key`).  ``max_qubits`` caps any computation that
-materializes a dense vector or matrix.  Both are checked once, here: a
+materializes a dense vector or matrix, and :data:`DENSE_WIRE_LIMIT` caps
+it in turn (:func:`dense_cap`).  Both knobs are checked once, here: a
 ``Settings`` with an ``eps`` that is not finite and positive, or a negative
 ``max_qubits``, raises :class:`ValueError` when it is built.
 """
@@ -27,3 +28,15 @@ class Settings:
 
 
 DEFAULT = Settings()
+
+
+# numpy counts an array's bytes in a signed 64-bit integer, so 2**H complex
+# entries (16 bytes each) fit only up to H = 58 wires: above it numpy
+# refuses with a ValueError, which would read as malformed input
+DENSE_WIRE_LIMIT = 58
+
+
+def dense_cap(settings: Settings) -> int:
+    """The most wires a dense vector, state or matrix may span: the
+    settings' ``max_qubits``, never above :data:`DENSE_WIRE_LIMIT`."""
+    return min(settings.max_qubits, DENSE_WIRE_LIMIT)

@@ -217,10 +217,7 @@ def _inverse_merge(d: Sqmdd, rng: np.random.Generator) -> bool:
     moved = [ps[j] for j in rng.permutation(len(ps))[:k]]
     for p, side in moved:
         n = d.nodes[p]
-        if side == 0:
-            d.nodes[p] = Node(n.height, n.w0, copy, n.w1, n.c1)
-        else:
-            d.nodes[p] = Node(n.height, n.w0, n.c0, n.w1, copy)
+        d.nodes[p] = n.with_edge(side, n.edge(side)[0], copy)
     return True
 
 
@@ -250,10 +247,7 @@ def _inverse_skip(d: Sqmdd, rng: np.random.Generator) -> bool:
         d.root = i
     else:
         n = d.nodes[p]
-        if side == 0:
-            d.nodes[p] = Node(n.height, n.w0, i, n.w1, n.c1)
-        else:
-            d.nodes[p] = Node(n.height, n.w0, n.c0, n.w1, i)
+        d.nodes[p] = n.with_edge(side, n.edge(side)[0], i)
     return True
 
 
@@ -273,11 +267,7 @@ def _inverse_zero_edge(d: Sqmdd, rng: np.random.Generator) -> bool:
     if not lower:
         return False
     c = lower[int(rng.integers(len(lower)))]
-    n = d.nodes[p]
-    if side == 0:
-        d.nodes[p] = Node(n.height, 0j, c, n.w1, n.c1)
-    else:
-        d.nodes[p] = Node(n.height, n.w0, n.c0, 0j, c)
+    d.nodes[p] = d.nodes[p].with_edge(side, 0j, c)
     return True
 
 

@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import DEFAULT, Settings
+from .config import DEFAULT, Settings, dense_cap
 from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
 from .sugar import CORE_KINDS, core_recipe
@@ -361,9 +361,9 @@ def dense_stages(
     plan's peak live width is above the dense wire cap.
     """
     steps, perm, peak = plan
-    if peak > settings.max_qubits:
+    if peak > dense_cap(settings):
         raise ResourceLimitError(
-            f"network contraction needs {peak} dense wires (cap is {settings.max_qubits})"
+            f"network contraction needs {peak} dense wires (cap is {dense_cap(settings)})"
         )
     ten, shift = np.ones(1, dtype=complex), 0
     for idx, closes in steps:

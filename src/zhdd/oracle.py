@@ -20,10 +20,13 @@ times a chunk fits under the cap.  A map whose widest row alone is above
 the cap takes the definitional matrix recursion instead, which also stays
 as the reference that the test suite cross-checks the state route against.
 
-Dense work is capped at ``settings.max_qubits`` wires, where a term or a
-generator counts its inputs plus its outputs, a state its wires plus its
-batch bits, and a block of the matrix recursion its larger side; anything
-larger raises :class:`ResourceLimitError` rather than silently thrashing.
+Dense work is capped at ``settings.max_qubits`` wires, and never above
+:data:`~zhdd.config.DENSE_WIRE_LIMIT` (58, the most numpy can size), where
+a term or a generator counts its inputs plus its outputs, a diagram its
+height, a state its wires plus its batch bits, and a block of the matrix
+recursion its larger side (and its inputs plus outputs, against the
+limit); anything larger raises :class:`ResourceLimitError` before it is
+allocated, rather than silently thrashing.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from ._json import complex_from_json, complex_to_json
-from .config import DEFAULT, Settings
+from .config import DEFAULT, DENSE_WIRE_LIMIT, Settings, dense_cap
 from .errors import ResourceLimitError, ShapeError
 from .sqmdd import TERMINAL, Sqmdd
 from .terms import (
@@ -76,11 +79,12 @@ def _z_matrix(n: int, m: int) -> np.ndarray:
 
 
 def _check_span(span: int, what: str, settings: Settings) -> None:
-    """Cap a map's inputs plus outputs: a ``(2**m, 2**n)`` matrix holds as
-    many entries as a state on ``n + m`` wires."""
-    if span > settings.max_qubits:
+    """Refuse dense work on more than the cap's wires; a map counts its
+    inputs plus outputs, as a ``(2**m, 2**n)`` matrix holds as many entries
+    as a state on ``n + m`` wires."""
+    if span > dense_cap(settings):
         raise ResourceLimitError(
-            f"{what} spans {span} dense wires (cap is {settings.max_qubits})"
+            f"{what} spans {span} dense wires (cap is {dense_cap(settings)})"
         )
 
 
@@ -150,19 +154,23 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
 
 def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
     # generator_matrix caps each generator on its inputs plus outputs.  A
-    # parallel block is capped on its larger side only: the full-width rows
-    # of a bent term (9 wires in and out for a 5-wire state with 4 inputs)
-    # must still evaluate at the default cap, and a sequential block spans
-    # no more wires on either side than its parts.
+    # block is capped on its larger side only: the full-width rows of a bent
+    # term (9 wires in and out for a 5-wire state with 4 inputs) must still
+    # evaluate at the default cap.  Its inputs plus outputs must stay within
+    # what numpy can size.
+    def block(rows: int, cols: int, what: str) -> None:
+        _check_span(max(rows, cols).bit_length() - 1, what, settings)
+        _check_span((rows * cols).bit_length() - 1, what, Settings(max_qubits=DENSE_WIRE_LIMIT))
+
+    def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        block(b.shape[0], a.shape[1], "sequential sub-term")
+        return b @ a
+
     def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        span = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]).bit_length() - 1
-        if span > settings.max_qubits:
-            raise ResourceLimitError(
-                f"parallel sub-term spans {span} dense wires (cap is {settings.max_qubits})"
-            )
+        block(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], "parallel sub-term")
         return np.kron(a, b)
 
-    return fold(t, lambda kind: generator_matrix(kind, settings), lambda a, b: b @ a, kron)
+    return fold(t, lambda kind: generator_matrix(kind, settings), compose, kron)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +186,7 @@ def _apply_to_state(
     t: Gen, mat: np.ndarray, state: np.ndarray, start: int, settings: Settings
 ) -> np.ndarray:
     n, m = t.n_in, t.n_out
-    new_bits = state.size.bit_length() - 1 - n + m
-    if new_bits > settings.max_qubits:
-        raise ResourceLimitError(
-            f"state grows to {new_bits} wires at {describe(t)} "
-            f"(cap is {settings.max_qubits})"
-        )
+    _check_span(state.size.bit_length() - 1 - n + m, f"the state after {describe(t)}", settings)
     if n == 0 and m == 0:
         return state * mat[0, 0]
     if n == 0:
@@ -221,7 +224,7 @@ def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
         for g, at in gens
         if not isinstance(g.kind, Identity)
     ]
-    chunk = 2 ** max(0, min(t.n_in, settings.max_qubits - widest))
+    chunk = 2 ** max(0, min(t.n_in, dense_cap(settings) - widest))
     cols = []
     for first in range(0, 2**t.n_in, chunk):
         state = np.zeros((2**t.n_in, chunk), dtype=complex)
@@ -246,7 +249,7 @@ def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
     side.  The term's inputs plus outputs must fit under the cap.
     """
     _check_span(t.n_in + t.n_out, "term", settings)
-    if t.n_in and _rows(t)[1] > settings.max_qubits:
+    if t.n_in and _rows(t)[1] > dense_cap(settings):
         return _interpret_matrix(t, settings)
     return _interpret_state(t, settings)
 
@@ -264,10 +267,7 @@ def interpret_sqmdd(d: Sqmdd, settings: Settings = DEFAULT) -> np.ndarray:
     Follows the cofactor recursion directly; a child sitting more than one
     level down duplicates its vector across the skipped levels.
     """
-    if d.height > settings.max_qubits:
-        raise ResourceLimitError(
-            f"diagram has height {d.height} (cap is {settings.max_qubits})"
-        )
+    _check_span(d.height, "diagram", settings)
     memo: dict[int, np.ndarray] = {}
 
     def node_vec(c: int) -> np.ndarray:

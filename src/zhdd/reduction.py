@@ -87,12 +87,6 @@ class Step:
 Candidate = tuple[str, Any]
 
 
-def _with_edge(n: Node, side: int, w: complex, c: int) -> Node:
-    if side == 0:
-        return Node(n.height, w, c, n.w1, n.c1)
-    return Node(n.height, n.w0, n.c0, w, c)
-
-
 class _Rewriter:
     """One mutable diagram plus the indexes its rule guards read.
 
@@ -252,7 +246,7 @@ class _Rewriter:
             if to != TERMINAL:
                 self.parents[to].add((p, side))
             n = self.nodes[p]
-            self.nodes[p] = _with_edge(n, side, n.edge(side)[0], to)
+            self.nodes[p] = n.with_edge(side, n.edge(side)[0], to)
         for p in {p for p, _ in edges}:  # a parent may hold both edges
             self._touch(p)
         if self.root == i:
@@ -266,7 +260,7 @@ class _Rewriter:
         for p, side in self.parents[i]:
             n = self.nodes[p]
             w, c = n.edge(side)
-            self._set(p, _with_edge(n, side, w * factor, c))
+            self._set(p, n.with_edge(side, w * factor, c))
 
     # -- rewriting -------------------------------------------------------
 
@@ -281,7 +275,7 @@ class _Rewriter:
             i, side = payload
             n = self.nodes[i]
             self._unlink(i, side, n.edge(side)[1])
-            self._set(i, _with_edge(n, side, 0j, TERMINAL))
+            self._set(i, n.with_edge(side, 0j, TERMINAL))
             return Step("r3", i, f"edge {side} of node {i} redirected to an exact zero")
         if rule == "r4":
             self._delete(payload)
@@ -294,7 +288,9 @@ class _Rewriter:
                 self._set(i, Node(n.height, 0j, n.c0, 1.0 + 0j, n.c1))
             else:
                 factor = n.w0
-                self._set(i, Node(n.height, 1.0 + 0j, n.c0, n.w1 / factor, n.c1))
+                # a grid-zero w1 becomes an exact zero, as Builder.edge snaps it
+                w1 = 0j if self.keys[i][4] == _ZERO else n.w1 / factor
+                self._set(i, Node(n.height, 1.0 + 0j, n.c0, w1, n.c1))
             self._pull(i, factor)
             return Step(rule, i, f"factor {factor} pulled out of node {i}")
         if rule == "r5":

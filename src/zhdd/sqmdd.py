@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
@@ -34,6 +34,8 @@ from .errors import ResourceLimitError, ShapeError
 TERMINAL = 0
 
 Edge = tuple[complex, int]  # (weight, child id)
+Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
+Walk = Callable[[Edge], Edge]
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,12 @@ class Node:
 
     def edge(self, side: int) -> Edge:
         return (self.w0, self.c0) if side == 0 else (self.w1, self.c1)
+
+    def with_edge(self, side: int, w: complex, c: int) -> Node:
+        """This node with edge ``side`` replaced by ``(w, c)``."""
+        if side == 0:
+            return Node(self.height, w, c, self.w1, self.c1)
+        return Node(self.height, self.w0, self.c0, w, c)
 
 
 @dataclass
@@ -436,12 +444,18 @@ class Builder:
     the cell of 1 once per builder) and allocates a :class:`Node` only on
     a table miss.  Diagrams assembled exclusively through it are
     irreducible by construction.
+
+    A builder keeps both tables of the package for its life: the unique
+    table behind :meth:`edge` and the sum table ``sums`` of
+    :func:`zhdd.algebra.add_edge`.  Every rebuild, :meth:`import_edge`
+    included, is one :func:`walker` pass.
     """
 
     def __init__(self, settings: Settings = DEFAULT) -> None:
         self.settings = settings
         self.nodes: dict[int, Node] = {}
         self._table: dict[tuple, int] = {}
+        self.sums: dict[tuple, Edge] = {}  # (ca, wa, cb, wb) -> the sum's edge
         self._next_id = 1
         self._one_key = weight_key(1.0 + 0j, settings)
 
@@ -482,29 +496,11 @@ class Builder:
         return (lam, found)
 
     def import_edge(self, d: Sqmdd, e: Edge) -> Edge:
-        """Re-create a sub-diagram of ``d`` inside this builder.
-
-        Returns the canonical edge denoting the same (weighted) subtree;
-        heights are preserved.
-        """
-        memo: dict[int, Edge] = {TERMINAL: (1.0 + 0j, TERMINAL)}
-        w, c = e
-        stack = [c]
-        while stack:  # post-order: a node is built once both children are
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-                continue
-            n = d.nodes[u]
-            todo = [v for v in (n.c1, n.c0) if v not in memo]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            (l0, r0), (l1, r1) = memo[n.c0], memo[n.c1]
-            memo[u] = self.edge(n.height, (l0 * n.w0, r0), (l1 * n.w1, r1))
-        lam, c2 = memo[c]
-        return (w * lam, c2)
+        """Re-create a sub-diagram of ``d`` inside this builder: one
+        :func:`walker` over ``d``'s nodes that rebuilds each at its own
+        height.  Returns the canonical edge denoting the same (weighted)
+        subtree."""
+        return walker(self, 0, 0, lambda e0, e1: (1.0 + 0j, TERMINAL), d)(e)
 
     def finish(self, top: Edge, height: int) -> Sqmdd:
         """Package a top edge as a diagram, pruning builder garbage.  A top
@@ -534,3 +530,37 @@ def split_edge(d: Sqmdd | Builder, e: Edge, height: int, side: int) -> Edge:
         ww, cc = n.edge(side)
         return (w * ww, cc)
     return (w, c)
+
+
+def walker(
+    bld: Builder, target: int, drop: int, act: Act, src: Sqmdd | Builder | None = None
+) -> Walk:
+    """Rebuild in ``bld`` the part above height ``target`` of an edge whose
+    nodes live in ``src`` (``bld`` by default): each node ``drop`` levels
+    lower, each child at or below the target as ``act`` of its cofactors
+    there.  The returned function's calls share one table of rebuilt nodes.
+    """
+    src = bld if src is None else src
+    nodes, done = src.nodes, {}
+
+    def walk(top: Edge) -> Edge:
+        order, stack = [], [top[1]]
+        while stack:
+            u = stack.pop()
+            if u in done:
+                continue
+            if u == TERMINAL or nodes[u].height <= target:
+                unit = (1.0 + 0j, u)
+                done[u] = act(split_edge(src, unit, target, 0), split_edge(src, unit, target, 1))
+            else:
+                done[u] = None  # rebuilt below, once its children are
+                order.append(u)
+                stack += (nodes[u].c0, nodes[u].c1)
+        for u in sorted(order, key=lambda u: nodes[u].height):
+            n = nodes[u]
+            (l0, c0), (l1, c1) = done[n.c0], done[n.c1]
+            done[u] = bld.edge(n.height - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
+        lam, c = done[top[1]]
+        return (top[0] * lam, c)
+
+    return walk

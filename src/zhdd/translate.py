@@ -11,9 +11,9 @@ as soon as both its ends are live, so the state never grows past the
 steps' peak live width.  Each step's top weight joins one scalar, a
 mantissa times a power of two that meets the network's prefactor at the
 end, so no builder weight depends on the state's scale.  All of it happens
-in one :class:`~zhdd.sqmdd.Builder`: one unique table for the whole
-contraction, packaged once, so the result is irreducible by construction
-and the rewrite system is never run.  The optional per-stage dense mirror
+in one :class:`~zhdd.sqmdd.Builder`, whose unique table and sum table serve
+the whole contraction, packaged once, so the result is irreducible by
+construction and the rewrite system is never run.  The optional per-stage dense mirror
 is :func:`~zhdd.network.dense_stages`, the same step list on dense vectors.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per

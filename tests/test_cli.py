@@ -2,10 +2,15 @@
 0 ok, 1 not-equivalent / claim failed, 2 malformed input, 3 resource cap,
 4 internal error."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zhdd
 from zhdd import cli
 from zhdd.cli import main
 from zhdd.generate import random_dag, scramble, tree_from_vector
@@ -260,6 +265,52 @@ def test_dense_cap_counts_matrix_inputs_and_outputs(write, capsys):
     code, _, err = run(capsys, "interpret", f, "--max-qubits", "4")
     assert code == 3
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize("obj, max_qubits", [
+    (sqmdd_to_json(generator_state_sqmdd("z", 700)), 1000),
+    (sqmdd_to_json(generator_state_sqmdd("h", 700)), 1000),
+    (term_to_json(Gen(ZSpider(0, 70))), 100),
+], ids=["z-state-700", "h-state-700", "z-spider-70"])
+def test_dense_results_past_numpy_sizes_exit_3(write, capsys, obj, max_qubits):
+    """numpy cannot size a dense vector of more than 58 wires, so interpret
+    refuses one before it allocates or recurses, whatever --max-qubits says
+    (a recursion error, exit 4, or a numpy error, exit 2, before)."""
+    f = write("x.json", obj)
+    code, _, err = run(capsys, "interpret", f, "--max-qubits", str(max_qubits))
+    assert code == 3
+    assert "resource cap" in err and "58" in err
+
+
+# Runs the CLI in a process whose address space may grow only 128 MB past
+# its size once zhdd is imported: it runs out of memory fast, on any host.
+_SMALL_MEMORY_MAIN = """
+import resource, sys
+from zhdd.cli import main
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (128 << 20), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("obj, max_qubits", [
+    (sqmdd_to_json(generator_state_sqmdd("h", 40)), 40),
+    (term_to_json(Gen(ZSpider(0, 36))), 36),
+], ids=["h-state-40", "z-spider-36"])
+def test_dense_results_beyond_memory_exit_3(write, obj, max_qubits):
+    """Within numpy's sizes but beyond memory, interpret exits 3, not 4."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the address space")
+    f = write("x.json", obj)
+    env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_MEMORY_MAIN, "interpret", f, "--max-qubits",
+         str(max_qubits)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "resource cap: out of memory" in proc.stderr
 
 
 def test_empty_identity_bundle_exits_2(write, capsys):

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zhdd.algebra import canonical, canonical_from_vector
 from zhdd.generate import random_dag, random_vector, scramble, tree_from_vector
@@ -166,6 +166,7 @@ def test_reduce_is_idempotent(seed):
 
 
 @given(vec=small_vectors(max_height=4))
+@example(vec=np.array([0.25j, 3.04e-10j]))  # r1 must snap the zero-cell weight
 def test_reduction_reaches_the_canonical_form(vec):
     got, _ = reduce_diagram(tree_from_vector(vec))
     want = canonical_from_vector(vec)

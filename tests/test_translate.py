@@ -312,11 +312,8 @@ def test_boundary_wires_and_scalars_contract(t):
     assert max_deviation(got, interpret_zh(s, WIDE).reshape(-1)) <= 1e-9
 
 
-def test_contraction_of_the_z_state_stays_small(monkeypatch):
-    """Simplification and tensoring on top keep the emitted Z-16 state's
-    contraction to about 25,000 Builder.edge calls (87,096 when every
-    instance was tensored in below the state)."""
-    t = sqmdd_to_zh(generator_state_sqmdd("z", 16))
+def _edge_calls(monkeypatch, t) -> int:
+    """Builder.edge calls made by zh_to_sqmdd(t)."""
     calls = [0]
     edge = Builder.edge
 
@@ -326,7 +323,21 @@ def test_contraction_of_the_z_state_stays_small(monkeypatch):
 
     monkeypatch.setattr(Builder, "edge", counting)
     zh_to_sqmdd(t)
-    assert calls[0] <= 37_000
+    return calls[0]
+
+
+def test_contraction_of_the_z_state_stays_small(monkeypatch):
+    """Simplification and tensoring on top keep the emitted Z-16 state's
+    contraction to about 25,000 Builder.edge calls (87,096 when every
+    instance was tensored in below the state)."""
+    assert _edge_calls(monkeypatch, sqmdd_to_zh(generator_state_sqmdd("z", 16))) <= 37_000
+
+
+def test_one_sum_table_serves_the_whole_contraction(monkeypatch):
+    """The builder's sum table outlives each closed wire, so the emitted
+    Z-32 state's contraction takes about 53,000 Builder.edge calls (85,880
+    with a fresh table per closed wire)."""
+    assert _edge_calls(monkeypatch, sqmdd_to_zh(generator_state_sqmdd("z", 32))) <= 60_000
 
 
 @given(seed=st.integers(0, 2**32 - 1))
