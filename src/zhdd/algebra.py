@@ -62,42 +62,58 @@ from .sqmdd import TERMINAL, Builder, Edge, Sqmdd, Walk, split_edge, walker
 from .terms import swap_schedule
 
 
-def _height(bld: Builder, c: int) -> int:
-    return 0 if c == TERMINAL else bld.nodes[c].height
-
-
 def _restrictor(bld: Builder, target: int, bit: int) -> Walk:
     """A walker that fixes the variable at ``target`` to ``bit``."""
     return walker(bld, target, 1, lambda e0, e1: (e0, e1)[bit])
 
 
-def _known(sums: dict, ea: Edge, eb: Edge) -> Edge | None:
-    """The sum of two edges when it needs no walk or the table holds it."""
-    (wa, ca), (wb, cb) = ea, eb
-    if ca == TERMINAL and wa == 0j:
-        return eb
-    if cb == TERMINAL and wb == 0j:
-        return ea
-    if ca == cb:
-        return (wa + wb, ca)
-    return sums.get((ca, wa, cb, wb))
-
-
 def add_edge(bld: Builder, ea: Edge, eb: Edge) -> Edge:
-    """Pointwise sum of two edges, through the builder's sum table."""
-    sums = bld.sums
-    stack = [(ea, eb, 0, None)]
+    """Pointwise sum of two edges, through the builder's sum table.
+
+    A pair of edges is summed at once when one of them is zero, when both
+    reach the same node, or when the table holds it; otherwise both are
+    split at the higher of their two heights, the 0-side pair is summed
+    first, then the 1-side pair, and ``bld.edge`` joins the two halves.
+    """
+    nodes, sums, edge = bld.nodes, bld.sums, bld.edge
+    stack: list = [(ea, eb)]  # pairs to sum, and (h, key, None) joins
+    done: list[Edge] = []  # the sums found so far, the latest last
     while stack:
-        pa, pb, h, halves = stack.pop()
-        if halves is not None:  # second visit: both halves are known
-            (wa, ca), (wb, cb) = pa, pb
-            sums[(ca, wa, cb, wb)] = bld.edge(h, *(_known(sums, *p) for p in halves))
-        elif _known(sums, pa, pb) is None:
-            h = max(_height(bld, pa[1]), _height(bld, pb[1]))
-            halves = [(split_edge(bld, pa, h, s), split_edge(bld, pb, h, s)) for s in (0, 1)]
-            stack.append((pa, pb, h, halves))
-            stack += [(*p, 0, None) for p in reversed(halves)]  # the 0-side first
-    return _known(sums, ea, eb)
+        top = stack.pop()
+        if len(top) == 3:  # both halves are summed: join them
+            h, key, _ = top
+            e1 = done.pop()
+            done[-1] = sums[key] = edge(h, done[-1], e1)
+            continue
+        pa, pb = top
+        (wa, ca), (wb, cb) = pa, pb
+        if ca == TERMINAL and wa == 0j:
+            done.append(pb)
+        elif cb == TERMINAL and wb == 0j:
+            done.append(pa)
+        elif ca == cb:
+            done.append((wa + wb, ca))
+        else:
+            key = (ca, wa, cb, wb)
+            known = sums.get(key)
+            if known is not None:
+                done.append(known)
+                continue
+            ha = nodes[ca].height if ca != TERMINAL else 0
+            hb = nodes[cb].height if cb != TERMINAL else 0
+            h = ha if ha > hb else hb  # only an edge at height h splits
+            if ha == h:
+                n = nodes[ca]
+                a0, a1 = (wa * n.w0, n.c0), (wa * n.w1, n.c1)
+            else:
+                a0 = a1 = pa
+            if hb == h:
+                n = nodes[cb]
+                b0, b1 = (wb * n.w0, n.c0), (wb * n.w1, n.c1)
+            else:
+                b0 = b1 = pb
+            stack += ((h, key, None), (a1, b1), (a0, b0))  # the 0-side first
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

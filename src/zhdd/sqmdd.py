@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable
 
 from ._json import complex_from_json, complex_to_json
@@ -541,7 +542,7 @@ def walker(
     there.  The returned function's calls share one table of rebuilt nodes.
     """
     src = bld if src is None else src
-    nodes, done = src.nodes, {}
+    nodes, done, edge = src.nodes, {}, bld.edge
 
     def walk(top: Edge) -> Edge:
         order, stack = [], [top[1]]
@@ -549,17 +550,20 @@ def walker(
             u = stack.pop()
             if u in done:
                 continue
-            if u == TERMINAL or nodes[u].height <= target:
+            n = nodes[u] if u != TERMINAL else None
+            if n is None or n.height < target:
                 unit = (1.0 + 0j, u)
-                done[u] = act(split_edge(src, unit, target, 0), split_edge(src, unit, target, 1))
+                done[u] = act(unit, unit)
+            elif n.height == target:  # the cofactors of the unit edge to u
+                done[u] = act(((1.0 + 0j) * n.w0, n.c0), ((1.0 + 0j) * n.w1, n.c1))
             else:
                 done[u] = None  # rebuilt below, once its children are
-                order.append(u)
-                stack += (nodes[u].c0, nodes[u].c1)
-        for u in sorted(order, key=lambda u: nodes[u].height):
-            n = nodes[u]
+                order.append((n.height, u, n))
+                stack += (n.c0, n.c1)
+        order.sort(key=itemgetter(0))  # stable: equal heights keep their order
+        for h, u, n in order:
             (l0, c0), (l1, c1) = done[n.c0], done[n.c1]
-            done[u] = bld.edge(n.height - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
+            done[u] = edge(h - drop, (n.w0 * l0, c0), (n.w1 * l1, c1))
         lam, c = done[top[1]]
         return (top[0] * lam, c)
 
