@@ -76,12 +76,12 @@ def add_edge(bld: Builder, ea: Edge, eb: Edge) -> Edge:
     first, then the 1-side pair, and ``bld.edge`` joins the two halves.
     """
     nodes, sums, edge = bld.nodes, bld.sums, bld.edge
-    stack: list = [(ea, eb)]  # pairs to sum, and (h, key, None) joins
+    stack: list = [(ea, eb)]  # pairs to sum, and (None, h, key) joins
     done: list[Edge] = []  # the sums found so far, the latest last
     while stack:
         top = stack.pop()
-        if len(top) == 3:  # both halves are summed: join them
-            h, key, _ = top
+        if top[0] is None:  # both halves are summed: join them
+            _, h, key = top
             e1 = done.pop()
             done[-1] = sums[key] = edge(h, done[-1], e1)
             continue
@@ -112,7 +112,7 @@ def add_edge(bld: Builder, ea: Edge, eb: Edge) -> Edge:
                 b0, b1 = (wb * n.w0, n.c0), (wb * n.w1, n.c1)
             else:
                 b0 = b1 = pb
-            stack += ((h, key, None), (a1, b1), (a0, b0))  # the 0-side first
+            stack += ((None, h, key), (a1, b1), (a0, b0))  # the 0-side first
     return done[0]
 
 

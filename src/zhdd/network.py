@@ -32,9 +32,13 @@ the scalar 2 of a loop, or the spider between two boundary wires.
 order into steps on a list of live legs, in one pass: greedy minimum
 frontier, after Gray & Kourtis, *Hyper-optimized tensor network
 contraction* (arXiv:2002.01935).  Each step takes, among the instances
-wired to what is already placed, the one that leaves the fewest open legs,
-tensors it in on top, and closes its wires to live legs in its leg order;
-the output permutation is read off ``~mate`` of the legs left at the end.
+wired to what is already placed, the one that leaves the fewest open legs.
+A step has one of two forms.  An instance of arity at most 2 with exactly
+one wire to a live leg is applied in place, at that leg's position, as a
+QMDD simulator applies a one-qubit gate where its qubit is (Zulehner &
+Wille, arXiv:1707.00865).  Any other instance is tensored in on top, and
+its wires to live legs close in its leg order.  The output permutation is
+read off ``~mate`` of the legs left at the end.
 Both contraction engines run these steps:
 :func:`zhdd.translate.zh_to_sqmdd` on decision diagrams, and
 :func:`dense_stages` on dense vectors, which is the mirror of
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import frexp, ldexp
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -268,7 +272,7 @@ def simplify_network(net: Network) -> Network:
     return Network(instances, [tuple(legs[i]) for i in keep], mate, net.n_out, net.scalar, exp2)
 
 
-Step = tuple[int, list[tuple[int, int]]]
+Step = tuple[int, Optional[int], list[tuple[int, int]]]
 
 
 def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
@@ -281,13 +285,21 @@ def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
     wired to the placed part, the lowest unplaced index starts the next
     component.
 
-    Each step tensors its instance in on top (its legs go first, in leg
-    order), then closes each wire from one of its legs to a live leg, in
-    its leg order: a closing wire is given by the live positions
-    ``(i, j)``, ``i < j``, of its ends just before it closes, and both
-    leave the list.  Also returns the output permutation (boundary wire
-    ``k`` is the live leg ``perm[k]``) and the peak live width: the live
-    legs before an instance plus its arity, at the widest step.
+    A step ``(idx, at, closes)`` comes in one of two forms:
+
+    - in place (``at`` a live position, ``closes`` empty): an instance of
+      arity at most 2 with exactly one wire to a live leg is applied at
+      that leg's position ``at``.  An effect removes the leg; a two-legged
+      instance's free leg takes its place.
+    - on top (``at`` is None): the instance is tensored in on top (its legs
+      go first, in leg order), then each wire from one of its legs to a
+      live leg is closed, in its leg order.  A closing wire is given by the
+      live positions ``(i, j)``, ``i < j``, of its ends just before it
+      closes, and both leave the list.
+
+    Also returns the output permutation (boundary wire ``k`` is the live
+    leg ``perm[k]``) and the peak live width: the live legs before an
+    instance plus its arity, at the widest step.
     """
     mate, n = net.mate, len(net.instances)
     owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
@@ -310,10 +322,10 @@ def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
                 lowest += 1
             k = lowest
         placed[k] = True
-        peak = max(peak, len(live) + len(net.legs[k]))
-        live[:0] = net.legs[k]
-        at = []
-        for x in net.legs[k]:
+        mine = net.legs[k]
+        peak = max(peak, len(live) + len(mine))
+        wires = []  # (own leg, far end) of each wire to a placed instance
+        for x in mine:
             y = mate[x]
             if y < 0:
                 continue
@@ -322,10 +334,20 @@ def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
                 score[m] -= 2
                 heappush(heap, (score[m], m))
             elif m != k or x < y:  # a self-loop closes once, at its lower leg id
-                i, j = sorted((live.index(x), live.index(y)))
-                at.append((i, j))
-                del live[j], live[i]
-        steps.append((k, at))
+                wires.append((x, y))
+        if len(mine) <= 2 and len(wires) == 1 and owner[wires[0][1]] != k:  # not a self-loop
+            x, y = wires[0]
+            at = live.index(y)
+            live[at : at + 1] = [z for z in mine if z != x]
+            steps.append((k, at, []))
+            continue
+        live[:0] = mine
+        closes = []
+        for x, y in wires:
+            i, j = sorted((live.index(x), live.index(y)))
+            closes.append((i, j))
+            del live[j], live[i]
+        steps.append((k, None, closes))
     perm = sorted(range(len(live)), key=lambda p: ~mate[live[p]])  # by boundary wire
     return steps, perm, peak
 
@@ -351,11 +373,12 @@ def dense_stages(
     settings: Settings = DEFAULT,
 ) -> Iterator[tuple[str, np.ndarray, int]]:
     """Each state of ``plan``, the :func:`contraction_steps` of ``net``,
-    densely, with a name: after each tensor, after each closed wire, and
-    the result (output order and prefactor applied), a vector over the live
-    legs, first leg = MSB.  A state is ``ldexp_vector(ten, shift)`` of the
-    yielded ``(name, ten, shift)``: it is carried as a mantissa times a
-    power of two, like the prefactor, which it meets only at the end.
+    densely, with a name: after each instance applied in place, after each
+    tensor, after each closed wire, and the result (output order and
+    prefactor applied), a vector over the live legs, first leg = MSB.  A
+    state is ``ldexp_vector(ten, shift)`` of the yielded ``(name, ten,
+    shift)``: it is carried as a mantissa times a power of two, like the
+    prefactor, which it meets only at the end.
 
     Raises :class:`ResourceLimitError`, before the first state, when the
     plan's peak live width is above the dense wire cap.
@@ -366,17 +389,31 @@ def dense_stages(
             f"network contraction needs {peak} dense wires (cap is {dense_cap(settings)})"
         )
     ten, shift = np.ones(1, dtype=complex), 0
-    for idx, closes in steps:
-        ten = np.kron(instance_state(net.instances[idx]), ten)
+    for idx, at, closes in steps:
+        inst = net.instances[idx]
+        if at is not None:  # the instance's legs are symmetric: contract its first
+            ten = ten.reshape((2,) * (ten.size.bit_length() - 1))
+            ten = np.tensordot(instance_state(inst).reshape((2,) * inst.arity), ten, (0, at))
+            if inst.arity == 2:
+                ten = np.moveaxis(ten, 0, at)
+            ten, shift = _rescaled(ten.reshape(-1), shift)
+            yield f"apply {idx} at {at}", ten, shift
+            continue
+        ten = np.kron(instance_state(inst), ten)
         yield f"tensor {idx}", ten, shift
         for i, j in closes:
             ten = np.diagonal(ten.reshape((2,) * (ten.size.bit_length() - 1)), 0, i, j)
-            ten = ten.sum(-1).reshape(-1)
-            k = frexp(np.abs(ten.view(float)).max())[1]
-            ten, shift = ldexp_vector(ten, -k), shift + k
+            ten, shift = _rescaled(ten.sum(-1).reshape(-1), shift)
             yield f"close {i}~{j}", ten, shift
     ten = np.transpose(ten.reshape((2,) * len(perm)), perm).reshape(-1)
     yield "output permutation", net.scalar * ten, shift + net.exp2
+
+
+def _rescaled(ten: np.ndarray, shift: int) -> tuple[np.ndarray, int]:
+    """``(ten, shift)`` with the largest part of ``ten`` brought into
+    [1/2, 1) and the power of two moved into ``shift``."""
+    k = frexp(np.abs(ten.view(float)).max())[1]
+    return ldexp_vector(ten, -k), shift + k
 
 
 def ldexp_vector(v: np.ndarray, k: int) -> np.ndarray:

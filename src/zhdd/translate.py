@@ -4,17 +4,20 @@ Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
 the term is flattened to its wiring network, shrunk by the exact rules of
 :func:`~zhdd.network.simplify_network`, and contracted by the steps of
 :func:`~zhdd.network.contraction_steps` on a state kept as a root of unit
-weight.  Each remaining spider/box is built as a small closed-form diagram
-directly on top of it, and each wire is closed (a Z merge and a <+| plug,
-fused into one level-walker pass of :func:`~zhdd.algebra.contract_edge`)
-as soon as both its ends are live, so the state never grows past the
-steps' peak live width.  Each step's top weight joins one scalar, a
-mantissa times a power of two that meets the network's prefactor at the
-end, so no builder weight depends on the state's scale.  All of it happens
-in one :class:`~zhdd.sqmdd.Builder`, whose unique table and sum table serve
-the whole contraction, packaged once, so the result is irreducible by
-construction and the rewrite system is never run.  The optional per-stage dense mirror
-is :func:`~zhdd.network.dense_stages`, the same step list on dense vectors.
+weight.  A one-legged spider/box, or a two-legged H-box, with one wire to
+the state is applied where that wire is, in one level-walker pass over the
+levels above it (:func:`apply_in_place`).  Each other spider/box is built
+as a small closed-form diagram directly on top of the state, and each of
+its wires is closed (a Z merge and a <+| plug, fused into one level-walker
+pass of :func:`~zhdd.algebra.contract_edge`) as soon as both its ends are
+live, so the state never grows past the steps' peak live width.  Each
+step's top weight joins one scalar, a mantissa times a power of two that
+meets the network's prefactor at the end, so no builder weight depends on
+the state's scale.  All of it happens in one :class:`~zhdd.sqmdd.Builder`,
+whose unique table and sum table serve the whole contraction, packaged
+once, so the result is irreducible by construction and the rewrite system
+is never run.  The optional per-stage dense mirror is
+:func:`~zhdd.network.dense_stages`, the same step list on dense vectors.
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
@@ -50,10 +53,11 @@ from __future__ import annotations
 from itertools import count
 from typing import Optional
 
-from .algebra import contract_edge, permute_edge, restrict
+from .algebra import add_edge, contract_edge, permute_edge, restrict
 from .config import DEFAULT, Settings
 from .errors import ShapeError
 from .network import (
+    NetInstance,
     contraction_steps,
     dense_stages,
     flatten_to_network,
@@ -63,7 +67,7 @@ from .network import (
 )
 from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
-from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate
+from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate, walker
 from .terms import (
     Gadget,
     Gen,
@@ -141,14 +145,40 @@ def _generator_edge(
 # term -> diagram
 
 
+def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
+    """Apply an instance of arity 1 or 2 to the wire at height ``h`` of
+    ``e``, in one :func:`~zhdd.sqmdd.walker` pass over the levels above it.
+
+    With ``e0``, ``e1`` the wire's cofactors and ``a`` the label, a Z
+    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, and both remove the
+    wire.  A two-legged instance leaves its free leg at height ``h``: an H
+    map is the node ``(e0 + e1, e0 + a*e1)`` and a Z map the identity.
+    Every sum is an :func:`~zhdd.algebra.add_edge`, in the builder's sum
+    table.
+    """
+    a = inst.label
+
+    def act(e0: Edge, e1: Edge) -> Edge:
+        if inst.kind == "z":
+            return add_edge(bld, e0, e1) if inst.arity == 1 else bld.edge(h, e0, e1)
+        ae1 = (a * e1[0], e1[1]) if a != 0 else (0j, TERMINAL)
+        if inst.arity == 1:
+            return add_edge(bld, e0, ae1)
+        return bld.edge(h, add_edge(bld, e0, e1), add_edge(bld, e0, ae1))
+
+    return walker(bld, h, 2 - inst.arity, act)(e)
+
+
 def zh_to_sqmdd(
     t: ZhTerm, settings: Settings = DEFAULT, assert_stages: bool = False
 ) -> Sqmdd:
     """Reduced diagram of a term (of the term's state form, for maps).
 
     Runs :func:`~zhdd.network.contraction_steps` in one :class:`Builder`
-    on a state kept as a root of unit weight: each instance is built on top
-    of it, and closing a wire rebuilds only the levels above its lower end.
+    on a state kept as a root of unit weight.  An in-place step is one
+    :func:`apply_in_place` at its wire's height; any other instance is
+    built on top of the state, and closing one of its wires rebuilds only
+    the levels above the wire's lower end.
     Each step's top weight joins one scalar, a mantissa times a power of
     two (:func:`~zhdd.network.scaled`), so no builder weight depends on the
     state's scale; the output permutation and the network's prefactor come
@@ -179,8 +209,12 @@ def zh_to_sqmdd(
                 raise AssertionError(f"contraction stage '{what}' drifted by {dev:.3e}")
         return e[1]
 
-    for idx, closes in steps:
+    for idx, at, closes in steps:
         inst = net.instances[idx]
+        if at is not None:
+            root = take(apply_in_place(bld, inst, (1.0 + 0j, root), height - at))
+            height += inst.arity - 2
+            continue
         root = take(_generator_edge(bld, inst.kind, inst.arity, inst.label, root, height))
         height += inst.arity
         for i, j in closes:

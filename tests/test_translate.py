@@ -11,7 +11,12 @@ from zhdd.config import Settings
 from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector
-from zhdd.network import contraction_steps, flatten_to_network, net_interpret
+from zhdd.network import (
+    contraction_steps,
+    flatten_to_network,
+    net_interpret,
+    simplify_network,
+)
 from zhdd.oracle import (
     interpret_sqmdd,
     interpret_zh,
@@ -34,6 +39,7 @@ from zhdd.terms import (
     Swap,
     XSpider,
     ZSpider,
+    beside,
     iter_generators,
     par,
     seq,
@@ -226,18 +232,20 @@ def test_stage_assertions_follow_the_plan():
     assert iso_equal(back, reduce_diagram(d, settings)[0])
 
 
+def _patch_steps(monkeypatch, change) -> None:
+    """Pass the edge that each contraction step returns through ``change``:
+    the closed wire and the instance applied in place."""
+    for name in ("contract_edge", "apply_in_place"):
+        step = getattr(zhdd.translate, name)
+        monkeypatch.setattr(zhdd.translate, name, lambda *args, step=step: change(step(*args)))
+
+
 def test_stage_assertions_catch_a_drifting_contraction(monkeypatch):
-    """The dense mirror can fail: a closed wire scaled by 1 + 1e-6 is
+    """The dense mirror can fail: a step's edge scaled by 1 + 1e-6 is
     caught at that stage."""
     t = seq(Gen(ZSpider(0, 3)), par(Gen(HBox(1, 1, -1)), wires(2)))
     zh_to_sqmdd(t, WIDE, assert_stages=True)
-    close = zhdd.translate.contract_edge
-
-    def drifting(*args):
-        w, c = close(*args)
-        return w * (1 + 1e-6), c
-
-    monkeypatch.setattr(zhdd.translate, "contract_edge", drifting)
+    _patch_steps(monkeypatch, lambda e: (e[0] * (1 + 1e-6), e[1]))
     with pytest.raises(AssertionError, match="drifted"):
         zh_to_sqmdd(t, WIDE, assert_stages=True)
 
@@ -246,10 +254,7 @@ def test_stage_assertions_catch_a_nan(monkeypatch):
     """A NaN deviation is a drift too; unchecked, the NaN scalar stops at
     ``Builder.finish`` as a resource limit."""
     t = seq(Gen(ZSpider(0, 3)), par(Gen(HBox(1, 1, -1)), wires(2)))
-    close = zhdd.translate.contract_edge
-    monkeypatch.setattr(
-        zhdd.translate, "contract_edge", lambda *args: (complex("nan"), close(*args)[1])
-    )
+    _patch_steps(monkeypatch, lambda e: (complex("nan"), e[1]))
     with pytest.raises(AssertionError, match="drifted"):
         zh_to_sqmdd(t, WIDE, assert_stages=True)
     with pytest.raises(ResourceLimitError):
@@ -359,10 +364,12 @@ def test_plan_picks_the_smallest_frontier_then_the_next_component():
         [(1, 1), (1, 2)],
     )
     # 2 closes its only leg (-1) and goes before 1 (3 - 2 = +1); 3 is its
-    # own component, started once nothing is wired to the placed part.  A
-    # placed instance's legs go on top, and its wires close in leg order.
+    # own component, started once nothing is wired to the placed part.  2
+    # is an effect with one wire to a live leg, so it is applied in place,
+    # at that leg's live position 1.  Any other placed instance's legs go
+    # on top, and its wires close in leg order.
     steps, perm, peak = contraction_steps(net)
-    assert steps == [(0, []), (2, [(0, 2)]), (1, [(0, 3)]), (3, [(0, 1)])]
+    assert steps == [(0, None, []), (2, 1, []), (1, None, [(0, 3)]), (3, None, [(0, 1)])]
     assert (perm, peak) == ([0, 1], 4)
 
 
@@ -372,8 +379,69 @@ def test_plan_peak_width_of_emitted_z_states(k):
     (802 of them for k = 8); the steps' live width stays linear in k."""
     net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", k)))
     steps, perm, peak = contraction_steps(net)
-    assert sorted(idx for idx, _ in steps) == list(range(len(net.instances)))
+    assert sorted(idx for idx, _, _ in steps) == list(range(len(net.instances)))
     assert sorted(perm) == list(range(k)) and peak <= 4 * k + 8
+
+
+def _random_h_state(rng):
+    """A state on 4 wires with random labels: an H state, then one H(1, 1)
+    on each wire.  Its legs stay live in wire order."""
+    def label():
+        return complex(*rng.normal(size=2))
+
+    return seq(Gen(HBox(0, 4, label())), par(*[Gen(HBox(1, 1, label())) for _ in range(4)]))
+
+
+LABELS = (-1, 0, 0.5, 2 + 1j)
+
+
+@pytest.mark.parametrize("at", [0, 2, 3], ids=["top", "middle", "bottom"])
+@pytest.mark.parametrize(
+    "gate",
+    [Gen(ZSpider(1, 0))] + [Gen(HBox(1, m, a)) for m in (0, 1) for a in LABELS],
+    ids=["z-effect"] + [f"h-{kind}-{a}" for kind in ("effect", "map") for a in LABELS],
+)
+def test_one_wire_instance_is_applied_in_place(gate, at):
+    """A one-legged Z or H, or a two-legged H, on one wire of a random
+    state is applied where the wire is; every stage matches the dense
+    mirror, and the result the term."""
+    t = seq(_random_h_state(np.random.default_rng(at)), beside(at, gate, 3 - at))
+    net = simplify_network(flatten_to_network(t))
+    last = len(net.instances) - 1  # the gate, the term's last generator
+    assert (last, at, []) in contraction_steps(net)[0]
+    got = interpret_sqmdd(zh_to_sqmdd(t, WIDE, assert_stages=True), WIDE)
+    assert max_deviation(got, interpret_zh(t, WIDE).reshape(-1)) <= 1e-9
+
+
+def test_in_place_steps_are_the_one_wire_instances(monkeypatch):
+    """On an emitted diagram, exactly the instances of arity at most 2 with
+    one wire to a placed instance are applied in place, and every other
+    wire to a placed instance is closed by one contract_edge."""
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE))
+    net = simplify_network(flatten_to_network(t))
+    steps, _, _ = contraction_steps(net)
+    owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
+    placed: set[int] = set()
+    in_place = 0
+    for idx, at, closes in steps:
+        ends = [owner[net.mate[x]] for x in net.legs[idx] if net.mate[x] >= 0]
+        wired = sum(m in placed for m in ends)
+        placed.add(idx)
+        if wired == 1 and net.instances[idx].arity <= 2:
+            assert at is not None and closes == []
+            in_place += 1
+        else:  # a self-loop has both ends in ends
+            assert at is None and len(closes) == wired + ends.count(idx) // 2
+    calls = [0]
+    close = zhdd.translate.contract_edge
+
+    def counting(*args):
+        calls[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(zhdd.translate, "contract_edge", counting)
+    zh_to_sqmdd(t, WIDE)
+    assert in_place > 0 and calls[0] == sum(len(c) for _, _, c in steps) > 0
 
 
 def test_z16_round_trip_within_budget():
