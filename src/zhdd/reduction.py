@@ -19,7 +19,9 @@ eps per entry factor.
 
 The rules, in the deterministic priority order used by :func:`reduce`:
 
-``zero``  the whole diagram denotes (grid-)zero: replace it by the
+``zero``  the whole diagram denotes (grid-)zero — its root has two
+          grid-zero weights, or every entry is grid-zero
+          (:func:`~zhdd.sqmdd.denotes_zero`): replace it by the
           terminal-only form with scalar exactly 0, height kept.
 ``r3``    an edge that contributes nothing — grid-zero weight, or a child
           whose both weights are grid-zero — becomes an exact zero edge
@@ -66,7 +68,7 @@ from .sqmdd import (
     TERMINAL,
     Node,
     Sqmdd,
-    is_zero_weight,
+    denotes_zero,
     node_key,
     weight_key,
 )
@@ -127,7 +129,8 @@ class _Rewriter:
 
     def _zero(self) -> bool:
         return self.root != TERMINAL and (
-            is_zero_weight(self.scalar, self.settings) or self._zero_weights(self.root)
+            self._zero_weights(self.root)
+            or denotes_zero(self.scalar, self.nodes, self.root, self.settings)
         )
 
     def _r3(self, e: tuple[int, int]) -> bool:

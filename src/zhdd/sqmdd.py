@@ -120,6 +120,34 @@ def reachable_ids(d: Sqmdd) -> set[int]:
     return seen
 
 
+def denotes_zero(
+    scalar: complex, nodes: dict[int, Node], root: int, settings: Settings = DEFAULT
+) -> bool:
+    """Whether every entry of ``scalar`` over ``root`` lies in the zero cell,
+    given a live root.  A grid-zero scalar alone does not make it so: a
+    path below may carry weights large enough to lift its entry out of the
+    cell.  So the largest product of weight magnitudes on a path is read
+    too, and the diagram is zero when the largest entry stays below eps/2.
+    """
+    if root == TERMINAL or not is_zero_weight(scalar, settings):
+        return False
+    best = {TERMINAL: 1.0}
+    stack = [root]
+    while stack:
+        i = stack[-1]
+        if i in best:
+            stack.pop()
+            continue
+        n = nodes[i]
+        below = [c for c in (n.c0, n.c1) if c not in best]
+        if below:
+            stack += below
+            continue
+        stack.pop()
+        best[i] = max(abs(n.w0) * best[n.c0], abs(n.w1) * best[n.c1])
+    return abs(scalar) * best[root] < settings.eps / 2
+
+
 def validate(d: Sqmdd) -> list[str]:
     """All invariant violations, as human-readable strings; empty = valid."""
     problems: list[str] = []
@@ -511,8 +539,7 @@ class Builder:
             raise ResourceLimitError(f"the top weight {lam} is beyond the float range")
         if root == TERMINAL and lam == 0j:
             return zero_form(height)
-        if root != TERMINAL and is_zero_weight(lam, self.settings):
-            # a grid-zero scalar over live structure denotes (grid-)zero
+        if denotes_zero(lam, self.nodes, root, self.settings):
             return zero_form(height)
         d = Sqmdd(lam, height, root, dict(self.nodes))
         keep = reachable_ids(d)

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zhdd.algebra import (
     add,
@@ -65,6 +65,9 @@ def test_canonical_of_zero_vector_is_zero_form():
 
 
 @given(vec=small_vectors(max_height=3), f=weights())
+# the scaled scalar lands in the zero cell, but the entries below it do not
+@example(vec=np.array([0, 0, 0, 0, 0, 0, 1e-9j, 1], dtype=complex), f=0.5 + 0j)
+@example(vec=np.array([1.19e-7j, 1]), f=0.0039j)
 def test_scale(vec, f):
     d = canonical_from_vector(vec)
     assert max_deviation(interpret_sqmdd(scale(d, f)), f * vec) <= 1e-9
