@@ -11,7 +11,7 @@ reason attached; deliberately broken claims act as negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .terms import (
 
 Side = Union[ZhTerm, np.ndarray]
 Case = Tuple[ZhTerm, Side]
-Builder = Callable[[np.random.Generator], List[Case]]
+if TYPE_CHECKING:  # spelling np.random here would import it with every CLI run
+    Builder = Callable[[np.random.Generator], List[Case]]
 
 
 @dataclass(frozen=True)

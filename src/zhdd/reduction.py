@@ -45,39 +45,42 @@ the ids sharing it, and one min-heap of ``(rank, entry)`` pairs, ranked by
 rule priority after ``zero``.  The heap holds every entry whose guard
 holds — r3 entries are ``(node, side)``, r6 entries the id to merge away,
 the others node ids — and possibly stale ones, which are checked against
-their guard and dropped when they reach the top.  A step re-offers every
-guard that reads what it changed: the changed node's own rules, its
-parents' r3 edges, the r6 entry of its new key group's old first id, and
-r4 for any child that lost an edge.  The deterministic pick is the heap's
-smallest valid pair: the smallest valid entry of the first rule that has
-one, which is exactly the first candidate of the full scan
-:func:`find_candidates`, so traces and results match the scan step for
-step while a step costs only the nodes it touches.
+their guard and dropped when they reach the top.  Every guard reads only
+key cells, children, group order and the parent index, so a step offers
+an entry only when one of those inputs moved:
+
+- a node whose key did not change offers nothing;
+- a node whose key changed offers its own r6 entry, or the r6 entry of
+  its new group's old first id when it heads the group now; the one of
+  r2, r1 and r5 its new cells make true (they exclude each other); r3 on
+  each side whose child or zero cell moved; and its parents' r3 edges
+  only when both its weights have just become grid-zero;
+- a child that lost its last incoming edge offers r4.
+
+``zero`` is read every step, but its path walk
+(:func:`~zhdd.sqmdd.denotes_zero`) runs only while the scalar is in the
+zero cell: outside it the diagram is zero exactly when the root has two
+grid-zero weights.  The deterministic pick is the heap's smallest valid
+pair: the smallest valid entry of the first rule that has one, which is
+exactly the first candidate of the full scan :func:`find_candidates`, so
+traces and results match the scan step for step while a step costs only
+the nodes it changes.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Optional
+from heapq import heappop, heappush
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .sqmdd import (
-    TERMINAL,
-    Node,
-    Sqmdd,
-    denotes_zero,
-    node_key,
-    weight_key,
-)
+from .sqmdd import TERMINAL, Node, Sqmdd, denotes_zero, is_zero_weight, weight_key
 
 _ZERO = (0, 0)  # the grid cell of a zero weight
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     node: Optional[int]
     detail: str
@@ -87,6 +90,26 @@ class Step:
 
 
 Candidate = tuple[str, Any]
+
+# ranks in the heap: the rules after "zero" in priority order
+_R3, _R4, _R2, _R1, _R5, _R6 = range(6)
+
+
+def _own_rule(key: tuple, one: tuple[int, int]) -> Optional[int]:
+    """The rank of the node-local rule a key makes true: r2, r1 or r5.
+
+    Their guards exclude each other (r2 and r1 disagree on ``w0``'s zero
+    cell, r1 and r5 on its one cell, r2 and r5 on ``w1``'s one cell), so
+    a key makes at most one of them true.
+    """
+    _h, c0, k0, c1, k1 = key
+    if k0 == _ZERO and k1 != _ZERO and k1 != one:
+        return _R2
+    if k0 != _ZERO and k0 != one:
+        return _R1
+    if c0 == c1 and k0 == one and k1 == one:
+        return _R5
+    return None
 
 
 class _Rewriter:
@@ -100,61 +123,92 @@ class _Rewriter:
 
     def __init__(self, d: Sqmdd, settings: Settings) -> None:
         self.settings = settings
-        self.one = weight_key(1.0 + 0j, settings)
+        eps = self.eps = settings.eps
+        one = self.one = weight_key(1.0 + 0j, settings)
         self.scalar, self.height, self.root = d.scalar, d.height, d.root
-        self.nodes = dict(d.nodes)
-        self.parents: dict[int, set[tuple[int, int]]] = {i: set() for i in self.nodes}
-        self.keys: dict[int, tuple] = {}
-        self.groups: dict[tuple, list[int]] = {}
-        ids = sorted(self.nodes)
+        self.scalar_zero = is_zero_weight(d.scalar, settings)
+        nodes = self.nodes = dict(d.nodes)
+        ids = sorted(nodes)
+        parents = self.parents = {i: set() for i in ids}
+        keys: dict[int, tuple] = {}
+        groups: dict[tuple, list[int]] = {}
+        self.keys, self.groups = keys, groups
+        # node_key, inlined
         for i in ids:
-            n = self.nodes[i]
-            for side, c in ((0, n.c0), (1, n.c1)):
-                if c != TERMINAL:
-                    self.parents[c].add((i, side))
-            key = self.keys[i] = node_key(n, settings)
-            self.groups.setdefault(key, []).append(i)
-        edges = [(i, side) for i in ids for side in (0, 1)]
-        # a sorted list is already a heap
-        self.heap = [(rank, e) for rank, (rule, ok) in enumerate(self._GUARDS)
-                     for e in (edges if rule == "r3" else ids) if ok(self, e)]
+            n = nodes[i]
+            w0, c0, w1, c1 = n.w0, n.c0, n.w1, n.c1
+            if c0 != TERMINAL:
+                parents[c0].add((i, 0))
+            if c1 != TERMINAL:
+                parents[c1].add((i, 1))
+            key = keys[i] = (n.height, c0, (round(w0.real / eps), round(w0.imag / eps)),
+                             c1, (round(w1.real / eps), round(w1.imag / eps)))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [i]
+            else:
+                group.append(i)
+        # one list per rule in id order, joined in rank order: a sorted
+        # list, so already a heap
+        lists: list[list] = [[] for _ in self._GUARDS]
+        r3, r4, r6 = lists[_R3], lists[_R4], lists[_R6]
+        dead = self._dead_edge
+        for i in ids:
+            key = keys[i]
+            _h, c0, k0, c1, k1 = key
+            if dead(c0, k0):
+                r3.append((_R3, (i, 0)))
+            if dead(c1, k1):
+                r3.append((_R3, (i, 1)))
+            if not parents[i] and i != self.root:
+                r4.append((_R4, i))
+            rank = _own_rule(key, one)
+            if rank is not None:
+                lists[rank].append((rank, i))
+            if groups[key][0] < i:
+                r6.append((_R6, i))
+        self.heap = [pair for entries in lists for pair in entries]
 
     # -- guards: each one is a predicate on the current table ------------
-    # Weights are compared through the grid cells cached in ``keys``
-    # (``key[2]`` and ``key[4]``); child ids are read from ``nodes``.
+    # Besides which nodes exist, they read only ``keys`` (children at
+    # ``key[1]`` and ``key[3]``, grid cells at ``key[2]`` and ``key[4]``),
+    # ``groups`` and ``parents``.
 
     def _zero_weights(self, i: int) -> bool:
         key = self.keys[i]
         return key[2] == _ZERO and key[4] == _ZERO
 
     def _zero(self) -> bool:
+        # outside the zero cell the scalar cannot make the diagram zero
         return self.root != TERMINAL and (
             self._zero_weights(self.root)
-            or denotes_zero(self.scalar, self.nodes, self.root, self.settings)
+            or self.scalar_zero
+            and denotes_zero(self.scalar, self.nodes, self.root, self.settings)
         )
+
+    def _dead_edge(self, c: int, k: tuple[int, int]) -> bool:
+        """Whether an edge to child c with weight cell k contributes nothing."""
+        return c != TERMINAL and (k == _ZERO or self._zero_weights(c))
 
     def _r3(self, e: tuple[int, int]) -> bool:
         i, side = e
-        n = self.nodes.get(i)
-        if n is None:
-            return False
-        c = n.c1 if side else n.c0
-        return c != TERMINAL and (self.keys[i][2 + 2 * side] == _ZERO or self._zero_weights(c))
+        key = self.keys.get(i)
+        return key is not None and self._dead_edge(key[1 + 2 * side], key[2 + 2 * side])
 
     def _r4(self, i: int) -> bool:
         return i in self.nodes and i != self.root and not self.parents[i]
 
     def _r2(self, i: int) -> bool:
         key = self.keys.get(i)
-        return key is not None and key[2] == _ZERO and key[4] != _ZERO and key[4] != self.one
+        return key is not None and _own_rule(key, self.one) == _R2
 
     def _r1(self, i: int) -> bool:
         key = self.keys.get(i)
-        return key is not None and key[2] != _ZERO and key[2] != self.one
+        return key is not None and _own_rule(key, self.one) == _R1
 
     def _r5(self, i: int) -> bool:
-        n = self.nodes.get(i)
-        return n is not None and n.c0 == n.c1 and self.keys[i][2] == self.keys[i][4] == self.one
+        key = self.keys.get(i)
+        return key is not None and _own_rule(key, self.one) == _R5
 
     def _r6(self, i: int) -> bool:
         return i in self.nodes and self.groups[self.keys[i]][0] < i
@@ -164,41 +218,34 @@ class _Rewriter:
     # a reference cycle that holds each finished rewriter until the cyclic
     # collector runs
     _GUARDS = (("r3", _r3), ("r4", _r4), ("r2", _r2), ("r1", _r1), ("r5", _r5), ("r6", _r6))
-    _RANKED = {rule: (rank, ok) for rank, (rule, ok) in enumerate(_GUARDS)}
 
     # -- picking ---------------------------------------------------------
 
-    def _candidate(self, rule: str, e: Any) -> Candidate:
-        if rule == "r6":
+    def _candidate(self, rank: int, e: Any) -> Candidate:
+        if rank == _R6:
             return ("r6", (self.groups[self.keys[e]][0], e))
-        return (rule, e)
+        return (self._GUARDS[rank][0], e)
 
-    def first(self) -> list[Candidate]:
-        """The first candidate in priority order, as a list of at most one."""
+    def first(self) -> Optional[Candidate]:
+        """The first candidate in priority order, or None at the fixpoint."""
         if self._zero():
-            return [("zero", None)]
-        heap = self.heap
+            return ("zero", None)
+        heap, guards = self.heap, self._GUARDS
         while heap:
             rank, e = heap[0]
-            rule, ok = self._GUARDS[rank]
-            if ok(self, e):
-                return [self._candidate(rule, e)]
-            heapq.heappop(heap)
-        return []
+            if guards[rank][1](self, e):
+                return self._candidate(rank, e)
+            heappop(heap)
+        return None
 
     def candidates(self) -> list[Candidate]:
         """Every candidate in priority order; prunes the heap on the way."""
         out: list[Candidate] = [("zero", None)] if self._zero() else []
         guards = self._GUARDS
         self.heap = sorted({(rank, e) for rank, e in self.heap if guards[rank][1](self, e)})
-        return out + [self._candidate(guards[rank][0], e) for rank, e in self.heap]
+        return out + [self._candidate(rank, e) for rank, e in self.heap]
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _offer(self, rule: str, e: Any) -> None:
-        rank, ok = self._RANKED[rule]
-        if ok(self, e):
-            heapq.heappush(self.heap, (rank, e))
 
     def _leave_group(self, i: int, key: tuple) -> None:
         group = self.groups[key]
@@ -207,32 +254,47 @@ class _Rewriter:
             del self.groups[key]
 
     def _set(self, i: int, n: Node) -> None:
+        """Node i becomes n: re-key it and offer what the new key makes true
+        (the offer rule of the module docstring)."""
         self.nodes[i] = n
-        self._touch(i)
-
-    def _touch(self, i: int) -> None:
-        """Node i changed: re-key it and re-offer every guard that reads it."""
-        key = node_key(self.nodes[i], self.settings)
-        if key != self.keys[i]:
-            self._leave_group(i, self.keys[i])
-            self.keys[i] = key
-            group = self.groups.setdefault(key, [])
+        eps = self.eps
+        w0, c0, w1, c1 = n.w0, n.c0, n.w1, n.c1
+        k0 = (round(w0.real / eps), round(w0.imag / eps))  # node_key, inlined
+        k1 = (round(w1.real / eps), round(w1.imag / eps))
+        key = (n.height, c0, k0, c1, k1)
+        old = self.keys[i]
+        if key == old:
+            return
+        self.keys[i] = key
+        heap = self.heap
+        self._leave_group(i, old)
+        group = self.groups.get(key)
+        if group is None:
+            self.groups[key] = [i]
+        else:
             at = bisect_left(group, i)
             group.insert(at, i)
-            if at == 0 and len(group) > 1:
-                self._offer("r6", group[1])
-        for rule in ("r2", "r1", "r5", "r6"):
-            self._offer(rule, i)
-        self._offer("r3", (i, 0))
-        self._offer("r3", (i, 1))
-        for e in self.parents[i]:
-            self._offer("r3", e)
+            heappush(heap, (_R6, group[1] if at == 0 else i))
+        rank = _own_rule(key, self.one)
+        if rank is not None:
+            heappush(heap, (rank, i))
+        zero0, zero1 = k0 == _ZERO, k1 == _ZERO
+        was0, was1 = old[2] == _ZERO, old[4] == _ZERO
+        if (c0 != old[1] or zero0 != was0) and self._dead_edge(c0, k0):
+            heappush(heap, (_R3, (i, 0)))
+        if (c1 != old[3] or zero1 != was1) and self._dead_edge(c1, k1):
+            heappush(heap, (_R3, (i, 1)))
+        if zero0 and zero1 and not (was0 and was1):
+            for e in self.parents[i]:
+                heappush(heap, (_R3, e))
 
     def _unlink(self, p: int, side: int, c: int) -> None:
         """Edge (p, side) no longer points at c."""
         if c != TERMINAL:
-            self.parents[c].discard((p, side))
-            self._offer("r4", c)
+            edges = self.parents[c]
+            edges.discard((p, side))
+            if not edges and c != self.root:
+                heappush(self.heap, (_R4, c))
 
     def _delete(self, i: int) -> set[tuple[int, int]]:
         """Remove node i; returns its incoming edges."""
@@ -249,9 +311,7 @@ class _Rewriter:
             if to != TERMINAL:
                 self.parents[to].add((p, side))
             n = self.nodes[p]
-            self.nodes[p] = n.with_edge(side, n.edge(side)[0], to)
-        for p in {p for p, _ in edges}:  # a parent may hold both edges
-            self._touch(p)
+            self._set(p, n.with_edge(side, n.edge(side)[0], to))
         if self.root == i:
             self.root = to
 
@@ -259,6 +319,7 @@ class _Rewriter:
         """Multiply the factor onto every incoming edge of i (or the scalar)."""
         if i == self.root:
             self.scalar = self.scalar * factor
+            self.scalar_zero = is_zero_weight(self.scalar, self.settings)
             return
         for p, side in self.parents[i]:
             n = self.nodes[p]
@@ -339,13 +400,14 @@ def reduce_diagram(
     """
     rw = _Rewriter(d, settings)
     steps: list[Step] = []
-    while True:
-        cands = rw.first() if rng is None else rw.candidates()
-        if not cands:
-            return (rw.diagram() if steps else d), steps
-        pick = cands[0] if rng is None else cands[int(rng.integers(len(cands)))]
-        steps.append(rw.apply(pick))
+    if rng is None:
+        while (cand := rw.first()) is not None:
+            steps.append(rw.apply(cand))
+    else:
+        while cands := rw.candidates():
+            steps.append(rw.apply(cands[int(rng.integers(len(cands)))]))
+    return (rw.diagram() if steps else d), steps
 
 
 def is_irreducible(d: Sqmdd, settings: Settings = DEFAULT) -> bool:
-    return not _Rewriter(d, settings).first()
+    return _Rewriter(d, settings).first() is None

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
@@ -39,8 +39,7 @@ Act = Callable[[Edge, Edge], Edge]  # a cofactor pair -> one edge
 Walk = Callable[[Edge], Edge]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     height: int
     w0: complex
     c0: int
@@ -337,6 +336,56 @@ def sqmdd_to_json(d: Sqmdd) -> dict[str, Any]:
     }
 
 
+def _well_formed_nodes(raw_nodes: list, root: int, height: int) -> dict[int, Node] | None:
+    """The node table in one pass over the entries, when every entry is as
+    :func:`sqmdd_to_json` writes it and the table is valid; None for
+    anything else, which the checked path of :func:`sqmdd_from_json` then
+    reads or rejects.
+
+    Validity is :func:`validate`'s, read in one loop over the table: every
+    child is in the table one level down or more, so a node is reachable
+    from the root exactly when it is the root or some node's child.
+    """
+    nodes: dict[int, Node] = {}
+    for entry in raw_nodes:
+        if type(entry) is not dict:
+            return None
+        try:
+            i, h, c0, c1 = entry["id"], entry["h"], entry["c0"], entry["c1"]
+            (re0, im0), (re1, im1) = entry["w0"], entry["w1"]
+        except (KeyError, TypeError, ValueError):
+            return None
+        if not (type(i) is int and i > 0 and i not in nodes and type(h) is int and h >= 1
+                and type(re0) is type(im0) is type(re1) is type(im1) is float):
+            return None
+        w0, w1 = complex(re0, im0), complex(re1, im1)
+        if not (cmath.isfinite(w0) and cmath.isfinite(w1)):
+            return None
+        if c0 == "t":
+            c0 = TERMINAL
+        elif type(c0) is not int or c0 <= 0:
+            return None
+        if c1 == "t":
+            c1 = TERMINAL
+        elif type(c1) is not int or c1 <= 0:
+            return None
+        nodes[i] = Node(h, w0, c0, w1, c1)
+    if root == TERMINAL:
+        return None if nodes else nodes
+    top = nodes.get(root)
+    if top is None or top.height > height:
+        return None
+    reached = {root}
+    for n in nodes.values():
+        for c in (n.c0, n.c1):
+            if c != TERMINAL:
+                child = nodes.get(c)
+                if child is None or child.height >= n.height:
+                    return None
+                reached.add(c)
+    return nodes if len(reached) == len(nodes) else None
+
+
 def sqmdd_from_json(obj: Any) -> Sqmdd:
     if not isinstance(obj, dict):
         raise ValueError("diagram must be a JSON object")
@@ -351,7 +400,11 @@ def sqmdd_from_json(obj: Any) -> Sqmdd:
         raise ValueError(f"height must be a non-negative integer, got {height!r}")
     if not isinstance(raw_nodes, list):
         raise ValueError("'nodes' must be a list")
-    nodes: dict[int, Node] = {}
+    nodes = _well_formed_nodes(raw_nodes, root, height)
+    if nodes is not None:
+        return Sqmdd(scalar, height, root, nodes)
+    # the checked path: the same diagram, or the error that names the fault
+    nodes = {}
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ValueError("node entries must be JSON objects")

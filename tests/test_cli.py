@@ -1,6 +1,7 @@
 """End-to-end command behavior, including the exit-code contract:
 0 ok, 1 not-equivalent / claim failed, 2 malformed input, 3 resource cap,
 4 internal error."""
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import zhdd
 from zhdd import cli
 from zhdd.cli import main
-from zhdd.generate import random_dag, scramble, tree_from_vector
+from zhdd.generate import random_dag, random_vector, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
 from zhdd.sqmdd import (
@@ -392,6 +393,50 @@ def test_reduce_writes_compact_json(write, capsys, tmp_path):
     result, steps = reduce_diagram(tree)
     want = {"result": sqmdd_to_json(renumber(result)), "trace": [s.to_json() for s in steps]}
     assert steps and json.loads(text) == json.loads(json.dumps(want))
+
+
+# SHA-256 of the input and of the `reduce` output for each (height, kind):
+# the output must stay the same byte for byte, trace included.
+_PINNED_REDUCE = {
+    (4, "full"): ("dd40df590bfa97960b5f78b58f8b60dd17f043221cc2923d6e86561c816bc51f",
+                  "a0ab39c3aea1b611e2c9c6bab078f967122a97496282bbbc2af0a552c6255a10"),
+    (4, "sparse"): ("df7daa19c8e356d7c29fc7fd9822d24707ff3aace2aa96c2e123b07b928a5a0a",
+                    "56599e72e6796efc34461db72540442e23f4ceb6f130cc78b1e264da81b462b5"),
+    (6, "full"): ("087c1d4d919399321922f10ab16a4e726eb60f9e8b201b07f44e68f03423f4fd",
+                  "6625e683e6458f085c44f65f34f02a5c5fa1bdd43ece20e54d947adde7cc56d0"),
+    (6, "sparse"): ("056d5f6d32e634ac9ca2126fe330235a9f08033934856a8251986ac91bb317c9",
+                    "40fed3ac8cd2c880f5f03bcbbfa30b7aceeacb35b501ea091726abcea2f89eba"),
+    (8, "full"): ("0979a41cc22d4b7cf952067b1f81253d6967a0756643c8f00753ccd5b0579829",
+                  "5e6409f901cd714aadb5d193a5ed08246bd61813ece1bf1b2e251089b80c253b"),
+    (8, "sparse"): ("5224b4e254d609ba7263f9c6e045ac0533623b329576712bd011a884fd8d6092",
+                    "299f1f61267ce0302f7bc34caff8a0375f9adcb595f965cfbd3e4ccebd1272e4"),
+}
+
+
+@pytest.mark.parametrize("height, kind", sorted(_PINNED_REDUCE))
+def test_reduce_output_bytes_are_pinned(tmp_path, height, kind):
+    """A seeded scrambled tree, with under half ("full") or at least half
+    ("sparse") of its entries zero, reduces to the pinned bytes."""
+    rng = np.random.default_rng([height, kind == "sparse"])
+    while True:
+        v = random_vector(rng, height)
+        zeros = int(np.count_nonzero(v == 0))
+        if (zeros < v.size // 2) == (kind == "full") and zeros < v.size - 1:
+            break
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(sqmdd_to_json(scramble(tree_from_vector(v), rng))))
+    assert main(["reduce", str(src), "-o", str(out)]) == 0
+    want_in, want_out = _PINNED_REDUCE[height, kind]
+    assert hashlib.sha256(src.read_bytes()).hexdigest() == want_in, "the input drifted"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want_out
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """Only commands that draw random numbers may pay for numpy.random."""
+    env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1])}
+    code = "import sys, zhdd.cli; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_internal_error_exits_4(write, capsys, monkeypatch, diagram):

@@ -202,6 +202,61 @@ def test_json_rejects_malformed():
         sqmdd_from_json({"scalar": [1, 0], "height": -2, "root": "t", "nodes": []})
 
 
+_ROOT = {"id": 1, "h": 2, "c0": 2, "w0": [1.0, 0.0], "c1": 2, "w1": [-1.0, 0.0]}
+_NODE = {"id": 2, "h": 1, "c0": "t", "w0": [1.0, 0.0], "c1": "t", "w1": [0.5, 0.0]}
+
+
+def _diagram_json(*entries, root=1, height=2):
+    return {"scalar": [1.0, 0.0], "height": height, "root": root, "nodes": list(entries)}
+
+
+def _bad_node(**fields):
+    return _diagram_json(_ROOT, {**_NODE, **fields})
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_bad_node(id=True), "node id must be a positive integer, got True"),
+    (_bad_node(h=True), "node 2: height must be an integer"),
+    (_bad_node(c1=True), 'c1 must be a positive node id or "t", got True'),
+    (_bad_node(h=1.0), "node 2: height must be an integer"),
+    (_bad_node(w0=[math.nan, 0.0]), "w0 must be finite, got [nan, 0.0]"),
+    (_bad_node(w1=[0.0, -math.inf]), "w1 must be finite, got [0.0, -inf]"),
+    (_bad_node(w0=[1.0, 0.0, 0.0]), "w0 must be a [re, im] pair, got [1.0, 0.0, 0.0]"),
+    (_bad_node(c0=0), 'c0 must be a positive node id or "t", got 0'),
+    (_bad_node(c1=-1), 'c1 must be a positive node id or "t", got -1'),
+    (_diagram_json(_ROOT, _NODE, _NODE), "duplicate node id 2"),
+    (_diagram_json(_ROOT, {k: v for k, v in _NODE.items() if k != "w1"}),
+     "node entry is missing field 'w1'"),
+    (_bad_node(c0=3), "invalid diagram: node 2: dangling child reference 3"),
+    (_bad_node(h=2), "invalid diagram: node 1: edge must decrease height (2 -> 2); "
+                     "node 1: edge must decrease height (2 -> 2)"),
+    (_diagram_json(_ROOT, _NODE, {**_NODE, "id": 3}),
+     "invalid diagram: node 3: all vertices need at least one parent (unreachable)"),
+    (_diagram_json(_NODE), "invalid diagram: root 1 is not in the node table"),
+    (_diagram_json(_ROOT, _NODE, height=1),
+     "invalid diagram: root height 2 exceeds diagram height 1"),
+    (_diagram_json(_NODE, root="t"),
+     "invalid diagram: terminal root with a non-empty node table"),
+], ids=["bool-id", "bool-height", "bool-child", "float-height", "nan-weight",
+        "infinite-weight", "three-element-weight", "child-0", "child-minus-1",
+        "duplicate-id", "missing-key", "dangling-child", "child-not-lower", "orphan",
+        "root-missing", "root-above-height", "terminal-root-with-nodes"])
+def test_json_load_names_each_fault(obj, message):
+    """Well-formed entries load in one pass; anything else takes the checked
+    path, which raises the message that names the fault."""
+    with pytest.raises(ValueError) as info:
+        sqmdd_from_json(obj)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra", [{"note": "x"}, {"w0": [1, 0]}],
+                         ids=["extra-key", "integer-weight"])
+def test_json_load_takes_entries_the_checked_path_takes(extra):
+    d = sqmdd_from_json(_bad_node(**extra))
+    assert d.nodes[2] == Node(1, 1 + 0j, TERMINAL, 0.5 + 0j, TERMINAL)
+    assert type(d.nodes[2].w0) is complex
+
+
 def test_dot_output_mentions_every_node():
     d = tree_from_vector(np.array([1, 2, 3, 4], dtype=complex))
     dot = sqmdd_to_dot(d)
@@ -324,7 +379,7 @@ def test_a_nan_weight_never_matches():
     nan = complex("nan")
     assert structurally_same(d, d)
     assert not structurally_same(replace(d, scalar=nan), d)
-    bad = replace(d, nodes={**d.nodes, d.root: replace(d.nodes[d.root], w1=nan)})
+    bad = replace(d, nodes={**d.nodes, d.root: d.nodes[d.root]._replace(w1=nan)})
     assert not structurally_same(bad, d) and not structurally_same(d, bad)
 
 
