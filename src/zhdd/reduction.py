@@ -75,7 +75,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .sqmdd import TERMINAL, Node, Sqmdd, denotes_zero, is_zero_weight, weight_key
+from .sqmdd import TERMINAL, Node, Sqmdd, denotes_zero, node_key, weight_key
 
 _ZERO = (0, 0)  # the grid cell of a zero weight
 
@@ -123,26 +123,22 @@ class _Rewriter:
 
     def __init__(self, d: Sqmdd, settings: Settings) -> None:
         self.settings = settings
-        eps = self.eps = settings.eps
         one = self.one = weight_key(1.0 + 0j, settings)
         self.scalar, self.height, self.root = d.scalar, d.height, d.root
-        self.scalar_zero = is_zero_weight(d.scalar, settings)
         nodes = self.nodes = dict(d.nodes)
         ids = sorted(nodes)
         parents = self.parents = {i: set() for i in ids}
         keys: dict[int, tuple] = {}
         groups: dict[tuple, list[int]] = {}
         self.keys, self.groups = keys, groups
-        # node_key, inlined
         for i in ids:
             n = nodes[i]
-            w0, c0, w1, c1 = n.w0, n.c0, n.w1, n.c1
+            c0, c1 = n.c0, n.c1
             if c0 != TERMINAL:
                 parents[c0].add((i, 0))
             if c1 != TERMINAL:
                 parents[c1].add((i, 1))
-            key = keys[i] = (n.height, c0, (round(w0.real / eps), round(w0.imag / eps)),
-                             c1, (round(w1.real / eps), round(w1.imag / eps)))
+            key = keys[i] = node_key(n, settings)
             group = groups.get(key)
             if group is None:
                 groups[key] = [i]
@@ -179,11 +175,9 @@ class _Rewriter:
         return key[2] == _ZERO and key[4] == _ZERO
 
     def _zero(self) -> bool:
-        # outside the zero cell the scalar cannot make the diagram zero
         return self.root != TERMINAL and (
             self._zero_weights(self.root)
-            or self.scalar_zero
-            and denotes_zero(self.scalar, self.nodes, self.root, self.settings)
+            or denotes_zero(self.scalar, self.nodes, self.root, self.settings)
         )
 
     def _dead_edge(self, c: int, k: tuple[int, int]) -> bool:
@@ -257,11 +251,8 @@ class _Rewriter:
         """Node i becomes n: re-key it and offer what the new key makes true
         (the offer rule of the module docstring)."""
         self.nodes[i] = n
-        eps = self.eps
-        w0, c0, w1, c1 = n.w0, n.c0, n.w1, n.c1
-        k0 = (round(w0.real / eps), round(w0.imag / eps))  # node_key, inlined
-        k1 = (round(w1.real / eps), round(w1.imag / eps))
-        key = (n.height, c0, k0, c1, k1)
+        key = node_key(n, self.settings)
+        _h, c0, k0, c1, k1 = key
         old = self.keys[i]
         if key == old:
             return
@@ -319,7 +310,6 @@ class _Rewriter:
         """Multiply the factor onto every incoming edge of i (or the scalar)."""
         if i == self.root:
             self.scalar = self.scalar * factor
-            self.scalar_zero = is_zero_weight(self.scalar, self.settings)
             return
         for p, side in self.parents[i]:
             n = self.nodes[p]

@@ -95,7 +95,13 @@ def is_one_weight(w: complex, settings: Settings = DEFAULT) -> bool:
 
 
 def node_key(n: Node, settings: Settings = DEFAULT) -> tuple:
-    return (n.height, n.c0, weight_key(n.w0, settings), n.c1, weight_key(n.w1, settings))
+    """Height, children and the two weights' grid cells: the unique table's
+    key, and the key the rewriter's guards read (:func:`weight_key`,
+    inlined, since both run it once per node)."""
+    eps = settings.eps
+    w0, w1 = n.w0, n.w1
+    return (n.height, n.c0, (round(w0.real / eps), round(w0.imag / eps)),
+            n.c1, (round(w1.real / eps), round(w1.imag / eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +156,33 @@ def denotes_zero(
 def validate(d: Sqmdd) -> list[str]:
     """All invariant violations, as human-readable strings; empty = valid."""
     problems: list[str] = []
+    nodes, root = d.nodes, d.root
     if d.height < 0:
         problems.append(f"height must be non-negative, got {d.height}")
     if not cmath.isfinite(d.scalar):
         problems.append("overall scalar must be finite")
-    if d.root != TERMINAL and d.root not in d.nodes:
-        problems.append(f"root {d.root} is not in the node table")
+    if root != TERMINAL and root not in nodes:
+        problems.append(f"root {root} is not in the node table")
         return problems
-    if d.root == TERMINAL and d.nodes:
+    if root == TERMINAL and nodes:
         problems.append("terminal root with a non-empty node table")
-    if d.root != TERMINAL and d.nodes[d.root].height > d.height:
+    if root != TERMINAL and nodes[root].height > d.height:
         problems.append(
-            f"root height {d.nodes[d.root].height} exceeds diagram height {d.height}"
+            f"root height {nodes[root].height} exceeds diagram height {d.height}"
         )
-    for i, n in d.nodes.items():
+    reached = {root}  # the root and every node's children
+    for i, n in nodes.items():
         if i == TERMINAL:
             problems.append("node table may not contain the terminal id")
             continue
         if n.height < 1:
             problems.append(f"node {i}: height must be >= 1, got {n.height}")
-        for w, c in (n.edge(0), n.edge(1)):
+        for w, c in ((n.w0, n.c0), (n.w1, n.c1)):
             if not cmath.isfinite(w):
                 problems.append(f"node {i}: non-finite weight")
             if c != TERMINAL:
-                child = d.nodes.get(c)
+                reached.add(c)
+                child = nodes.get(c)
                 if child is None:
                     problems.append(f"node {i}: dangling child reference {c}")
                 elif child.height >= n.height:
@@ -181,8 +190,11 @@ def validate(d: Sqmdd) -> list[str]:
                         f"node {i}: edge must decrease height "
                         f"({n.height} -> {child.height})"
                     )
-    if not problems:
-        orphans = set(d.nodes) - reachable_ids(d)
+    # With every edge going down, climbing parents from any node ends at
+    # the root; so when each node is the root or some node's child, all are
+    # reachable, and only otherwise is the walk from the root needed.
+    if not problems and not reached.issuperset(nodes):
+        orphans = set(nodes) - reachable_ids(d)
         for i in sorted(orphans):
             problems.append(f"node {i}: all vertices need at least one parent (unreachable)")
     return problems
@@ -336,16 +348,11 @@ def sqmdd_to_json(d: Sqmdd) -> dict[str, Any]:
     }
 
 
-def _well_formed_nodes(raw_nodes: list, root: int, height: int) -> dict[int, Node] | None:
+def _well_formed_nodes(raw_nodes: list) -> dict[int, Node] | None:
     """The node table in one pass over the entries, when every entry is as
-    :func:`sqmdd_to_json` writes it and the table is valid; None for
-    anything else, which the checked path of :func:`sqmdd_from_json` then
-    reads or rejects.
-
-    Validity is :func:`validate`'s, read in one loop over the table: every
-    child is in the table one level down or more, so a node is reachable
-    from the root exactly when it is the root or some node's child.
-    """
+    :func:`sqmdd_to_json` writes it; None for anything else, which the
+    checked path of :func:`sqmdd_from_json` then reads or rejects.  Both
+    paths leave the table's validity to :func:`validate`."""
     nodes: dict[int, Node] = {}
     for entry in raw_nodes:
         if type(entry) is not dict:
@@ -355,7 +362,7 @@ def _well_formed_nodes(raw_nodes: list, root: int, height: int) -> dict[int, Nod
             (re0, im0), (re1, im1) = entry["w0"], entry["w1"]
         except (KeyError, TypeError, ValueError):
             return None
-        if not (type(i) is int and i > 0 and i not in nodes and type(h) is int and h >= 1
+        if not (type(i) is int and i > 0 and i not in nodes and type(h) is int
                 and type(re0) is type(im0) is type(re1) is type(im1) is float):
             return None
         w0, w1 = complex(re0, im0), complex(re1, im1)
@@ -370,20 +377,7 @@ def _well_formed_nodes(raw_nodes: list, root: int, height: int) -> dict[int, Nod
         elif type(c1) is not int or c1 <= 0:
             return None
         nodes[i] = Node(h, w0, c0, w1, c1)
-    if root == TERMINAL:
-        return None if nodes else nodes
-    top = nodes.get(root)
-    if top is None or top.height > height:
-        return None
-    reached = {root}
-    for n in nodes.values():
-        for c in (n.c0, n.c1):
-            if c != TERMINAL:
-                child = nodes.get(c)
-                if child is None or child.height >= n.height:
-                    return None
-                reached.add(c)
-    return nodes if len(reached) == len(nodes) else None
+    return nodes
 
 
 def sqmdd_from_json(obj: Any) -> Sqmdd:
@@ -400,11 +394,18 @@ def sqmdd_from_json(obj: Any) -> Sqmdd:
         raise ValueError(f"height must be a non-negative integer, got {height!r}")
     if not isinstance(raw_nodes, list):
         raise ValueError("'nodes' must be a list")
-    nodes = _well_formed_nodes(raw_nodes, root, height)
-    if nodes is not None:
-        return Sqmdd(scalar, height, root, nodes)
-    # the checked path: the same diagram, or the error that names the fault
-    nodes = {}
+    nodes = _well_formed_nodes(raw_nodes)
+    if nodes is None:
+        nodes = _checked_nodes(raw_nodes)
+    d = Sqmdd(scalar, height, root, nodes)
+    require_valid(d)
+    return d
+
+
+def _checked_nodes(raw_nodes: list) -> dict[int, Node]:
+    """The node table, or the ValueError that names the first malformed
+    entry."""
+    nodes: dict[int, Node] = {}
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ValueError("node entries must be JSON objects")
@@ -426,9 +427,7 @@ def sqmdd_from_json(obj: Any) -> Sqmdd:
         if not isinstance(n.height, int) or isinstance(n.height, bool):
             raise ValueError(f"node {i}: height must be an integer")
         nodes[i] = n
-    d = Sqmdd(scalar, height, root, nodes)
-    require_valid(d)
-    return d
+    return nodes
 
 
 def renumber(d: Sqmdd) -> Sqmdd:

@@ -232,6 +232,10 @@ def _bad_node(**fields):
                      "node 1: edge must decrease height (2 -> 2)"),
     (_diagram_json(_ROOT, _NODE, {**_NODE, "id": 3}),
      "invalid diagram: node 3: all vertices need at least one parent (unreachable)"),
+    (_diagram_json(_ROOT, _NODE, {**_NODE, "id": 3, "h": 2, "c0": 4, "c1": 4},
+                   {**_NODE, "id": 4}),
+     "invalid diagram: node 3: all vertices need at least one parent (unreachable); "
+     "node 4: all vertices need at least one parent (unreachable)"),
     (_diagram_json(_NODE), "invalid diagram: root 1 is not in the node table"),
     (_diagram_json(_ROOT, _NODE, height=1),
      "invalid diagram: root height 2 exceeds diagram height 1"),
@@ -240,6 +244,7 @@ def _bad_node(**fields):
 ], ids=["bool-id", "bool-height", "bool-child", "float-height", "nan-weight",
         "infinite-weight", "three-element-weight", "child-0", "child-minus-1",
         "duplicate-id", "missing-key", "dangling-child", "child-not-lower", "orphan",
+        "orphan-with-a-child",
         "root-missing", "root-above-height", "terminal-root-with-nodes"])
 def test_json_load_names_each_fault(obj, message):
     """Well-formed entries load in one pass; anything else takes the checked
