@@ -34,7 +34,7 @@ from zhdd import (
     zh_to_sqmdd,
 )
 from zhdd.algebra import canonical, contract_edge
-from zhdd.duality import to_state_form
+from zhdd.duality import from_state_form, to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.network import flatten_to_network, net_interpret, simplify_network
@@ -280,6 +280,27 @@ def audit_network_simplify(rng, n, max_h, settings):
     return worst
 
 
+def audit_dense_route(rng, n, max_h, settings):
+    """interpret_zh under caps of 6 and 8 wires, where it cuts wide states
+    in halves, against net_interpret, on random maps as drawn and bent into
+    state form and back.  A refusal under the tight cap is skipped."""
+    mismatches = 0
+    for k in range(n):
+        t = random_term(rng, max_generators=8, max_boundary=6)
+        try:
+            want = net_interpret(flatten_to_network(t), settings)
+        except ResourceLimitError:
+            continue
+        for u in (t, from_state_form(to_state_form(t), t.n_in)):
+            for cap in (6, 8):
+                try:
+                    got = interpret_zh(u, dataclasses.replace(settings, max_qubits=cap))
+                except ResourceLimitError:
+                    continue
+                mismatches += not max_deviation(got, want) <= settings.eps
+    return mismatches
+
+
 def audit_primitives(rng, n, max_h, settings):
     worst = 0.0
     for k in range(n):
@@ -424,6 +445,7 @@ def main() -> int:
         ("contraction-scale", audit_contraction_scale),
         ("merge/plug/one-pass close vs dense", audit_primitives),
         ("network-simplify", audit_network_simplify),
+        ("dense-route", audit_dense_route),
         ("builder-edge", audit_builder_edge),
         ("term-json", audit_term_json),
     ]

@@ -13,29 +13,31 @@ Conventions (fixed throughout the package):
   significant bit**, so ``par(a, b)`` is ``np.kron(A, B)``;
 * ``seq(a, b)`` composes left-to-right: ``B @ A``.
 
-A term has one entry, :func:`interpret_zh`: a term is evaluated as a
-state tensor, one generator at a time, with a trailing batch axis of input
-basis states for a map, cut into chunks so that the term's widest row
-times a chunk fits under the cap.  A map whose widest row alone is above
-the cap takes the definitional matrix recursion instead, which also stays
-as the reference that the test suite cross-checks the state route against.
+A term has one entry, :func:`interpret_zh`, and one route: the term is
+evaluated as a state tensor, one generator at a time, with a trailing batch
+axis of input basis states for a map.  Before a generator would make the
+state wider than the cap, the state is cut in two along an axis that the
+next generators leave alone (a live wire, or else the batch); each half
+runs on until the whole state fits again, and the halves are stacked back
+(sliced evaluation, as in Chen et al., arXiv:1805.01450).
 
 Dense work is capped at ``settings.max_qubits`` wires, and never above
-:data:`~zhdd.config.DENSE_WIRE_LIMIT` (58, the most numpy can size), where
-a term or a generator counts its inputs plus its outputs, a diagram its
-height, a state its wires plus its batch bits, and a block of the matrix
-recursion its larger side (and its inputs plus outputs, against the
-limit); anything larger raises :class:`ResourceLimitError` before it is
-allocated, rather than silently thrashing.
+:data:`~zhdd.config.DENSE_WIRE_LIMIT` (58, the most numpy can size), with
+one rule for every array held, intermediates included: a term or a
+generator counts its inputs plus its outputs, a diagram its height, and a
+state its wires plus its batch bits.  Anything larger raises
+:class:`ResourceLimitError` before it is allocated, rather than silently
+thrashing.
 """
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
 
 from ._json import complex_from_json, complex_to_json
-from .config import DEFAULT, DENSE_WIRE_LIMIT, Settings, dense_cap
+from .config import DEFAULT, Settings, dense_cap
 from .errors import ResourceLimitError, ShapeError
 from .sqmdd import TERMINAL, Sqmdd
 from .terms import (
@@ -58,7 +60,6 @@ from .terms import (
     ZSpider,
     ZhTerm,
     describe,
-    fold,
     generator_arity,
     placed,
 )
@@ -149,91 +150,62 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# term interpretation: definitional matrix route
+# term interpretation: a rank-k state tensor, one axis per live wire and a
+# last axis that batches a map's input basis states (of size 1 for a state)
+
+_Steps = list[tuple[Gen, np.ndarray, int]]  # each generator, its matrix, its first wire
 
 
-def _interpret_matrix(t: ZhTerm, settings: Settings) -> np.ndarray:
-    # generator_matrix caps each generator on its inputs plus outputs.  A
-    # block is capped on its larger side only: the full-width rows of a bent
-    # term (9 wires in and out for a 5-wire state with 4 inputs) must still
-    # evaluate at the default cap.  Its inputs plus outputs must stay within
-    # what numpy can size.
-    def block(rows: int, cols: int, what: str) -> None:
-        _check_span(max(rows, cols).bit_length() - 1, what, settings)
-        _check_span((rows * cols).bit_length() - 1, what, Settings(max_qubits=DENSE_WIRE_LIMIT))
-
-    def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        block(b.shape[0], a.shape[1], "sequential sub-term")
-        return b @ a
-
-    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        block(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], "parallel sub-term")
-        return np.kron(a, b)
-
-    return fold(t, lambda kind: generator_matrix(kind, settings), compose, kron)
+def _apply(state: np.ndarray, mat: np.ndarray, at: int, n: int, m: int) -> np.ndarray:
+    """Apply a ``(2**m, 2**n)`` matrix to the state's axes ``at`` to
+    ``at + n``: its ``m`` output axes take their place."""
+    shape = state.shape
+    res = mat @ state.reshape(math.prod(shape[:at]), 2**n, -1)
+    return res.reshape(shape[:at] + (2,) * m + shape[at + n :])
 
 
-# ---------------------------------------------------------------------------
-# term interpretation: state-tensor route
-#
-# Keeps the working object a rank-k tensor instead of a 2^k x 2^k matrix,
-# which is what makes wide terms tractable.  The last axis is a batch of
-# input basis states (of size 1 for a state).  The test suite calls both
-# routes directly and cross-checks them.
+def _cut(state: np.ndarray, steps: _Steps, i: int, cap: int) -> tuple[int, int, int]:
+    """Where to cut ``state``, too wide for ``steps[i]``: the first axis of
+    two or more entries that the steps leave alone until the whole state
+    fits again, the step where it fits, and where the axis sits by then."""
+    size, end = state.size, i
+    while end == i or size > 2**cap:
+        g = steps[end][0]
+        size, end = size >> g.n_in << g.n_out, end + 1
+    for axis in range(state.ndim):
+        if state.shape[axis] < 2:
+            continue
+        at_end = axis
+        for g, _, at in steps[i:end]:
+            if at + g.n_in <= at_end:
+                at_end += g.n_out - g.n_in
+            elif at <= at_end:
+                break
+        else:
+            return axis, end, at_end
+    g = steps[i][0]
+    raise ResourceLimitError(
+        f"the state after {describe(g)} spans {(state.size >> g.n_in << g.n_out).bit_length() - 1}"
+        f" dense wires (cap is {cap}), and the generators after it touch every"
+        " wire before it fits again"
+    )
 
 
-def _apply_to_state(
-    t: Gen, mat: np.ndarray, state: np.ndarray, start: int, settings: Settings
-) -> np.ndarray:
-    n, m = t.n_in, t.n_out
-    _check_span(state.size.bit_length() - 1 - n + m, f"the state after {describe(t)}", settings)
-    if n == 0 and m == 0:
-        return state * mat[0, 0]
-    if n == 0:
-        res = np.tensordot(state, mat[:, 0].reshape((2,) * m), axes=0)
-    else:
-        ten = mat.reshape((2,) * (m + n))
-        res = np.tensordot(
-            state,
-            ten,
-            axes=(list(range(start, start + n)), list(range(m, m + n))),
-        )
-    if m == 0:
-        # contracted axes vanished; the remaining axes are already in order
-        return res
-    return np.moveaxis(res, range(res.ndim - m, res.ndim), range(start, start + m))
-
-
-def _rows(t: ZhTerm) -> tuple[list[tuple[Gen, int]], int]:
-    """The placed generators of ``t`` and the most wires live at once."""
-    gens = list(placed(t))
-    width = widest = t.n_in
-    for g, _ in gens:
-        width += g.n_out - g.n_in
-        widest = max(widest, width)
-    return gens, widest
-
-
-def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
-    """``t`` applied to every input basis state, as a ``(2**n_out,
-    2**n_in)`` matrix, in chunks of as many columns as the term's widest
-    row leaves room for under the cap."""
-    gens, widest = _rows(t)
-    steps = [
-        (g, generator_matrix(g.kind, settings), at)
-        for g, at in gens
-        if not isinstance(g.kind, Identity)
-    ]
-    chunk = 2 ** max(0, min(t.n_in, dense_cap(settings) - widest))
-    cols = []
-    for first in range(0, 2**t.n_in, chunk):
-        state = np.zeros((2**t.n_in, chunk), dtype=complex)
-        state[np.arange(first, first + chunk), np.arange(chunk)] = 1.0
-        state = state.reshape((2,) * t.n_in + (chunk,))
-        for g, mat, at in steps:
-            state = _apply_to_state(g, mat, state, at, settings)
-        cols.append(state.reshape(2**t.n_out, chunk))
-    return np.concatenate(cols, axis=1)
+def _run(state: np.ndarray, steps: _Steps, cap: int) -> np.ndarray:
+    """Apply ``steps`` to ``state``, cutting it in two wherever a step
+    would take it past ``2**cap`` entries and stacking the halves back once
+    the whole fits again.  The loop goes on past each cut, so nesting grows
+    only with the number of axes cut at once."""
+    i = 0
+    while i < len(steps):
+        g, mat, at = steps[i]
+        if state.size >> g.n_in << g.n_out <= 2**cap:
+            state, i = _apply(state, mat, at, g.n_in, g.n_out), i + 1
+            continue
+        axis, end, at_end = _cut(state, steps, i, cap)
+        halves = [_run(h, steps[i:end], cap) for h in np.split(state, 2, axis=axis)]
+        state, i = np.concatenate(halves, axis=at_end), end
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +215,27 @@ def _interpret_state(t: ZhTerm, settings: Settings) -> np.ndarray:
 def interpret_zh(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense matrix of a term, shape ``(2**n_out, 2**n_in)``.
 
-    The state-tensor route, unless the term is a map with a row wider than
-    the dense cap (a bent term passes its bent wires beside every row):
-    that takes the matrix recursion, which caps each block on its larger
-    side.  The term's inputs plus outputs must fit under the cap.
+    ``t`` is applied to its input basis states, batched in chunks as wide
+    as the cap leaves room for beside the inputs, one generator at a time;
+    a state that would grow past the cap is cut in two and run in halves.
+    The term's inputs plus outputs, and each generator's, must fit under
+    the cap, and no intermediate holds more than ``2**cap`` entries.
     """
     _check_span(t.n_in + t.n_out, "term", settings)
-    if t.n_in and _rows(t)[1] > dense_cap(settings):
-        return _interpret_matrix(t, settings)
-    return _interpret_state(t, settings)
+    steps = [
+        (g, generator_matrix(g.kind, settings), at)
+        for g, at in placed(t)
+        if not isinstance(g.kind, Identity)
+    ]
+    cap = dense_cap(settings)
+    chunk = 2 ** min(t.n_in, cap - t.n_in)
+    cols = []
+    for first in range(0, 2**t.n_in, chunk):
+        state = np.zeros((2**t.n_in, chunk), dtype=complex)
+        state[np.arange(first, first + chunk), np.arange(chunk)] = 1.0
+        state = _run(state.reshape((2,) * t.n_in + (chunk,)), steps, cap)
+        cols.append(state.reshape(2**t.n_out, chunk))
+    return np.concatenate(cols, axis=1)
 
 
 def interpret_zh_state(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:

@@ -56,6 +56,22 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
+# dense reference
+
+
+def matrix_reference(t):
+    """The definitional matrix of a term, with no cap: each generator's
+    closed form, ``seq(a, b)`` as ``B @ A`` and ``par(a, b)`` as
+    ``np.kron(A, B)``."""
+    from zhdd.config import DENSE_WIRE_LIMIT, Settings
+    from zhdd.oracle import generator_matrix
+    from zhdd.terms import fold
+
+    uncapped = Settings(max_qubits=DENSE_WIRE_LIMIT)
+    return fold(t, lambda kind: generator_matrix(kind, uncapped), lambda a, b: b @ a, np.kron)
+
+
+# ---------------------------------------------------------------------------
 # wiring networks
 
 

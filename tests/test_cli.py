@@ -15,7 +15,7 @@ import zhdd
 from zhdd import cli
 from zhdd.cli import main
 from zhdd.generate import random_dag, random_vector, scramble, tree_from_vector
-from zhdd.oracle import interpret_sqmdd, vector_from_json, vector_to_json
+from zhdd.oracle import interpret_sqmdd, interpret_zh, vector_from_json, vector_to_json
 from zhdd.reduction import reduce_diagram
 from zhdd.sqmdd import (
     TERMINAL,
@@ -30,6 +30,7 @@ from zhdd.terms import (
     Cup,
     Gen,
     HBox,
+    Identity,
     KetPlus,
     XSpider,
     ZSpider,
@@ -266,6 +267,24 @@ def test_dense_cap_counts_matrix_inputs_and_outputs(write, capsys):
     code, _, err = run(capsys, "interpret", f, "--max-qubits", "4")
     assert code == 3
     assert "resource cap" in err
+
+
+def test_interpret_cuts_a_row_wider_than_the_cap(write, capsys):
+    """A term whose row passes --max-qubits is evaluated in halves; a
+    generator wider than the cap is still refused, by name."""
+    singles = par(*[Gen(Identity())] * 5)
+    t = seq(
+        par(singles, Gen(ZSpider(0, 5))),
+        par(singles, seq(par(Gen(ZSpider(0, 1)), singles), Gen(ZSpider(6, 0)))),
+    )
+    code, out, _ = run(capsys, "interpret", write("t.json", term_to_json(t)), "--max-qubits", "10")
+    assert code == 0
+    got = np.array(json.loads(out))
+    assert np.array_equal(got[..., 0] + 1j * got[..., 1], interpret_zh(t))
+    wide = seq(Gen(ZSpider(0, 12)), Gen(ZSpider(12, 0)))
+    code, _, err = run(capsys, "interpret", write("w.json", term_to_json(wide)), "--max-qubits", "10")
+    assert code == 3
+    assert "ZSpider" in err and "12 dense wires" in err and "cap is 10" in err
 
 
 @pytest.mark.parametrize("obj, max_qubits", [

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from zhdd.config import DEFAULT, Settings
 from zhdd.errors import ResourceLimitError
-from zhdd.oracle import _interpret_matrix, generator_matrix, interpret_zh, max_deviation
+from zhdd.oracle import generator_matrix, interpret_sqmdd, interpret_zh, max_deviation
 from zhdd.terms import (
     BraPlus,
     Cap,
@@ -35,8 +35,9 @@ from zhdd.terms import (
     seq,
     wires,
 )
+from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
-from conftest import weights
+from conftest import matrix_reference, weights
 
 
 def M(rows):
@@ -183,17 +184,21 @@ def test_scalar_times_scalar():
     assert np.allclose(interpret_zh(t), M([[6j]]))
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_interpreter_methods_agree(seed):
-    """State evolution (on the state form, for a map) and the matrix
-    recursion give the same answer."""
+@given(seed=st.integers(0, 2**32 - 1), max_qubits=st.sampled_from([6, 8, 16]))
+def test_interpreter_methods_agree(seed, max_qubits):
+    """The state route, cut in halves wherever a state would pass the cap,
+    and the definitional matrix recursion give the same answer; under a
+    tight cap the state route may only refuse."""
     from zhdd.generate import random_term
 
     rng = np.random.default_rng(seed)
     t = random_term(rng, max_generators=6, max_boundary=5)
-    a = _interpret_matrix(t, DEFAULT)
-    b = interpret_zh(t)
-    assert max_deviation(a, b) <= 1e-9
+    try:
+        b = interpret_zh(t, Settings(max_qubits=max_qubits))
+    except ResourceLimitError:
+        assert max_qubits < DEFAULT.max_qubits
+        return
+    assert max_deviation(matrix_reference(t), b) <= 1e-9
 
 
 def test_qubit_cap_enforced():
@@ -232,6 +237,67 @@ def test_a_map_is_evaluated_within_the_cap():
     assert peak < 2**20
 
 
+def _singles(k):
+    return par(*[Gen(Identity())] * k)
+
+
+def test_a_row_wider_than_the_cap_is_cut_in_halves():
+    """A bent map whose row needs 11 wires evaluates at a cap of 10: the
+    state is cut along a wire that the next generators leave alone, so the
+    peak stays within a few 10-wire states (16 KiB each).  The matrix
+    recursion this replaces peaked at 1.3 MB here."""
+    t = seq(
+        par(_singles(5), Gen(ZSpider(0, 5))),
+        par(_singles(5), seq(par(Gen(ZSpider(0, 1)), _singles(5)), Gen(ZSpider(6, 0)))),
+    )
+    cap = Settings(max_qubits=10)
+    tracemalloc.start()
+    try:
+        got = interpret_zh(t, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max_deviation(got, matrix_reference(t)) <= 1e-12
+    assert peak < 128 * 1024
+
+
+def test_cuts_continue_in_a_loop():
+    """2,000 rows that each pass the cap and fall back under it: every cut
+    is stacked back before the next, so nesting stays one cut deep and no
+    recursion limit is reached.  Each bubble denotes 2, and a 1/2 beside
+    it keeps the value finite."""
+    bubble = par(_singles(5), seq(Gen(ZSpider(0, 6)), Gen(ZSpider(6, 0))), Gen(HBox(0, 0, 0.5)))
+    t = seq(Gen(ZSpider(0, 5)), *[bubble] * 2000)
+    want = np.zeros((32, 1))
+    want[0] = want[-1] = 1
+    assert max_deviation(interpret_zh(t, Settings(max_qubits=10)), want) <= 1e-12
+
+
+def test_a_state_no_cut_keeps_under_the_cap_is_refused():
+    """Past the cap after the Z(0, 1), the four older wires are all touched
+    by the Z(2)s before the state fits again: cutting one of them would
+    need a sum over its values, so the oracle refuses, by name."""
+    t = seq(
+        Gen(ZSpider(0, 4)),
+        par(_singles(4), Gen(ZSpider(0, 1))),
+        par(Gen(ZSpider(2, 2)), _singles(3)),
+        par(_singles(2), Gen(ZSpider(2, 2)), _singles(1)),
+        par(_singles(3), Gen(ZSpider(2, 1))),
+    )
+    with pytest.raises(ResourceLimitError, match=r"after ZSpider\(0->1\) spans 5 dense wires \(cap is 4\)"):
+        interpret_zh(t, Settings(max_qubits=4))
+    assert max_deviation(interpret_zh(t, Settings(max_qubits=5)), matrix_reference(t)) == 0.0
+
+
+@pytest.mark.parametrize("kind, height", [("z", 6), ("z", 7), ("h", 8)])
+def test_emitted_states_within_the_default_cap(kind, height):
+    """Emitted terms whose rows pass the default cap still evaluate, and
+    agree with the diagram they were emitted from."""
+    d = generator_state_sqmdd(kind, height)
+    got = interpret_zh(sqmdd_to_zh(d)).reshape(-1)
+    assert max_deviation(got, interpret_sqmdd(d)) <= 1e-12
+
+
 def test_a_map_fills_the_cap_with_inputs_alone():
     """A nine-input effect is a 1 x 512 matrix at the default cap: its
     inputs are batched, not bent into nine more wires."""
@@ -245,5 +311,5 @@ def test_identity_bundle_passes_its_wires():
     want = np.zeros(8, dtype=complex)
     want[0], want[7] = 1, 2j
     assert max_deviation(interpret_zh(state).reshape(-1), want) == 0.0
-    assert max_deviation(_interpret_matrix(state, DEFAULT).reshape(-1), want) == 0.0
+    assert max_deviation(matrix_reference(state).reshape(-1), want) == 0.0
     assert max_deviation(generator_matrix(Identity(3)), np.eye(8)) == 0.0

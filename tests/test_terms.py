@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zhdd.config import DEFAULT
 from zhdd.errors import ShapeError
 from zhdd.generate import random_term
 from zhdd.network import flatten_to_network
-from zhdd.oracle import _interpret_matrix, _interpret_state, interpret_zh, max_deviation
+from zhdd.oracle import interpret_zh, max_deviation
 from zhdd.sugar import expand_sugar
 from zhdd.terms import (
     BraPlus,
@@ -45,6 +44,8 @@ from zhdd.terms import (
     wires,
 )
 from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
+
+from conftest import matrix_reference
 
 
 def test_arity_bookkeeping():
@@ -231,8 +232,8 @@ def test_term_far_above_the_recursion_limit():
         rows.append(Gen(Swap()) if k % 2 == 0 else par(Gen(Identity()), Gen(WeightBox(1j))))
     t = seq(*rows)
     want = np.array([1, 0, 0, 1]).reshape(-1, 1)  # 2500 weights of 1j multiply to 1
-    for route in (_interpret_matrix, _interpret_state):
-        assert max_deviation(route(t, DEFAULT), want) == 0.0
+    for route in (matrix_reference, interpret_zh):
+        assert max_deviation(route(t), want) == 0.0
     core = expand_sugar(t)
     assert (core.n_in, core.n_out) == (0, 2)
     assert describe(t).count("Swap") == 2500
