@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .sqmdd import TERMINAL, Node, Sqmdd, reachable_ids, weight_key
+from .sqmdd import TERMINAL, Node, Sqmdd, is_zero_weight, reachable_ids
 from .terms import (
     Cap,
     Cup,
@@ -126,7 +126,7 @@ def random_dag(
 
             w0, c0 = pick_child()
             w1, c1 = pick_child()
-            if weight_key(w0, settings) == (0, 0) and weight_key(w1, settings) == (0, 0):
+            if is_zero_weight(w0, settings) and is_zero_weight(w1, settings):
                 w1, c1 = 1 + 0j, TERMINAL  # avoid an all-zero node
             nodes[next_id] = Node(h, w0, c0, w1, c1)
             ids.append(next_id)

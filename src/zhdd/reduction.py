@@ -39,6 +39,12 @@ The rules, in the deterministic priority order used by :func:`reduce`:
 separate steps, the intermediate diagram would not have a smaller
 measure.
 
+The node-local guards of r2, r1 and r5 are one test,
+:func:`~zhdd.sqmdd.normal_form_rule`, which :func:`~zhdd.sqmdd.measure`
+reads too; the bodies of r2 and r1 are the pull,
+:func:`~zhdd.sqmdd.pull`, the one :meth:`~zhdd.sqmdd.Builder.edge` calls.
+So both engines write the same weights for the same form.
+
 How the next redex is found: one rewriter (:class:`_Rewriter`) keeps the
 node table, a parent index, each node's :func:`~zhdd.sqmdd.node_key` with
 the ids sharing it, and one min-heap of ``(rank, entry)`` pairs, ranked by
@@ -75,9 +81,9 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .sqmdd import TERMINAL, Node, Sqmdd, denotes_zero, node_key, weight_key
-
-_ZERO = (0, 0)  # the grid cell of a zero weight
+from .sqmdd import (
+    TERMINAL, ZERO_CELL, Node, Sqmdd, denotes_zero, node_key, normal_form_rule, one_cell, pull,
+)
 
 
 class Step(NamedTuple):
@@ -91,25 +97,11 @@ class Step(NamedTuple):
 
 Candidate = tuple[str, Any]
 
-# ranks in the heap: the rules after "zero" in priority order
-_R3, _R4, _R2, _R1, _R5, _R6 = range(6)
-
-
-def _own_rule(key: tuple, one: tuple[int, int]) -> Optional[int]:
-    """The rank of the node-local rule a key makes true: r2, r1 or r5.
-
-    Their guards exclude each other (r2 and r1 disagree on ``w0``'s zero
-    cell, r1 and r5 on its one cell, r2 and r5 on ``w1``'s one cell), so
-    a key makes at most one of them true.
-    """
-    _h, c0, k0, c1, k1 = key
-    if k0 == _ZERO and k1 != _ZERO and k1 != one:
-        return _R2
-    if k0 != _ZERO and k0 != one:
-        return _R1
-    if c0 == c1 and k0 == one and k1 == one:
-        return _R5
-    return None
+# the rules after "zero" in priority order: an entry's rank in the heap is
+# the index of its rule here
+_RULES = ("r3", "r4", "r2", "r1", "r5", "r6")
+_RANK = {rule: rank for rank, rule in enumerate(_RULES)}
+_R3, _R4, _R6 = _RANK["r3"], _RANK["r4"], _RANK["r6"]
 
 
 class _Rewriter:
@@ -117,13 +109,13 @@ class _Rewriter:
 
     ``parents`` maps each node to its incoming ``(parent, side)`` edges;
     ``keys`` holds each node's key and ``groups`` the sorted ids per key.
-    ``heap`` is the lazily pruned min-heap of ``(rank in _GUARDS, entry)``
+    ``heap`` is the lazily pruned min-heap of ``(rank in _RULES, entry)``
     (see the module docstring for the invariant).
     """
 
     def __init__(self, d: Sqmdd, settings: Settings) -> None:
         self.settings = settings
-        one = self.one = weight_key(1.0 + 0j, settings)
+        one = self.one = one_cell(settings)
         self.scalar, self.height, self.root = d.scalar, d.height, d.root
         nodes = self.nodes = dict(d.nodes)
         ids = sorted(nodes)
@@ -146,7 +138,7 @@ class _Rewriter:
                 group.append(i)
         # one list per rule in id order, joined in rank order: a sorted
         # list, so already a heap
-        lists: list[list] = [[] for _ in self._GUARDS]
+        lists: list[list] = [[] for _ in _RULES]
         r3, r4, r6 = lists[_R3], lists[_R4], lists[_R6]
         dead = self._dead_edge
         for i in ids:
@@ -158,21 +150,22 @@ class _Rewriter:
                 r3.append((_R3, (i, 1)))
             if not parents[i] and i != self.root:
                 r4.append((_R4, i))
-            rank = _own_rule(key, one)
-            if rank is not None:
+            rule = normal_form_rule(key, one)
+            if rule is not None:
+                rank = _RANK[rule]
                 lists[rank].append((rank, i))
             if groups[key][0] < i:
                 r6.append((_R6, i))
         self.heap = [pair for entries in lists for pair in entries]
 
-    # -- guards: each one is a predicate on the current table ------------
+    # -- guards: predicates on the current table -------------------------
     # Besides which nodes exist, they read only ``keys`` (children at
     # ``key[1]`` and ``key[3]``, grid cells at ``key[2]`` and ``key[4]``),
     # ``groups`` and ``parents``.
 
     def _zero_weights(self, i: int) -> bool:
         key = self.keys[i]
-        return key[2] == _ZERO and key[4] == _ZERO
+        return key[2] == ZERO_CELL and key[4] == ZERO_CELL
 
     def _zero(self) -> bool:
         return self.root != TERMINAL and (
@@ -182,52 +175,36 @@ class _Rewriter:
 
     def _dead_edge(self, c: int, k: tuple[int, int]) -> bool:
         """Whether an edge to child c with weight cell k contributes nothing."""
-        return c != TERMINAL and (k == _ZERO or self._zero_weights(c))
+        return c != TERMINAL and (k == ZERO_CELL or self._zero_weights(c))
 
-    def _r3(self, e: tuple[int, int]) -> bool:
-        i, side = e
-        key = self.keys.get(i)
-        return key is not None and self._dead_edge(key[1 + 2 * side], key[2 + 2 * side])
-
-    def _r4(self, i: int) -> bool:
-        return i in self.nodes and i != self.root and not self.parents[i]
-
-    def _r2(self, i: int) -> bool:
-        key = self.keys.get(i)
-        return key is not None and _own_rule(key, self.one) == _R2
-
-    def _r1(self, i: int) -> bool:
-        key = self.keys.get(i)
-        return key is not None and _own_rule(key, self.one) == _R1
-
-    def _r5(self, i: int) -> bool:
-        key = self.keys.get(i)
-        return key is not None and _own_rule(key, self.one) == _R5
-
-    def _r6(self, i: int) -> bool:
-        return i in self.nodes and self.groups[self.keys[i]][0] < i
-
-    # the rules after "zero" in priority order, which RULE_ORDER reads;
-    # plain functions, since bound methods kept on the instance would form
-    # a reference cycle that holds each finished rewriter until the cyclic
-    # collector runs
-    _GUARDS = (("r3", _r3), ("r4", _r4), ("r2", _r2), ("r1", _r1), ("r5", _r5), ("r6", _r6))
+    def _holds(self, rank: int, e: Any) -> bool:
+        """Whether the guard of rule ``_RULES[rank]`` holds for entry e."""
+        if rank == _R3:
+            i, side = e
+            key = self.keys.get(i)
+            return key is not None and self._dead_edge(key[1 + 2 * side], key[2 + 2 * side])
+        if rank == _R4:
+            return e in self.nodes and e != self.root and not self.parents[e]
+        if rank == _R6:
+            return e in self.nodes and self.groups[self.keys[e]][0] < e
+        key = self.keys.get(e)
+        return key is not None and normal_form_rule(key, self.one) == _RULES[rank]
 
     # -- picking ---------------------------------------------------------
 
     def _candidate(self, rank: int, e: Any) -> Candidate:
         if rank == _R6:
             return ("r6", (self.groups[self.keys[e]][0], e))
-        return (self._GUARDS[rank][0], e)
+        return (_RULES[rank], e)
 
     def first(self) -> Optional[Candidate]:
         """The first candidate in priority order, or None at the fixpoint."""
         if self._zero():
             return ("zero", None)
-        heap, guards = self.heap, self._GUARDS
+        heap = self.heap
         while heap:
             rank, e = heap[0]
-            if guards[rank][1](self, e):
+            if self._holds(rank, e):
                 return self._candidate(rank, e)
             heappop(heap)
         return None
@@ -235,8 +212,7 @@ class _Rewriter:
     def candidates(self) -> list[Candidate]:
         """Every candidate in priority order; prunes the heap on the way."""
         out: list[Candidate] = [("zero", None)] if self._zero() else []
-        guards = self._GUARDS
-        self.heap = sorted({(rank, e) for rank, e in self.heap if guards[rank][1](self, e)})
+        self.heap = sorted({(rank, e) for rank, e in self.heap if self._holds(rank, e)})
         return out + [self._candidate(rank, e) for rank, e in self.heap]
 
     # -- bookkeeping -----------------------------------------------------
@@ -266,11 +242,11 @@ class _Rewriter:
             at = bisect_left(group, i)
             group.insert(at, i)
             heappush(heap, (_R6, group[1] if at == 0 else i))
-        rank = _own_rule(key, self.one)
-        if rank is not None:
-            heappush(heap, (rank, i))
-        zero0, zero1 = k0 == _ZERO, k1 == _ZERO
-        was0, was1 = old[2] == _ZERO, old[4] == _ZERO
+        rule = normal_form_rule(key, self.one)
+        if rule is not None:
+            heappush(heap, (_RANK[rule], i))
+        zero0, zero1 = k0 == ZERO_CELL, k1 == ZERO_CELL
+        was0, was1 = old[2] == ZERO_CELL, old[4] == ZERO_CELL
         if (c0 != old[1] or zero0 != was0) and self._dead_edge(c0, k0):
             heappush(heap, (_R3, (i, 0)))
         if (c1 != old[3] or zero1 != was1) and self._dead_edge(c1, k1):
@@ -306,7 +282,7 @@ class _Rewriter:
         if self.root == i:
             self.root = to
 
-    def _pull(self, i: int, factor: complex) -> None:
+    def _to_parents(self, i: int, factor: complex) -> None:
         """Multiply the factor onto every incoming edge of i (or the scalar)."""
         if i == self.root:
             self.scalar = self.scalar * factor
@@ -336,16 +312,10 @@ class _Rewriter:
             return Step("r4", payload, f"node {payload} has no parents")
         if rule in ("r2", "r1"):
             i = payload
-            n = self.nodes[i]
-            if rule == "r2":
-                factor = n.w1
-                self._set(i, Node(n.height, 0j, n.c0, 1.0 + 0j, n.c1))
-            else:
-                factor = n.w0
-                # a grid-zero w1 becomes an exact zero, as Builder.edge snaps it
-                w1 = 0j if self.keys[i][4] == _ZERO else n.w1 / factor
-                self._set(i, Node(n.height, 1.0 + 0j, n.c0, w1, n.c1))
-            self._pull(i, factor)
+            n, key = self.nodes[i], self.keys[i]
+            factor, w0, w1 = pull(n.w0, key[2], n.w1, key[4])
+            self._set(i, Node(n.height, w0, n.c0, w1, n.c1))
+            self._to_parents(i, factor)
             return Step(rule, i, f"factor {factor} pulled out of node {i}")
         if rule == "r5":
             i = payload
@@ -362,7 +332,7 @@ class _Rewriter:
         return Sqmdd(self.scalar, self.height, self.root, self.nodes)
 
 
-RULE_ORDER = ("zero",) + tuple(rule for rule, _ in _Rewriter._GUARDS)
+RULE_ORDER = ("zero",) + _RULES
 
 
 def find_candidates(d: Sqmdd, settings: Settings = DEFAULT) -> list[Candidate]:

@@ -15,6 +15,11 @@ diagrams can denote the same vector.  Canonical forms are built by
 :class:`Builder` (the hash-consing constructor behind every algebraic
 operation and :func:`zhdd.algebra.canonical`); :mod:`zhdd.reduction` is
 the rewrite system that reaches the same form step by step, with a trace.
+The normal form is defined here, once: the zero cell :data:`ZERO_CELL`,
+the one cell :func:`one_cell`, the test :func:`normal_form_rule` and the
+pull (:func:`pull`), a weight pair as a factor times (1, w) or (0, 1).
+:meth:`Builder.edge` and the rewriter's r1 and r2 call the pull, and the
+rewriter and :func:`measure` read the test.
 
 Weight comparisons for structural purposes (unique table, rule guards)
 round to an ``eps`` grid — see :func:`weight_key`.  This grid is the only
@@ -86,12 +91,16 @@ def weight_key(w: complex, settings: Settings = DEFAULT) -> tuple[int, int]:
     return (round(w.real / settings.eps), round(w.imag / settings.eps))
 
 
+ZERO_CELL = (0, 0)  # the grid cell of a zero weight, on every grid
+
+
+def one_cell(settings: Settings = DEFAULT) -> tuple[int, int]:
+    """The grid cell of the weight 1."""
+    return weight_key(1.0 + 0j, settings)
+
+
 def is_zero_weight(w: complex, settings: Settings = DEFAULT) -> bool:
-    return weight_key(w, settings) == (0, 0)
-
-
-def is_one_weight(w: complex, settings: Settings = DEFAULT) -> bool:
-    return weight_key(w, settings) == weight_key(1.0 + 0j, settings)
+    return weight_key(w, settings) == ZERO_CELL
 
 
 def node_key(n: Node, settings: Settings = DEFAULT) -> tuple:
@@ -102,6 +111,43 @@ def node_key(n: Node, settings: Settings = DEFAULT) -> tuple:
     w0, w1 = n.w0, n.w1
     return (n.height, n.c0, (round(w0.real / eps), round(w0.imag / eps)),
             n.c1, (round(w1.real / eps), round(w1.imag / eps)))
+
+
+# ---------------------------------------------------------------------------
+# the normal form: what the Builder builds and the rewriter reaches
+
+
+def normal_form_rule(key: tuple, one: tuple[int, int]) -> str | None:
+    """The node-local rule a node with this :func:`node_key` breaks the
+    normal form by, or None.  ``one`` is :func:`one_cell` of the key's grid.
+
+    ``"r2"``: weights (0, b) with b outside {0, 1}; ``"r1"``: weights (a, b)
+    with a outside {0, 1}; :func:`pull` mends both.  ``"r5"``: weights
+    (1, 1) over one child, a level to skip.  They exclude each other (r2
+    and r1 disagree on ``w0``'s zero cell, r1 and r5 on its one cell, r2
+    and r5 on ``w1``'s one cell).
+    """
+    _h, c0, k0, c1, k1 = key
+    if k0 == ZERO_CELL and k1 != ZERO_CELL and k1 != one:
+        return "r2"
+    if k0 != ZERO_CELL and k0 != one:
+        return "r1"
+    if c0 == c1 and k0 == one and k1 == one:
+        return "r5"
+    return None
+
+
+def pull(
+    w0: complex, k0: tuple[int, int], w1: complex, k1: tuple[int, int]
+) -> tuple[complex, complex, complex]:
+    """A weight pair with grid cells ``k0`` and ``k1`` as ``(factor, w0',
+    w1')``: ``w0`` times (1, w1 / w0), or ``w1`` times (0, 1) when ``w0``
+    is in the zero cell.  A ``w1`` in the zero cell gives the exact ratio
+    ``0j``, never ``0j / w0``, which carries a sign (``-0-0j`` when ``w0``
+    is negative): so a form has one spelling, whichever route builds it."""
+    if k0 == ZERO_CELL:
+        return w1, 0j, 1.0 + 0j
+    return w0, 1.0 + 0j, 0j if k1 == ZERO_CELL else w1 / w0
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +252,23 @@ def require_valid(d: Sqmdd) -> None:
         raise ValueError("invalid diagram: " + "; ".join(problems))
 
 
-def terminal_degree(d: Sqmdd) -> int:
-    """Occurrences of the terminal as a child of a non-terminal node."""
-    return sum(
-        (n.c0 == TERMINAL) + (n.c1 == TERMINAL) for n in d.nodes.values()
-    )
-
-
 def measure(d: Sqmdd, settings: Settings = DEFAULT) -> tuple[int, ...]:
     """Lexicographic termination measure of the reduction system.
 
     ``(|V|, 2|V| − deg(t), per-height counts of non-normalized nodes)``
     where |V| counts the terminal, deg(t) counts terminal child slots, and
-    a node is normalized when its weight pair is (1, w) or (0, 0/1).
+    a node is non-normalized when :func:`normal_form_rule` names r2 or r1
+    for it: its weight pair is not (1, w) or (0, 0/1).
     Lower-height sums come first; the tuple length depends on H.
     """
+    one = one_cell(settings)
     n_v = len(d.nodes) + 1
+    deg_t = 0
     per_height = [0] * d.height
     for n in d.nodes.values():
-        if is_one_weight(n.w0, settings):
-            delta = 0
-        elif is_zero_weight(n.w0, settings) and (
-            is_zero_weight(n.w1, settings) or is_one_weight(n.w1, settings)
-        ):
-            delta = 0
-        else:
-            delta = 1
-        per_height[n.height - 1] += delta
-    return (n_v, 2 * n_v - terminal_degree(d), *per_height)
+        deg_t += (n.c0 == TERMINAL) + (n.c1 == TERMINAL)
+        per_height[n.height - 1] += normal_form_rule(node_key(n, settings), one) in ("r2", "r1")
+    return (n_v, 2 * n_v - deg_t, *per_height)
 
 
 # ---------------------------------------------------------------------------
@@ -348,38 +383,6 @@ def sqmdd_to_json(d: Sqmdd) -> dict[str, Any]:
     }
 
 
-def _well_formed_nodes(raw_nodes: list) -> dict[int, Node] | None:
-    """The node table in one pass over the entries, when every entry is as
-    :func:`sqmdd_to_json` writes it; None for anything else, which the
-    checked path of :func:`sqmdd_from_json` then reads or rejects.  Both
-    paths leave the table's validity to :func:`validate`."""
-    nodes: dict[int, Node] = {}
-    for entry in raw_nodes:
-        if type(entry) is not dict:
-            return None
-        try:
-            i, h, c0, c1 = entry["id"], entry["h"], entry["c0"], entry["c1"]
-            (re0, im0), (re1, im1) = entry["w0"], entry["w1"]
-        except (KeyError, TypeError, ValueError):
-            return None
-        if not (type(i) is int and i > 0 and i not in nodes and type(h) is int
-                and type(re0) is type(im0) is type(re1) is type(im1) is float):
-            return None
-        w0, w1 = complex(re0, im0), complex(re1, im1)
-        if not (cmath.isfinite(w0) and cmath.isfinite(w1)):
-            return None
-        if c0 == "t":
-            c0 = TERMINAL
-        elif type(c0) is not int or c0 <= 0:
-            return None
-        if c1 == "t":
-            c1 = TERMINAL
-        elif type(c1) is not int or c1 <= 0:
-            return None
-        nodes[i] = Node(h, w0, c0, w1, c1)
-    return nodes
-
-
 def sqmdd_from_json(obj: Any) -> Sqmdd:
     if not isinstance(obj, dict):
         raise ValueError("diagram must be a JSON object")
@@ -394,40 +397,61 @@ def sqmdd_from_json(obj: Any) -> Sqmdd:
         raise ValueError(f"height must be a non-negative integer, got {height!r}")
     if not isinstance(raw_nodes, list):
         raise ValueError("'nodes' must be a list")
-    nodes = _well_formed_nodes(raw_nodes)
-    if nodes is None:
-        nodes = _checked_nodes(raw_nodes)
-    d = Sqmdd(scalar, height, root, nodes)
+    d = Sqmdd(scalar, height, root, _nodes_from_json(raw_nodes))
     require_valid(d)
     return d
 
 
-def _checked_nodes(raw_nodes: list) -> dict[int, Node]:
-    """The node table, or the ValueError that names the first malformed
-    entry."""
+def _nodes_from_json(raw_nodes: list) -> dict[int, Node]:
+    """The node table, in one pass over the entries.  An entry as
+    :func:`sqmdd_to_json` writes it passes the exact-type checks and loads
+    at once; any other takes :func:`_checked_node`, which also reads
+    integer weights or names the fault.  The table's validity is left to
+    :func:`validate`."""
     nodes: dict[int, Node] = {}
     for entry in raw_nodes:
-        if not isinstance(entry, dict):
-            raise ValueError("node entries must be JSON objects")
         try:
-            i = entry["id"]
-            n = Node(
-                height=entry["h"],
-                w0=complex_from_json(entry["w0"], "w0"),
-                c0=_child_from_json(entry["c0"], "c0"),
-                w1=complex_from_json(entry["w1"], "w1"),
-                c1=_child_from_json(entry["c1"], "c1"),
-            )
-        except KeyError as e:
-            raise ValueError(f"node entry is missing field {e.args[0]!r}") from None
-        if not isinstance(i, int) or isinstance(i, bool) or i <= 0:
-            raise ValueError(f"node id must be a positive integer, got {i!r}")
-        if i in nodes:
-            raise ValueError(f"duplicate node id {i}")
-        if not isinstance(n.height, int) or isinstance(n.height, bool):
-            raise ValueError(f"node {i}: height must be an integer")
-        nodes[i] = n
+            i, h, c0, c1 = entry["id"], entry["h"], entry["c0"], entry["c1"]
+            (re0, im0), (re1, im1) = entry["w0"], entry["w1"]
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            if (type(entry) is dict and type(i) is int and i > 0 and i not in nodes
+                    and type(h) is int
+                    and type(re0) is type(im0) is type(re1) is type(im1) is float):
+                w0, w1 = complex(re0, im0), complex(re1, im1)
+                c0 = TERMINAL if c0 == "t" else c0 if type(c0) is int and c0 > 0 else None
+                c1 = TERMINAL if c1 == "t" else c1 if type(c1) is int and c1 > 0 else None
+                if c0 is not None and c1 is not None and cmath.isfinite(w0) and cmath.isfinite(w1):
+                    nodes[i] = Node(h, w0, c0, w1, c1)
+                    continue
+        i, nodes[i] = _checked_node(entry, nodes)
     return nodes
+
+
+def _checked_node(entry: Any, nodes: dict[int, Node]) -> tuple[int, Node]:
+    """The id and node of one entry, or the ValueError that names its
+    fault; ``nodes`` holds the entries before it."""
+    if not isinstance(entry, dict):
+        raise ValueError("node entries must be JSON objects")
+    try:
+        i = entry["id"]
+        n = Node(
+            height=entry["h"],
+            w0=complex_from_json(entry["w0"], "w0"),
+            c0=_child_from_json(entry["c0"], "c0"),
+            w1=complex_from_json(entry["w1"], "w1"),
+            c1=_child_from_json(entry["c1"], "c1"),
+        )
+    except KeyError as e:
+        raise ValueError(f"node entry is missing field {e.args[0]!r}") from None
+    if not isinstance(i, int) or isinstance(i, bool) or i <= 0:
+        raise ValueError(f"node id must be a positive integer, got {i!r}")
+    if i in nodes:
+        raise ValueError(f"duplicate node id {i}")
+    if not isinstance(n.height, int) or isinstance(n.height, bool):
+        raise ValueError(f"node {i}: height must be an integer")
+    return i, n
 
 
 def renumber(d: Sqmdd) -> Sqmdd:
@@ -517,9 +541,10 @@ class Builder:
 
     :meth:`edge` plays the role of the classic unique-table ``makeNode``:
     it snaps grid-zero weights to exact zero edges, skips nodes whose two
-    edges agree, normalizes the weight pair to (1, w) or (0, 1) by pulling
-    the leading factor into the returned edge weight (snapping or skipping
-    again when the ratio ``w`` lands in the zero or the one cell), and
+    edges agree, normalizes the weight pair to (1, w) or (0, 1) by
+    :func:`pull`, whose factor becomes the returned edge weight (snapping
+    or skipping again when the ratio ``w`` lands in the zero or the one
+    cell), and
     hash-conses on the :func:`node_key` of the normalized node.  It
     computes each weight's grid cell once (the two inputs and the ratio;
     the cell of 1 once per builder) and allocates a :class:`Node` only on
@@ -538,32 +563,29 @@ class Builder:
         self._table: dict[tuple, int] = {}
         self.sums: dict[tuple, Edge] = {}  # (ca, wa, cb, wb) -> the sum's edge
         self._next_id = 1
-        self._one_key = weight_key(1.0 + 0j, settings)
+        self._one_key = one_cell(settings)
 
     def edge(self, height: int, e0: Edge, e1: Edge) -> Edge:
         (w0, c0), (w1, c1) = e0, e1
         eps = self.settings.eps
         k0 = (round(w0.real / eps), round(w0.imag / eps))  # weight_key, inlined
         k1 = (round(w1.real / eps), round(w1.imag / eps))
-        if k0 == (0, 0):
+        if k0 == ZERO_CELL:
             w0, c0 = 0j, TERMINAL
-        if k1 == (0, 0):
+        if k1 == ZERO_CELL:
             w1, c1 = 0j, TERMINAL
         if c0 == c1 and k0 == k1:
             return (w0, c0)  # both cofactors equal (or zero): skip this level
-        if w0 != 0j:
-            lam = w0
-            w0, w1 = 1.0 + 0j, w1 / lam
+        lam, w0, w1 = pull(w0, k0, w1, k1)
+        if k0 == ZERO_CELL:
+            k1 = self._one_key
+        else:
             k0 = self._one_key
             k1 = (round(w1.real / eps), round(w1.imag / eps))
-        else:
-            lam = w1
-            w1 = 1.0 + 0j
-            k1 = self._one_key
         # the ratio w1 / w0 can land in the zero or the one cell although w1
         # did not; snap or skip as r3 and r5 would (w0 == 0 only over the
         # terminal)
-        if k1 == (0, 0) and c1 != TERMINAL:
+        if k1 == ZERO_CELL and c1 != TERMINAL:
             w1, c1 = 0j, TERMINAL
         elif c0 == c1 and k1 == k0:
             return (lam, c0)

@@ -44,16 +44,15 @@ same.
 
 Emission and read-back are exact and take no settings.  The routines
 that build in a :class:`~zhdd.sqmdd.Builder` (the contraction, the
-generator states, the cofactor of :func:`ket0_propagate`) read ``eps`` as
-its weight grid; ``max_qubits`` caps only the dense mirror of
-``assert_stages``.
+generator states) read ``eps`` as its weight grid; ``max_qubits`` caps
+only the dense mirror of ``assert_stages``.
 """
 from __future__ import annotations
 
 from itertools import count
 from typing import Optional
 
-from .algebra import add_edge, contract_edge, permute_edge, restrict
+from .algebra import add_edge, contract_edge, permute_edge
 from .config import DEFAULT, Settings
 from .errors import ShapeError
 from .network import (
@@ -67,7 +66,7 @@ from .network import (
 )
 from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
-from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, is_zero_weight, validate, walker
+from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, validate, walker
 from .terms import (
     Gadget,
     Gen,
@@ -78,7 +77,6 @@ from .terms import (
     MonoidN,
     NotXSpider,
     ParNode,
-    SeqNode,
     Swap,
     WeightBox,
     XSpider,
@@ -498,37 +496,3 @@ def sqmdd_read_back(t: ZhTerm) -> Sqmdd:
     if problems:
         raise ShapeError("parsed diagram is invalid: " + "; ".join(problems))
     return out
-
-
-# ---------------------------------------------------------------------------
-# cofactor propagation on the term side
-
-
-def ket0_propagate(t: ZhTerm, settings: Settings = DEFAULT) -> ZhTerm:
-    """Push a basis effect on the top wire through an emitted layer term.
-
-    ``t`` must be an emitted term with one extra row applying <0| (a
-    zero-labelled H-box) or <1| (the 1 -> 0 pseudo X-spider) to its first
-    wire; the result is the emitted term of the matching cofactor, which
-    :func:`~zhdd.algebra.restrict` builds already reduced.
-    """
-    if not isinstance(t, SeqNode):
-        raise ShapeError(f"expected term-with-effect, got {describe(t)}")
-    inner, row = t.first, t.then
-    ops = [(g, at) for g, at in placed(row) if not isinstance(g.kind, Identity)]
-    if len(ops) != 1 or ops[0][1] != 0:
-        raise ShapeError(f"effect row must act on the top wire alone: {describe(row)}")
-    eff = ops[0][0]
-    kind = eff.kind
-    if isinstance(kind, HBox) and generator_arity(kind) == (1, 0) and is_zero_weight(
-        complex(kind.label), settings
-    ):
-        side = 0
-    elif isinstance(kind, NotXSpider) and generator_arity(kind) == (1, 0):
-        side = 1
-    else:
-        raise ShapeError(f"unrecognized effect {describe(eff)} (expected <0| or <1|)")
-    d = sqmdd_read_back(inner)
-    if d.height == 0:
-        raise ShapeError("no wire left to project")
-    return sqmdd_to_zh(restrict(d, 0, side, settings))

@@ -1,4 +1,5 @@
 """Vector-level operations on diagrams, each checked against plain numpy."""
+import json
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from zhdd.algebra import (
     add,
+    canonical,
     canonical_from_vector,
     contract_edge,
     permute_outputs,
@@ -29,7 +31,9 @@ from zhdd.oracle import (
     max_deviation,
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
-from zhdd.sqmdd import TERMINAL, Builder, iso_equal, validate, zero_form
+from zhdd.sqmdd import (
+    TERMINAL, Builder, iso_equal, renumber, sqmdd_to_json, validate, zero_form,
+)
 from zhdd.translate import generator_state_sqmdd
 
 from conftest import small_vectors, weights
@@ -52,6 +56,15 @@ def test_builder_agrees_with_the_rewriter_at_the_grid_edge(vec):
     d = canonical_from_vector(v)
     assert is_irreducible(d)
     assert iso_equal(d, reduce_diagram(tree_from_vector(v))[0])
+
+
+@pytest.mark.parametrize("vec", [[-2, 0, 2, 0], [2, 0, -2, 0]])
+def test_the_routes_to_the_normal_form_write_the_same_bytes(vec):
+    """A zero ratio under a negative factor is an exact +0 on every route."""
+    v = np.array(vec, dtype=complex)
+    direct = json.dumps(sqmdd_to_json(renumber(canonical_from_vector(v))))
+    assert direct == json.dumps(sqmdd_to_json(renumber(canonical(tree_from_vector(v)))))
+    assert direct == json.dumps(sqmdd_to_json(renumber(reduce_diagram(tree_from_vector(v))[0])))
 
 
 def test_canonical_rejects_bad_length():

@@ -14,12 +14,12 @@ from zhdd.sqmdd import (
     Builder,
     Node,
     Sqmdd,
-    is_one_weight,
     is_zero_weight,
     iso_equal,
     left_cofactor,
     measure,
     node_key,
+    one_cell,
     renumber,
     require_valid,
     right_cofactor,
@@ -59,7 +59,7 @@ def test_weight_grid_snapping():
     assert weight_key(1 + 0j) != weight_key(1 + 2e-9 + 0j)
     assert is_zero_weight(0.4e-9 + 0.4e-9j)
     assert not is_zero_weight(2e-9 + 0j)
-    assert is_one_weight(1 + 0.3e-9j)
+    assert weight_key(1 + 0.3e-9j) == one_cell()
 
 
 def test_validate_catches_problems():
@@ -368,12 +368,12 @@ def test_builder_coarse_grid_zero_cell_ratio_drops_child():
     assert b.nodes[c].edge(1) == (0j, TERMINAL)
 
 
-def test_builder_keeps_negative_zero_on_terminal_edge():
+def test_builder_writes_positive_zero_on_terminal_edge():
     b = Builder(Settings(eps=1e-3))
     w, c = b.edge(1, (-2 + 0j, TERMINAL), (0j, TERMINAL))
-    w1 = b.nodes[c].w1  # 0j / -2 is -0-0j: over the terminal it is not re-snapped
+    w1 = b.nodes[c].w1  # the exact 0j of pull, not 0j / -2, which is -0-0j
     assert w == -2 + 0j and w1 == 0
-    assert math.copysign(1.0, w1.real) == -1.0 and math.copysign(1.0, w1.imag) == -1.0
+    assert math.copysign(1.0, w1.real) == 1.0 and math.copysign(1.0, w1.imag) == 1.0
 
 
 def test_a_nan_weight_never_matches():

@@ -48,7 +48,6 @@ from zhdd.terms import (
 import zhdd.translate
 from zhdd.translate import (
     generator_state_sqmdd,
-    ket0_propagate,
     sqmdd_read_back,
     sqmdd_to_zh,
     zh_to_sqmdd,
@@ -488,22 +487,6 @@ def test_h_state_block(k):
 def test_state_block_rejects_unknown_kind():
     with pytest.raises(ShapeError):
         generator_state_sqmdd("w", 2)
-
-
-@given(seed=st.integers(0, 2**32 - 1), side=st.integers(0, 1))
-def test_ket0_propagate_peels_an_effect(seed, side):
-    """Plugging <0| (side 0) or <1| (side 1) into the top wire of an
-    emitted state equals the dense row restriction."""
-    rng = np.random.default_rng(seed)
-    h = 2 + seed % 3
-    d = reduce_diagram(random_dag(rng, h, settings=WIDE), WIDE)[0]
-    t = sqmdd_to_zh(d)
-    eff = Gen(HBox(1, 0, 0)) if side == 0 else Gen(NotXSpider(1, 0))
-    plugged = seq(t, par(eff, wires(h - 1)))
-    out = ket0_propagate(plugged, WIDE)
-    got = interpret_zh(out, WIDE).reshape(-1)
-    want = interpret_sqmdd(d, WIDE).reshape(2, -1)[side]
-    assert max_deviation(got, want) <= 1e-9
 
 
 def test_contract_chain_far_above_the_recursion_limit():
