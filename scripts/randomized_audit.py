@@ -39,7 +39,7 @@ from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.network import flatten_to_network, net_interpret, simplify_network
 from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
-from zhdd.sqmdd import TERMINAL, Builder
+from zhdd.sqmdd import TERMINAL, Builder, Node, Sqmdd
 from zhdd.terms import (
     Cup,
     Gen,
@@ -85,15 +85,35 @@ def audit_translation(rng, n, max_h, settings):
 
 def audit_round_trip(rng, n, max_h, settings):
     """diagram -> term -> diagram lands on the input's reduced form (its
-    Builder re-import), with either fan-in mode."""
+    Builder re-import)."""
     failures = 0
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
         want = canonical(d, settings)
-        t = sqmdd_to_zh(d, fan_in=("monoid", "x")[k % 2])
-        if not iso_equal(zh_to_sqmdd(t, settings), want, settings):
+        if not iso_equal(zh_to_sqmdd(sqmdd_to_zh(d), settings), want, settings):
             failures += 1
     return failures
+
+
+def relabelled(d, rng):
+    """``d`` with its node ids replaced by a random injection into 1..3n."""
+    ids = rng.choice(np.arange(1, 3 * len(d.nodes) + 1), size=len(d.nodes), replace=False)
+    new = dict(zip(d.nodes, map(int, ids)))
+    new[TERMINAL] = TERMINAL
+    nodes = {new[i]: Node(nd.height, nd.w0, new[nd.c0], nd.w1, new[nd.c1])
+             for i, nd in d.nodes.items()}
+    return Sqmdd(d.scalar, d.height, new[d.root], nodes)
+
+
+def audit_emit_relabel(rng, n, max_h, settings):
+    """sqmdd_to_zh emits the same term for a reduced diagram and for a copy
+    whose node ids are relabelled at random: emission reads structure, not
+    ids.  Up to three nodes per level, so a relabelling often reorders one."""
+    mismatches = 0
+    for k in range(n):
+        d = canonical(random_dag(rng, 1 + k % max_h, 3, settings), settings)
+        mismatches += sqmdd_to_zh(relabelled(d, rng)) != sqmdd_to_zh(d)
+    return mismatches
 
 
 def layout_faults(chain) -> int:
@@ -135,12 +155,12 @@ def layout_faults(chain) -> int:
 
 
 def audit_emit_layout(rng, n, max_h, settings):
-    """Emitted rows, in both fan-in modes, keep the linear-size layout of
-    sqmdd_to_zh (see layout_faults)."""
+    """Emitted rows keep the linear-size layout of sqmdd_to_zh (see
+    layout_faults)."""
     faults = 0
     for k in range(n):
         d = random_dag(rng, 1 + k % max_h, settings=settings)
-        faults += layout_faults(sqmdd_to_zh(d, fan_in=("monoid", "x")[k % 2]).right)
+        faults += layout_faults(sqmdd_to_zh(d).right)
     return faults
 
 
@@ -262,15 +282,15 @@ def audit_contraction_scale(rng, n, max_h, settings):
 
 def audit_network_simplify(rng, n, max_h, settings):
     """simplify_network keeps the dense tensor of random-term networks and
-    of emitted networks, both fan-in modes; networks whose plan is wider
-    than the dense cap are skipped."""
+    of emitted networks; networks whose plan is wider than the dense cap
+    are skipped."""
     worst = 0.0
     for k in range(n):
         if k % 2:
             t = random_term(rng, max_generators=10, max_boundary=7)
         else:
             d = random_dag(rng, 1 + (k // 2) % min(max_h, 3), settings=settings)
-            t = sqmdd_to_zh(d, fan_in=("monoid", "x")[(k // 2) % 2])
+            t = sqmdd_to_zh(d)
         net = flatten_to_network(t)
         try:
             want = net_interpret(net, settings)
@@ -438,6 +458,7 @@ def main() -> int:
         ("diagram -> term -> vector", audit_translation),
         ("diagram -> term -> diagram", audit_round_trip),
         ("emit-layout", audit_emit_layout),
+        ("emit-relabel", audit_emit_relabel),
         ("canonicity of scrambles", audit_canonicity),
         ("canonical-agreement", audit_canonical_agreement),
         ("reduction-trace vs full scan", audit_reduction_trace),

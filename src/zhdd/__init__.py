@@ -6,8 +6,9 @@ The three layers:
 * :mod:`zhdd.terms` / :mod:`zhdd.oracle` — syntax trees of ZH generators
   and their dense matrix semantics;
 * :mod:`zhdd.sqmdd` / :mod:`zhdd.reduction` / :mod:`zhdd.algebra` — the
-  decision-diagram side: weighted DAGs, the six-rule rewrite system that
-  makes them canonical, and vector-level operations on them;
+  decision-diagram side: weighted DAGs, the seven-rule rewrite system
+  (``zero`` and r1-r6) that makes them canonical, and vector-level
+  operations on them;
 * :mod:`zhdd.translate` — the bridge, faithful in both directions.
 
 Everything numeric funnels through :class:`zhdd.config.Settings`.

@@ -23,6 +23,7 @@ from .terms import (
     Cup,
     Gadget,
     Gen,
+    GeneratorKind,
     HBox,
     KetOne,
     KetPlus,
@@ -36,6 +37,7 @@ from .terms import (
     ZSpider,
     ZhTerm,
     beside,
+    fold,
     par,
     permutation_term,
     seq,
@@ -302,10 +304,10 @@ def _monoid_chain() -> List[Case]:
 # translation-level builders (rely on the diagram side of the library)
 
 
-def _emit(d, fan_in: str = "monoid") -> ZhTerm:
+def _emit(d) -> ZhTerm:
     from .translate import sqmdd_to_zh
 
-    return sqmdd_to_zh(d, fan_in=fan_in)
+    return sqmdd_to_zh(d)
 
 
 def _small_dag(rng: np.random.Generator, height: int):
@@ -316,8 +318,14 @@ def _small_dag(rng: np.random.Generator, height: int):
 
 
 def _bld_fan_in_interchange(rng: np.random.Generator) -> List[Case]:
-    d = _small_dag(rng, int(rng.integers(1, 4)))
-    return [(_emit(d, "monoid"), _emit(d, "x"))]
+    """An emitted term equals itself with every partial-xor fan-in
+    replaced by a full xor: on one-hot branch indicators they agree."""
+    t = _emit(_small_dag(rng, int(rng.integers(1, 4))))
+
+    def as_xor(kind: GeneratorKind) -> ZhTerm:
+        return Gen(XSpider(kind.inputs, 1) if isinstance(kind, MonoidN) else kind)
+
+    return [(t, fold(t, as_xor, seq, par))]
 
 
 def _z_state_nf() -> List[Case]:

@@ -122,8 +122,7 @@ def _cmd_to_zh(args: argparse.Namespace) -> int:
     from .translate import sqmdd_to_zh
 
     d = sqmdd_from_json(_load_json(args.file))
-    t = sqmdd_to_zh(d, fan_in=args.fan_in)
-    _emit(args, term_to_json(t))
+    _emit(args, term_to_json(sqmdd_to_zh(d)))
     return EXIT_OK
 
 
@@ -268,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("to-zh", parents=[output],
                         help="emit the term normal form of a diagram")
     sp.add_argument("file")
-    sp.add_argument("--fan-in", choices=("monoid", "x"), default="monoid",
-                    help="how multi-parent joins are realized (default: monoid)")
 
     sp = sub.add_parser("to-sqmdd", parents=[tolerance, max_qubits, output],
                         help="contract a term into an irreducible diagram")

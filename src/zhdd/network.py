@@ -17,16 +17,18 @@ The prefactor is kept as a mantissa and a power of two (:func:`scaled`),
 so the many 1/2s of desugaring cannot underflow it.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
-exact ZH rules applied to a fixpoint on a copy of ``mate``: a one-legged
-H-box labelled 1 is a one-legged Z (``one-label-state``), Z spiders joined
-by a wire fuse (``z-fusion``), a Z self-loop goes (``z-self-loop``; a Z
-left with no legs is the scalar 2, ``closed-copy-scalar``), a two-legged Z
-is a wire (``z-identity``), and two two-legged H-boxes labelled -1 on one
-wire are a wire times 2 (``h-involution``).  This is the spider-fusion
-step of PyZX's ``spider_simp``, restricted to rules of the ZH-calculus
-(Backens & Kissinger, arXiv:1805.02175); each rule is a claim of
-:mod:`zhdd.claims`.  It turns the Z(2)s of caps and cups into plain wires,
-the scalar 2 of a loop, or the spider between two boundary wires.
+exact ZH rules applied to a fixpoint on a copy of ``mate``: Z spiders
+joined by a wire fuse (``z-fusion``), a Z self-loop goes (``z-self-loop``;
+a Z left with no legs is the scalar 2, ``closed-copy-scalar``), a
+two-legged Z is a wire (``z-identity``), and two two-legged H-boxes
+labelled -1 on one wire are a wire times 2 (``h-involution``).  This is
+the spider-fusion step of PyZX's ``spider_simp``, restricted to rules of
+the ZH-calculus (Backens & Kissinger, arXiv:1805.02175); each rule is a
+claim of :mod:`zhdd.claims`.  It turns the Z(2)s of caps and cups into
+plain wires, the scalar 2 of a loop, or the spider between two boundary
+wires.  No rule changes an instance's kind: a one-legged H-box labelled 1
+stays an H-box, since as a Z it would fuse into its neighbour and widen
+the contraction.
 
 :func:`contraction_steps` orders a network's instances and turns the
 order into steps on a list of live legs, in one pass: greedy minimum
@@ -52,7 +54,7 @@ bookkeeping, not semantics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import frexp, ldexp
@@ -168,12 +170,10 @@ def flatten_to_network(t: ZhTerm) -> Network:
 
 
 def simplify_network(net: Network) -> Network:
-    """An equal network with the patterns of five exact rules removed.
+    """An equal network with the patterns of four exact rules removed.
 
     One worklist pass over a copy of ``net.mate`` reaches the fixpoint of:
 
-    - ``one-label-state``: a one-legged H-box labelled exactly 1 becomes a
-      one-legged Z;
     - ``z-fusion``: two Z spiders joined by a wire become one;
     - ``z-self-loop``: a wire from a Z back to itself goes, and a Z left
       with no legs multiplies the scalar by 2 (``closed-copy-scalar``);
@@ -189,9 +189,7 @@ def simplify_network(net: Network) -> Network:
     their relative order and leg ids; a fused spider takes the place of the
     first one the pass visits.  ``net`` is left as it was.
     """
-    n = len(net.instances)
-    kind = [inst.kind for inst in net.instances]
-    label = [inst.label for inst in net.instances]
+    inst, n = net.instances, len(net.instances)
     legs: list[list[int] | None] = [list(ls) for ls in net.legs]  # None once gone
     owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
     mate = list(net.mate)
@@ -216,7 +214,7 @@ def simplify_network(net: Network) -> Network:
                 continue
             j = owner[y]
             theirs = legs[j]
-            if kind[j] != "h" or len(theirs) != 2 or label[j] != -1:
+            if inst[j].kind != "h" or len(theirs) != 2 or inst[j].label != -1:
                 continue
             far_i, far_j = mine[mine[0] == x], theirs[theirs[0] == y]
             a, b = mate[far_i], mate[far_j]
@@ -236,11 +234,8 @@ def simplify_network(net: Network) -> Network:
         mine = legs[i]
         if mine is None:
             continue
-        if kind[i] == "h":
-            if len(mine) == 1 and label[i] == 1:
-                kind[i], label[i] = "z", 0j
-                todo.append(i)
-            elif len(mine) == 2 and label[i] == -1:
+        if inst[i].kind == "h":
+            if len(mine) == 2 and inst[i].label == -1:
                 exp2 += h_pair(i)
             continue
         k = 0
@@ -250,7 +245,7 @@ def simplify_network(net: Network) -> Network:
             if j == i:  # a self-loop; its far end y comes later in mine
                 mine.remove(y)
                 del mine[k]
-            elif j >= 0 and kind[j] == "z":
+            elif j >= 0 and inst[j].kind == "z":
                 del mine[k]
                 theirs = legs[j]
                 theirs.remove(y)
@@ -268,7 +263,7 @@ def simplify_network(net: Network) -> Network:
             legs[i] = None
 
     keep = [i for i in range(n) if legs[i] is not None]
-    instances = [NetInstance(kind[i], label[i], len(legs[i])) for i in keep]
+    instances = [replace(inst[i], arity=len(legs[i])) for i in keep]
     return Network(instances, [tuple(legs[i]) for i in keep], mate, net.n_out, net.scalar, exp2)
 
 

@@ -21,10 +21,12 @@ is never run.  The optional per-stage dense mirror is
 
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
-one routing gadget per node; branch indicator wires pick up the edge
-weights in weight boxes and are funnelled into the child's fan-in.  Each
-generator is one row, between at most two identity bundles, after the
-swap rows (of :func:`~zhdd.terms.swap_schedule`) that gather its inputs.
+one routing gadget per node, in the nodes' depth-first preorder from the
+root, so the term depends on the diagram alone, not on its node ids;
+branch indicator wires pick up the edge weights in weight boxes and are
+funnelled into the child's fan-in.  Each generator is one row, between at
+most two identity bundles, after the swap rows (of
+:func:`~zhdd.terms.swap_schedule`) that gather its inputs.
 The wires form three blocks: finished level wires on top, the active band
 in the middle, and the branches bound for the terminal at the bottom.
 Each level's state goes directly under the finished block, and each
@@ -66,7 +68,7 @@ from .network import (
 )
 from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
-from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, validate, walker
+from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, renumber, validate, walker
 from .terms import (
     Gadget,
     Gen,
@@ -79,7 +81,6 @@ from .terms import (
     ParNode,
     Swap,
     WeightBox,
-    XSpider,
     ZSpider,
     ZhTerm,
     beside,
@@ -289,26 +290,20 @@ class _Assembler:
         return seq(*self.rows)
 
 
-def _fan_in(mode: str, k: int) -> ZhTerm:
-    if mode == "monoid":
-        return Gen(MonoidN(k))
-    if mode == "x":
-        return Gen(XSpider(k, 1))
-    raise ShapeError(f"unknown fan_in mode {mode!r}")
-
-
-def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
+def sqmdd_to_zh(d: Sqmdd) -> ZhTerm:
     """A term denoting exactly the diagram's vector (scalar included).
 
     One |+>-fed copy spider per level drives a routing gadget per node;
-    branch wires pass through weight boxes into the child's fan-in; the
-    terminal's fan-in is postselected on "path arrived".  ``fan_in``
-    selects the gathering generator: "monoid" (partial xor, the default)
-    or "x" (full xor) — on the one-hot branch indicators they agree.
+    branch wires pass through weight boxes into the child's fan-in, a
+    partial-xor :class:`~zhdd.terms.MonoidN`; the terminal's fan-in is
+    postselected on "path arrived".  Each level's nodes are laid out in
+    their depth-first preorder rank from the root (:func:`renumber`), so
+    the term is a function of the diagram, not of its node ids.
     """
     problems = validate(d)
     if problems:
         raise ShapeError("cannot translate invalid diagram: " + "; ".join(problems))
+    d = renumber(d)
     asm = _Assembler()
     serial = count()
 
@@ -325,7 +320,7 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
         by_level.setdefault(n.height, []).append(i)
 
     for h in range(d.height, 0, -1):
-        level = sorted(by_level.get(h, []))
+        level = sorted(by_level.get(h, []))  # ids are preorder ranks
         if not level:
             asm.level(Gen(KetPlus()), [("q", h)])
             continue
@@ -333,7 +328,7 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
         for u in level:
             n = d.nodes[u]
             arrivals = [t for t in asm.band() if t[0] == "to" and t[1] == u]
-            asm.apply(_fan_in(fan_in, len(arrivals)), arrivals, [("data", u)])
+            asm.apply(Gen(MonoidN(len(arrivals))), arrivals, [("data", u)])
             asm.apply(
                 Gen(Gadget()), [("ctrl", u), ("data", u)], [("g0", u), ("g1", u)]
             )
@@ -343,7 +338,7 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
     assert not asm.band()
     asm.sunk = 0  # the terminal block is the band now, already in place
     at_terminal = asm.band()
-    asm.apply(_fan_in(fan_in, len(at_terminal)), at_terminal, [("arrived",)])
+    asm.apply(Gen(MonoidN(len(at_terminal))), at_terminal, [("arrived",)])
     asm.apply(Gen(NotXSpider(1, 0)), [("arrived",)], [])
     assert asm.slots == [("q", h) for h in range(d.height, 0, -1)]
     return par(Gen(HBox(0, 0, d.scalar)), asm.term())
@@ -356,9 +351,10 @@ def sqmdd_to_zh(d: Sqmdd, fan_in: str = "monoid") -> ZhTerm:
 def sqmdd_read_back(t: ZhTerm) -> Sqmdd:
     """Parse a term in the emitted layer format back into its diagram.
 
-    Strict inverse of :func:`sqmdd_to_zh` on that function's image (both
-    fan-in variants are accepted), and of any regrouping of its rows into
-    other ``seq``/``par`` nestings.  Anything else raises
+    Strict inverse of :func:`sqmdd_to_zh` on that function's image, and of
+    any regrouping of its rows into other ``seq``/``par`` nestings, up to
+    node ids: nodes are numbered in the order their gadgets come.  Every
+    fan-in must be a :class:`~zhdd.terms.MonoidN`.  Anything else raises
     :class:`ShapeError` naming the offending sub-term.
     """
     if (
@@ -424,9 +420,7 @@ def sqmdd_read_back(t: ZhTerm) -> Sqmdd:
                 new.append(("ctrl", tok))
             next_level -= 1
             slots[at:at] = new
-        elif isinstance(kind, (MonoidN, XSpider)):
-            if isinstance(kind, XSpider) and (n_out != 1 or n_in < 1):
-                raise ShapeError(f"{describe(op)} is not a fan-in shape")
+        elif isinstance(kind, MonoidN):
             got = slots[at : at + n_in]
             sources = []
             for tag in got:
@@ -441,7 +435,7 @@ def sqmdd_read_back(t: ZhTerm) -> Sqmdd:
             raise ShapeError(
                 f"cannot read back {describe(op)}: a Z-spider would copy rather "
                 "than gather the branch indicators; expected a partial-xor "
-                "fan-in (MonoidN or XSpider)"
+                "fan-in (MonoidN)"
             )
         elif isinstance(kind, Gadget):
             ctag, dtag = slots[at], slots[at + 1]

@@ -55,6 +55,17 @@ def rng():
     return np.random.default_rng(0xDD)
 
 
+def relabelled(d, rng):
+    """``d`` with its node ids replaced by a random injection into 1..3n."""
+    from zhdd.sqmdd import TERMINAL, Node, Sqmdd
+
+    ids = rng.choice(np.arange(1, 3 * len(d.nodes) + 1), size=len(d.nodes), replace=False)
+    new = dict(zip(d.nodes, map(int, ids)))
+    new[TERMINAL] = TERMINAL
+    nodes = {new[i]: Node(n.height, n.w0, new[n.c0], n.w1, new[n.c1]) for i, n in d.nodes.items()}
+    return Sqmdd(d.scalar, d.height, new[d.root], nodes)
+
+
 # ---------------------------------------------------------------------------
 # dense reference
 

@@ -108,7 +108,7 @@ def test_flatten_instances_are_z_or_h():
 def test_flatten_wires_every_leg_once(seed):
     rng = np.random.default_rng(seed)
     assert wired_once(flatten_to_network(random_term(rng, max_generators=12, max_boundary=8)))
-    t = sqmdd_to_zh(random_dag(rng, 1 + seed % 4), fan_in=("monoid", "x")[seed % 2])
+    t = sqmdd_to_zh(random_dag(rng, 1 + seed % 4))
     assert wired_once(flatten_to_network(t))
 
 

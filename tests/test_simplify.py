@@ -10,6 +10,7 @@ from zhdd.errors import ResourceLimitError
 from zhdd.generate import random_dag, random_term
 from zhdd.network import (
     Network,
+    contraction_steps,
     flatten_to_network,
     ldexp_complex,
     net_interpret,
@@ -54,8 +55,6 @@ def redexes(net: Network) -> set[str]:
             if not (far_is_boundary(a, x) and far_is_boundary(b, y)):
                 found.add("h-involution")
     for i, inst in enumerate(net.instances):
-        if inst.kind == "h" and inst.arity == 1 and inst.label == 1:
-            found.add("one-label-state")
         if inst.kind == "z" and inst.arity == 0:
             found.add("closed-copy-scalar")
         if inst.kind == "z" and inst.arity == 2 and not all(mate[x] < 0 for x in net.legs[i]):
@@ -84,11 +83,10 @@ def test_simplify_keeps_random_term_networks(seed):
     check(flatten_to_network(random_term(rng, max_generators=10, max_boundary=6)))
 
 
-@pytest.mark.parametrize("fan_in", ["monoid", "x"])
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 3))
-def test_simplify_keeps_emitted_networks(seed, height, fan_in):
+def test_simplify_keeps_emitted_networks(seed, height):
     d = random_dag(np.random.default_rng(seed), height)
-    check(flatten_to_network(sqmdd_to_zh(d, fan_in=fan_in)))
+    check(flatten_to_network(sqmdd_to_zh(d)))
 
 
 def test_minus_one_ring_is_the_scalar_four():
@@ -108,6 +106,14 @@ def test_a_boundary_wire_stays_a_spider():
     assert check(pair) == pair
 
 
+def test_kinds_never_change():
+    """A one-legged H-box labelled 1 is a one-legged Z, but it stays an
+    H-box: as a Z it would fuse into the spider it is wired to."""
+    net = network_from_ports([("h", 1 + 0j, 1), ("z", 0j, 3)], [((0, 0), (1, 0))],
+                             [(1, 1), (1, 2)])
+    assert check(net) == net
+
+
 def test_labels_are_compared_exactly():
     near = 1 + 1e-12 + 0j
     net = network_from_ports([("h", near, 1), ("z", 0j, 2)], [((0, 0), (1, 0))], [(1, 1)])
@@ -117,10 +123,14 @@ def test_labels_are_compared_exactly():
 
 
 def test_simplify_shrinks_the_emitted_z_state():
+    """Fewer instances, and a contraction plan half as wide (706 to 576
+    instances, peak width 53 to 26): the one-legged H-boxes labelled 1 that
+    stay keep the level spiders from fusing into one wide spider."""
     net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", 16)))
     small = simplify_network(net)
     assert not redexes(small)
-    assert len(small.instances) < 0.8 * len(net.instances)
+    assert len(small.instances) < 0.85 * len(net.instances)
+    assert contraction_steps(small)[2] <= contraction_steps(net)[2] // 2
 
 
 def test_simplify_leaves_its_input_unchanged():

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings as hsettings, strategies as st
 
 from zhdd.algebra import canonical, canonical_from_vector
 from zhdd.config import Settings
@@ -53,7 +53,7 @@ from zhdd.translate import (
     zh_to_sqmdd,
 )
 
-from conftest import network_from_ports
+from conftest import network_from_ports, relabelled
 
 WIDE = Settings(max_qubits=24)
 
@@ -61,20 +61,14 @@ WIDE = Settings(max_qubits=24)
 # --- diagram -> term ----------------------------------------------------------
 
 
-@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["monoid", "x"]))
-def test_emitted_term_denotes_the_diagram(seed, mode):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_emitted_term_denotes_the_diagram(seed):
     rng = np.random.default_rng(seed)
     d = random_dag(rng, 1 + seed % 6, settings=WIDE)
-    t = sqmdd_to_zh(d, fan_in=mode)
+    t = sqmdd_to_zh(d)
     assert t.n_in == 0 and t.n_out == d.height
     got = interpret_zh(t, WIDE).reshape(-1)
     assert max_deviation(got, interpret_sqmdd(d, WIDE)) <= 1e-9
-
-
-def test_emitter_rejects_unknown_fan_in():
-    d = canonical_from_vector(np.arange(1, 5, dtype=complex))
-    with pytest.raises(ShapeError):
-        sqmdd_to_zh(d, fan_in="xspider")
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -87,12 +81,20 @@ def test_read_back_inverts_emission(seed):
     assert iso_equal(back, d)
 
 
-@pytest.mark.parametrize("mode", ["monoid", "x"])
-def test_read_back_inverts_emission_in_both_fan_in_modes(mode):
+def test_read_back_inverts_emission_of_canonical_diagrams():
     rng = np.random.default_rng(3)
     for k in range(30):
         d = canonical(random_dag(rng, 1 + k % 6, settings=WIDE), WIDE)
-        assert iso_equal(sqmdd_read_back(sqmdd_to_zh(d, fan_in=mode)), d)
+        assert iso_equal(sqmdd_read_back(sqmdd_to_zh(d)), d)
+
+
+@hsettings(max_examples=500)
+@given(seed=st.integers(0, 2**32 - 1), relabel=st.integers(0, 2**32 - 1))
+def test_emission_does_not_depend_on_node_ids(seed, relabel):
+    """Each level is laid out by the nodes' place in the diagram, so a
+    relabelled copy emits the very same term."""
+    d = canonical(random_dag(np.random.default_rng(seed), 1 + seed % 6, settings=WIDE), WIDE)
+    assert sqmdd_to_zh(relabelled(d, np.random.default_rng(relabel))) == sqmdd_to_zh(d)
 
 
 def _counts(t):
@@ -174,9 +176,13 @@ _LEVEL_CHAIN = sqmdd_to_zh(  # the emitted layer chain of a height-2 diagram
         ),
         (par(_SCALAR, seq(Gen(KetOne()), Gen(MonoidN(1)))), "no terminal postselection"),
         (par(_SCALAR, Gen(NotXSpider(1, 0))), "inputs"),
+        (
+            par(_SCALAR, seq(Gen(KetOne()), Gen(XSpider(1, 1)), Gen(NotXSpider(1, 0)))),
+            "unexpected generator XSpider",
+        ),
     ],
     ids=["no-scalar", "cap", "fan-in-over-level-wire", "z-spider-fan-in",
-         "no-postselection", "chain-with-input"],
+         "no-postselection", "chain-with-input", "x-spider-fan-in"],
 )
 def test_read_back_rejects_malformed_chains(term, message):
     # each case breaks a chain that reads back (to a height-0 diagram)
@@ -458,7 +464,7 @@ def test_contraction_is_deterministic(source):
     if source == "term":
         t = random_term(rng, max_generators=10, max_boundary=6)
     else:
-        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE), fan_in="x")
+        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE))
     net = flatten_to_network(t)
     assert contraction_steps(net) == contraction_steps(flatten_to_network(t))
     first, second = (json.dumps(sqmdd_to_json(zh_to_sqmdd(t, WIDE))) for _ in range(2))
