@@ -66,6 +66,18 @@ def relabelled(d, rng):
     return Sqmdd(d.scalar, d.height, new[d.root], nodes)
 
 
+def x_fan_in(t):
+    """``t`` with each ``MonoidN(k)`` fan-in replaced by ``XSpider(k, 1)``:
+    the same map on one-hot branch indicators, as the ``fan-in-interchange``
+    claim states, but not a term the emitter writes."""
+    from zhdd.terms import Gen, MonoidN, XSpider, fold, par, seq
+
+    def gen(kind):
+        return Gen(XSpider(kind.inputs, 1) if isinstance(kind, MonoidN) else kind)
+
+    return fold(t, gen, seq, par)
+
+
 # ---------------------------------------------------------------------------
 # dense reference
 

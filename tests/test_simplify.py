@@ -19,7 +19,7 @@ from zhdd.network import (
 from zhdd.oracle import max_deviation
 from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
-from conftest import network_from_ports, wired_once
+from conftest import network_from_ports, wired_once, x_fan_in
 
 CAP = Settings(max_qubits=16)
 # Simplification can widen the plan (the seed pinned below peaks at 11
@@ -83,10 +83,12 @@ def test_simplify_keeps_random_term_networks(seed):
     check(flatten_to_network(random_term(rng, max_generators=10, max_boundary=6)))
 
 
+@pytest.mark.parametrize("fan_in", ["monoid", "x"])
 @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 3))
-def test_simplify_keeps_emitted_networks(seed, height):
-    d = random_dag(np.random.default_rng(seed), height)
-    check(flatten_to_network(sqmdd_to_zh(d)))
+def test_simplify_keeps_emitted_networks(seed, height, fan_in):
+    """The emitted term, and the same term with full-xor fan-ins."""
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(seed), height))
+    check(flatten_to_network(t if fan_in == "monoid" else x_fan_in(t)))
 
 
 def test_minus_one_ring_is_the_scalar_four():

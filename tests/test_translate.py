@@ -53,7 +53,7 @@ from zhdd.translate import (
     zh_to_sqmdd,
 )
 
-from conftest import network_from_ports, relabelled
+from conftest import network_from_ports, relabelled, x_fan_in
 
 WIDE = Settings(max_qubits=24)
 
@@ -81,11 +81,26 @@ def test_read_back_inverts_emission(seed):
     assert iso_equal(back, d)
 
 
-def test_read_back_inverts_emission_of_canonical_diagrams():
+@pytest.mark.parametrize("mode", ["monoid", "x"])
+def test_read_back_inverts_emission_in_both_fan_in_modes(mode):
+    """Read-back inverts the emission.  The same term with full-xor fan-ins
+    still denotes the diagram, but it is not an emission, so read-back
+    refuses it wherever it differs from the emitted term."""
     rng = np.random.default_rng(3)
+    refused = 0
     for k in range(30):
         d = canonical(random_dag(rng, 1 + k % 6, settings=WIDE), WIDE)
-        assert iso_equal(sqmdd_read_back(sqmdd_to_zh(d)), d)
+        t = sqmdd_to_zh(d)
+        if mode == "monoid" or x_fan_in(t) == t:
+            assert iso_equal(sqmdd_read_back(t), d)
+            continue
+        t = x_fan_in(t)
+        got = interpret_zh(t, WIDE).reshape(-1)
+        assert max_deviation(got, interpret_sqmdd(d, WIDE)) <= 1e-9
+        with pytest.raises(ShapeError, match="XSpider"):
+            sqmdd_read_back(t)
+        refused += 1
+    assert mode == "monoid" or refused >= 10
 
 
 @hsettings(max_examples=500)
