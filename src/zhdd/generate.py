@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .sqmdd import TERMINAL, Node, Sqmdd, is_zero_weight, reachable_ids
+from .sqmdd import TERMINAL, Node, Sqmdd, is_zero_weight, preorder
 from .terms import (
     Cap,
     Cup,
@@ -135,10 +135,8 @@ def random_dag(
             by_level[h] = ids
     top_level = max(by_level)
     root = by_level[top_level][int(rng.integers(len(by_level[top_level])))]
-    d = Sqmdd(random_weight(rng, allow_zero=False), height, root, nodes)
-    keep = reachable_ids(d)
-    d.nodes = {i: n for i, n in d.nodes.items() if i in keep}
-    return d
+    nodes = {i: nodes[i] for i in sorted(preorder(nodes, root))}
+    return Sqmdd(random_weight(rng, allow_zero=False), height, root, nodes)
 
 
 def tree_from_vector(vec) -> Sqmdd:

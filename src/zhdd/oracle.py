@@ -39,7 +39,7 @@ import numpy as np
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings, dense_cap
 from .errors import ResourceLimitError, ShapeError
-from .sqmdd import TERMINAL, Sqmdd
+from .sqmdd import TERMINAL, Sqmdd, bottom_up
 from .terms import (
     Cap,
     Cup,
@@ -248,30 +248,25 @@ def interpret_zh_state(t: ZhTerm, settings: Settings = DEFAULT) -> np.ndarray:
 def interpret_sqmdd(d: Sqmdd, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense vector denoted by a diagram, shape ``(2**height,)``.
 
-    Follows the cofactor recursion directly; a child sitting more than one
-    level down duplicates its vector across the skipped levels.
+    Folds the cofactor recursion bottom-up (:func:`~zhdd.sqmdd.bottom_up`):
+    each node's vector is its two children's, weighted and stacked; a child
+    sitting more than one level down duplicates its vector across the
+    skipped levels.
     """
     _check_span(d.height, "diagram", settings)
-    memo: dict[int, np.ndarray] = {}
-
-    def node_vec(c: int) -> np.ndarray:
-        got = memo.get(c)
-        if got is not None:
-            return got
-        n = d.nodes[c]
-        v = np.concatenate(
-            [n.w0 * at_height(n.c0, n.height - 1), n.w1 * at_height(n.c1, n.height - 1)]
-        )
-        memo[c] = v
-        return v
+    nodes, vec = d.nodes, {}
 
     def at_height(c: int, h: int) -> np.ndarray:
         if c == TERMINAL:
             return np.ones(2**h, dtype=complex)
-        base = node_vec(c)
-        skip = h - d.nodes[c].height
-        return np.tile(base, 2**skip) if skip else base
+        skip = h - nodes[c].height
+        return np.tile(vec[c], 2**skip) if skip else vec[c]
 
+    for i in bottom_up(nodes, d.root):
+        n = nodes[i]
+        vec[i] = np.concatenate(
+            [n.w0 * at_height(n.c0, n.height - 1), n.w1 * at_height(n.c1, n.height - 1)]
+        )
     return d.scalar * at_height(d.root, d.height)
 
 

@@ -20,6 +20,14 @@ the one cell :func:`one_cell`, the test :func:`normal_form_rule` and the
 pull (:func:`pull`), a weight pair as a factor times (1, w) or (0, 1).
 :meth:`Builder.edge` and the rewriter's r1 and r2 call the pull, and the
 rewriter and :func:`measure` read the test.
+Next to the normal form sit the two walks from the root: :func:`preorder`
+(depth-first, 0-side first: the order :func:`renumber` numbers and the
+emitter lays out, and the set that pruning keeps) and :func:`bottom_up`
+(the same ids by ascending height, each node after its children: the
+order of every fold over a diagram, :func:`denotes_zero` and the dense
+oracle's among them).  Only two walks keep their own loop: the pair walk
+of :func:`structurally_same`, the independent referee of
+:func:`renumber`, and :func:`walker`'s, which stops at its target.
 
 Weight comparisons for structural purposes (unique table, rule guards)
 round to an ``eps`` grid — see :func:`weight_key`.  This grid is the only
@@ -35,7 +43,7 @@ from typing import Any, Callable, NamedTuple
 
 from ._json import complex_from_json, complex_to_json
 from .config import DEFAULT, Settings
-from .errors import ResourceLimitError, ShapeError
+from .errors import ResourceLimitError
 
 TERMINAL = 0
 
@@ -151,24 +159,30 @@ def pull(
 
 
 # ---------------------------------------------------------------------------
-# validation and basic accessors
+# the walks from the root, validation and basic accessors
 
 
-def reachable_ids(d: Sqmdd) -> set[int]:
-    """Node ids reachable from the root (terminal excluded)."""
-    seen: set[int] = set()
-    stack = [d.root] if d.root != TERMINAL else []
+def preorder(nodes: dict[int, Node], root: int) -> list[int]:
+    """The node ids reachable from ``root`` (terminal excluded), each once,
+    in depth-first preorder with the 0-side first: the order in which
+    :func:`renumber` numbers them."""
+    seen: dict[int, None] = {}  # an ordered set
+    stack = [root]
     while stack:
         u = stack.pop()
         if u == TERMINAL or u in seen:
             continue
-        seen.add(u)
-        n = d.nodes.get(u)
-        if n is None:
-            continue
-        stack.append(n.c0)
-        stack.append(n.c1)
-    return seen
+        seen[u] = None
+        n = nodes[u]
+        stack += (n.c1, n.c0)
+    return list(seen)
+
+
+def bottom_up(nodes: dict[int, Node], root: int) -> list[int]:
+    """The ids of :func:`preorder` by ascending height (preorder among
+    equals): since every edge goes down, each node comes after its
+    children, so a fold over this list sees its children's values."""
+    return sorted(preorder(nodes, root), key=lambda i: nodes[i].height)
 
 
 def denotes_zero(
@@ -183,18 +197,8 @@ def denotes_zero(
     if root == TERMINAL or not is_zero_weight(scalar, settings):
         return False
     best = {TERMINAL: 1.0}
-    stack = [root]
-    while stack:
-        i = stack[-1]
-        if i in best:
-            stack.pop()
-            continue
+    for i in bottom_up(nodes, root):
         n = nodes[i]
-        below = [c for c in (n.c0, n.c1) if c not in best]
-        if below:
-            stack += below
-            continue
-        stack.pop()
         best[i] = max(abs(n.w0) * best[n.c0], abs(n.w1) * best[n.c1])
     return abs(scalar) * best[root] < settings.eps / 2
 
@@ -240,7 +244,7 @@ def validate(d: Sqmdd) -> list[str]:
     # the root; so when each node is the root or some node's child, all are
     # reachable, and only otherwise is the walk from the root needed.
     if not problems and not reached.issuperset(nodes):
-        orphans = set(nodes) - reachable_ids(d)
+        orphans = set(nodes).difference(preorder(nodes, root))
         for i in sorted(orphans):
             problems.append(f"node {i}: all vertices need at least one parent (unreachable)")
     return problems
@@ -269,30 +273,6 @@ def measure(d: Sqmdd, settings: Settings = DEFAULT) -> tuple[int, ...]:
         deg_t += (n.c0 == TERMINAL) + (n.c1 == TERMINAL)
         per_height[n.height - 1] += normal_form_rule(node_key(n, settings), one) in ("r2", "r1")
     return (n_v, 2 * n_v - deg_t, *per_height)
-
-
-# ---------------------------------------------------------------------------
-# cofactors
-
-
-def _cofactor(d: Sqmdd, side: int) -> Sqmdd:
-    if d.height < 1:
-        raise ShapeError("cofactor of a height-0 diagram")
-    w, c = split_edge(d, (d.scalar, d.root), d.height, side)
-    out = Sqmdd(w, d.height - 1, c, dict(d.nodes))
-    keep = reachable_ids(out)
-    out.nodes = {i: n for i, n in out.nodes.items() if i in keep}
-    return out
-
-
-def left_cofactor(d: Sqmdd) -> Sqmdd:
-    """The sub-diagram for the top qubit fixed to 0 (weight folded into s)."""
-    return _cofactor(d, 0)
-
-
-def right_cofactor(d: Sqmdd) -> Sqmdd:
-    """The sub-diagram for the top qubit fixed to 1."""
-    return _cofactor(d, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +435,18 @@ def _checked_node(entry: Any, nodes: dict[int, Node]) -> tuple[int, Node]:
 
 
 def renumber(d: Sqmdd) -> Sqmdd:
-    """Relabel node ids in depth-first preorder from the root (1, 2, …).
+    """Relabel node ids 1, 2, … in :func:`preorder` from the root.
 
     Deterministic, so emitted files are stable for golden tests.
     """
-    mapping: dict[int, int] = {}
-    stack = [d.root]
-    while stack:
-        u = stack.pop()
-        if u == TERMINAL or u in mapping:
-            continue
-        mapping[u] = len(mapping) + 1
+    order = preorder(d.nodes, d.root)
+    rank = {u: k for k, u in enumerate(order, 1)}
+    rank[TERMINAL] = TERMINAL
+    nodes = {}
+    for u in order:
         n = d.nodes[u]
-        stack += (n.c1, n.c0)
-    nodes = {
-        mapping[i]: Node(
-            n.height,
-            n.w0,
-            mapping.get(n.c0, TERMINAL),
-            n.w1,
-            mapping.get(n.c1, TERMINAL),
-        )
-        for i, n in d.nodes.items()
-        if i in mapping
-    }
-    return Sqmdd(d.scalar, d.height, mapping.get(d.root, TERMINAL), nodes)
+        nodes[rank[u]] = Node(n.height, n.w0, rank[n.c0], n.w1, rank[n.c1])
+    return Sqmdd(d.scalar, d.height, rank[d.root], nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +582,17 @@ class Builder:
             return zero_form(height)
         if denotes_zero(lam, self.nodes, root, self.settings):
             return zero_form(height)
-        d = Sqmdd(lam, height, root, dict(self.nodes))
-        keep = reachable_ids(d)
-        d.nodes = {i: n for i, n in d.nodes.items() if i in keep}
-        return d
+        nodes = self.nodes  # sorted ids: the table's own (creation) order
+        return Sqmdd(lam, height, root, {i: nodes[i] for i in sorted(preorder(nodes, root))})
 
 
-def split_edge(d: Sqmdd | Builder, e: Edge, height: int, side: int) -> Edge:
-    """Cofactor of an edge viewed at ``height``: follow the node when it
-    sits exactly at that level, otherwise the edge spans the level and
-    both cofactors are the edge itself.  ``d`` holds the node table: a
-    diagram, or a builder whose table the edge lives in."""
+def split_edge(bld: Builder, e: Edge, height: int, side: int) -> Edge:
+    """Cofactor of an edge of ``bld``'s table viewed at ``height``: follow
+    the node when it sits exactly at that level, otherwise the edge spans
+    the level and both cofactors are the edge itself."""
     w, c = e
-    if c != TERMINAL and d.nodes[c].height == height:
-        n = d.nodes[c]
+    if c != TERMINAL and bld.nodes[c].height == height:
+        n = bld.nodes[c]
         ww, cc = n.edge(side)
         return (w * ww, cc)
     return (w, c)

@@ -22,11 +22,11 @@ is never run.  The optional per-stage dense mirror is
 Diagram -> term (:func:`sqmdd_to_zh`) emits one block of generators per
 level: a fresh |+> wire per level feeds a copy spider whose legs control
 one routing gadget per node, in the nodes' depth-first preorder from the
-root, so the term depends on the diagram alone, not on its node ids;
-branch indicator wires pick up the edge weights in weight boxes and are
-funnelled into the child's fan-in.  Each generator is one row, between at
-most two identity bundles, after the swap rows (of
-:func:`~zhdd.terms.swap_schedule`) that gather its inputs.
+root (:func:`~zhdd.sqmdd.preorder`), so the term depends on the diagram
+alone, not on its node ids; branch indicator wires pick up the edge
+weights in weight boxes and are funnelled into the child's fan-in.  Each
+generator is one row, between at most two identity bundles, after the
+swap rows (of :func:`~zhdd.terms.swap_schedule`) that gather its inputs.
 The wires form three blocks: finished level wires on top, the active band
 in the middle, and the branches bound for the terminal at the bottom.
 Each level's state goes directly under the finished block, and each
@@ -68,7 +68,7 @@ from .network import (
 )
 from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
-from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, renumber, validate, walker
+from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, preorder, validate, walker
 from .terms import (
     Gadget,
     Gen,
@@ -297,13 +297,12 @@ def sqmdd_to_zh(d: Sqmdd) -> ZhTerm:
     branch wires pass through weight boxes into the child's fan-in, a
     partial-xor :class:`~zhdd.terms.MonoidN`; the terminal's fan-in is
     postselected on "path arrived".  Each level's nodes are laid out in
-    their depth-first preorder rank from the root (:func:`renumber`), so
-    the term is a function of the diagram, not of its node ids.
+    their depth-first preorder from the root (:func:`~zhdd.sqmdd.preorder`),
+    so the term is a function of the diagram, not of its node ids.
     """
     problems = validate(d)
     if problems:
         raise ShapeError("cannot translate invalid diagram: " + "; ".join(problems))
-    d = renumber(d)
     asm = _Assembler()
     serial = count()
 
@@ -316,11 +315,11 @@ def sqmdd_to_zh(d: Sqmdd) -> ZhTerm:
 
     to_child(Gen(KetOne()), [], d.root)
     by_level: dict[int, list[int]] = {}
-    for i, n in d.nodes.items():
-        by_level.setdefault(n.height, []).append(i)
+    for u in preorder(d.nodes, d.root):
+        by_level.setdefault(d.nodes[u].height, []).append(u)
 
     for h in range(d.height, 0, -1):
-        level = sorted(by_level.get(h, []))  # ids are preorder ranks
+        level = by_level.get(h, [])
         if not level:
             asm.level(Gen(KetPlus()), [("q", h)])
             continue

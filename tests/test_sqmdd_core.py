@@ -7,22 +7,22 @@ from hypothesis import given, strategies as st
 
 from zhdd.config import Settings
 from zhdd.errors import ResourceLimitError
-from zhdd.generate import random_dag, tree_from_vector
+from zhdd.generate import random_dag, scramble, tree_from_vector
 from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.sqmdd import (
     TERMINAL,
     Builder,
     Node,
     Sqmdd,
+    bottom_up,
     is_zero_weight,
     iso_equal,
-    left_cofactor,
     measure,
     node_key,
     one_cell,
+    preorder,
     renumber,
     require_valid,
-    right_cofactor,
     split_edge,
     sqmdd_from_json,
     sqmdd_to_dot,
@@ -34,7 +34,7 @@ from zhdd.sqmdd import (
     zero_form,
 )
 
-from conftest import small_vectors
+from conftest import rngs, small_vectors
 
 
 # --- invariants and the weight grid ----------------------------------------
@@ -113,23 +113,14 @@ def test_tree_from_vector_is_exact(vec):
     assert max_deviation(interpret_sqmdd(d), vec) == 0.0
 
 
-@given(vec=small_vectors(max_height=3))
-def test_cofactors_split_the_vector(vec):
-    d = tree_from_vector(vec)
-    half = len(vec) // 2
-    lo = interpret_sqmdd(left_cofactor(d))
-    hi = interpret_sqmdd(right_cofactor(d))
-    assert max_deviation(lo, vec[:half]) == 0.0
-    assert max_deviation(hi, vec[half:]) == 0.0
-
-
 def test_split_edge_spans_skipped_levels():
-    d = Sqmdd(1 + 0j, 2, 1, {1: Node(1, 1 + 0j, TERMINAL, 5 + 0j, TERMINAL)})
+    bld = Builder()
+    bld.nodes[1] = Node(1, 1 + 0j, TERMINAL, 5 + 0j, TERMINAL)
     # root edge spans level 2 entirely: both cofactors are the edge itself
     e = (1 + 0j, 1)
-    assert split_edge(d, e, 2, 0) == e
-    assert split_edge(d, e, 2, 1) == e
-    assert split_edge(d, e, 1, 1) == (5 + 0j, TERMINAL)
+    assert split_edge(bld, e, 2, 0) == e
+    assert split_edge(bld, e, 2, 1) == e
+    assert split_edge(bld, e, 1, 1) == (5 + 0j, TERMINAL)
 
 
 # --- measure ----------------------------------------------------------------
@@ -167,6 +158,72 @@ def test_renumber_preserves_everything(seed):
     assert max_deviation(interpret_sqmdd(d), interpret_sqmdd(r)) == 0.0
     # renumbering is stable: a second pass changes nothing
     assert sqmdd_to_json(renumber(r)) == sqmdd_to_json(r)
+
+
+@st.composite
+def walked_diagrams(draw):
+    """A random DAG, or a scrambled naive tree: shared nodes, skipped
+    levels and ids in no particular order."""
+    rng = draw(rngs())
+    if draw(st.booleans()):
+        return random_dag(rng, 1 + int(rng.integers(6)))
+    return scramble(tree_from_vector(draw(small_vectors(max_height=4))), rng)
+
+
+def recursive_preorder(nodes, root):
+    """Depth-first preorder, 0-side first, spelled as plain recursion."""
+    out = []
+
+    def visit(u):
+        if u != TERMINAL and u not in out:
+            out.append(u)
+            visit(nodes[u].c0)
+            visit(nodes[u].c1)
+
+    visit(root)
+    return out
+
+
+@given(d=walked_diagrams())
+def test_walks_list_each_reachable_node_once(d):
+    order = preorder(d.nodes, d.root)
+    assert order == recursive_preorder(d.nodes, d.root)
+    assert order[:1] == ([d.root] if d.root != TERMINAL else [])
+    # renumber numbers the nodes 1..n in exactly this order
+    rank = {u: k for k, u in enumerate(order, 1)} | {TERMINAL: TERMINAL}
+    assert renumber(d).nodes == {
+        rank[u]: d.nodes[u]._replace(c0=rank[d.nodes[u].c0], c1=rank[d.nodes[u].c1])
+        for u in order
+    }
+    # bottom_up: the same ids, each after both of its children
+    up = bottom_up(d.nodes, d.root)
+    assert sorted(up) == sorted(order)
+    pos = {u: k for k, u in enumerate(up)} | {TERMINAL: -1}
+    for u in up:
+        assert pos[d.nodes[u].c0] < pos[u] and pos[d.nodes[u].c1] < pos[u]
+    # finish prunes the builder's table to the live ids, in its own order
+    bld, other = Builder(), random_dag(np.random.default_rng(len(order)), d.height)
+    bld.import_edge(other, (other.scalar, other.root))
+    lam, root = bld.import_edge(d, (d.scalar, d.root))
+    out = bld.finish((lam, root), d.height)
+    if out.root != TERMINAL:
+        live = set(preorder(bld.nodes, root))
+        assert list(out.nodes) == [i for i in bld.nodes if i in live] == sorted(live)
+
+
+def test_finish_folds_a_deep_chain():
+    """A chain far deeper than the interpreter's recursion limit: a grid-zero
+    top weight makes it the zero form unless a weight below lifts a path
+    out of the zero cell."""
+    for big in (0j, 1e6 + 0j):
+        bld = Builder()
+        e = bld.edge(1, (1 + 0j, TERMINAL), (big, TERMINAL))
+        for h in range(2, 3001):
+            e = bld.edge(h, e, (0j, TERMINAL))
+        assert e[0] == 1 and len(bld.nodes) == 3000
+        d = bld.finish((1e-12 + 0j, e[1]), 3000)
+        assert (d == zero_form(3000)) == (big == 0)
+    assert len(d.nodes) == 3000 and validate(d) == []
 
 
 def test_iso_equal_ignores_ids_only():
