@@ -18,6 +18,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import ShapeError
 from .oracle import interpret_zh, max_deviation
+from .sugar import core_recipe
 from .terms import (
     Cap,
     Cup,
@@ -38,6 +39,7 @@ from .terms import (
     ZhTerm,
     beside,
     fold,
+    generator_arity,
     par,
     permutation_term,
     seq,
@@ -328,6 +330,23 @@ def _bld_fan_in_interchange(rng: np.random.Generator) -> List[Case]:
     return [(t, fold(t, as_xor, seq, par))]
 
 
+def _closed_form(tag: str, kind: GeneratorKind) -> np.ndarray:
+    """The builder's closed form of a sugar kind that the contraction keeps
+    whole, as the kind's matrix: its legs are the inputs, then the
+    outputs."""
+    from .oracle import interpret_sqmdd
+    from .translate import generator_state_sqmdd
+
+    n, m = generator_arity(kind)
+    d = generator_state_sqmdd(tag, n + m, getattr(kind, "weight", None))
+    return interpret_sqmdd(d).reshape(2**n, 2**m).T.copy()
+
+
+def _bld_weight_closed_form(rng: np.random.Generator) -> List[Case]:
+    kind = WeightBox(_label(rng))
+    return [(core_recipe(kind), _closed_form("weight", kind))]
+
+
 def _z_state_nf() -> List[Case]:
     from .translate import generator_state_sqmdd
 
@@ -602,6 +621,13 @@ def builtin_suite() -> List[Claim]:
         Claim("braplus-is-copy", "sugar core", (
             (Gen(BraPlus()), Gen(ZSpider(1, 0))),
         )),
+        Claim("gadget-closed-form", "sugar core", (
+            (core_recipe(Gadget()), _closed_form("gadget", Gadget())),
+        )),
+        Claim("weight-closed-form", "sugar core", _bld_weight_closed_form),
+        Claim("ket1-closed-form", "sugar core", (
+            (core_recipe(KetOne()), _closed_form("ket1", KetOne())),
+        )),
         # -- composition primitives
         Claim("cap-from-copy", "composition primitives", (
             (Gen(Cap()), seq(Gen(ZSpider(0, 1)), Gen(ZSpider(1, 2)))),
@@ -676,6 +702,15 @@ def builtin_suite() -> List[Claim]:
         ), expect_fail=True),
         Claim("control-ket1-monoid", "negative control", (
             (seq(par(Gen(KetOne()), wires(1)), _M2), wires(1)),
+        ), expect_fail=True),
+        Claim("control-gadget-closed-form-swapped", "negative control", (
+            (core_recipe(Gadget()), _closed_form("gadget", Gadget())[[0, 2, 1, 3]]),
+        ), expect_fail=True),
+        Claim("control-weight-closed-form-conjugate", "negative control", (
+            (core_recipe(WeightBox(0.5 + 1j)), _closed_form("weight", WeightBox(0.5 - 1j))),
+        ), expect_fail=True),
+        Claim("control-ket1-closed-form-flipped", "negative control", (
+            (core_recipe(KetOne()), _closed_form("ket1", KetOne())[::-1].copy()),
         ), expect_fail=True),
     ]
     return claims

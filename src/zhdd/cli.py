@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import mmap
 import sys
 import traceback
 from typing import Any, Optional
@@ -301,17 +302,49 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_OUT_OF_MEMORY = "resource cap: out of memory\n"
+# Address space held back, never touched, for the way out after a
+# MemoryError: clearing the frames does not always free what filled memory
+# (a reference can outlive them), and the exit still needs a little.
+_RESERVE_BYTES = 8 << 20
+_reserve: Optional[mmap.mmap] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the exit code.  A ``MemoryError`` from anywhere,
+    a handler below included, exits 3: the code is fixed first, the frames
+    that filled memory are cleared, the reserve is given back, and the
+    message is a constant, so nothing that needs memory runs before the
+    code is certain."""
+    global _reserve
+    try:
+        if _reserve is None:
+            _reserve = mmap.mmap(-1, _RESERVE_BYTES)
+        return _run(argv)
+    except MemoryError as exc:
+        while exc is not None:  # the chain of errors raised while handling
+            traceback.clear_frames(exc.__traceback__)
+            exc.__traceback__, exc = None, exc.__context__
+    if _reserve is not None:
+        _reserve.close()
+        _reserve = None
+    try:
+        sys.stderr.write(_OUT_OF_MEMORY)
+    except MemoryError:
+        pass
+    return EXIT_RESOURCE
+
+
+def _run(argv: Optional[list[str]]) -> int:
     args = build_parser().parse_args(argv)
     # looked up when called, so a replaced ``_cmd_*`` module attribute is seen
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except MemoryError:  # a dense input within the caps but beyond memory
+        raise
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:  # a dense input within the caps but beyond memory
-        print(f"resource cap: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OverflowError:  # round(w / eps) past the float range
         print("resource cap: a weight is beyond the weight grid's range "

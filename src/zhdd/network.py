@@ -11,10 +11,13 @@ wire: a generator that consumes a wire mates it with one of its own legs.
 A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, as in PyZX
 (Kissinger & van de Wetering, arXiv:1904.04735), so every wire runs from
 one instance leg to another or to the boundary, and closed loops and
-boundary-to-boundary wires need no case of their own.  Sugar generators
-are expanded on the fly, one :func:`~zhdd.sugar.core_recipe` at a time.
-The prefactor is kept as a mantissa and a power of two (:func:`scaled`),
-so the many 1/2s of desugaring cannot underflow it.
+boundary-to-boundary wires need no case of their own.  The fixed-arity
+sugar of the emitted terms stays whole: each routing gadget, weight box
+and |1> is one instance of its own kind, contracted in closed form, as a
+QMDD simulator applies a gate whole.  The variable-arity sugar (monoids,
+X spiders) is expanded on the fly, one :func:`~zhdd.sugar.core_recipe` at
+a time.  The prefactor is kept as a mantissa and a power of two
+(:func:`scaled`), so the many 1/2s of desugaring cannot underflow it.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
 exact ZH rules applied to a fixpoint on a copy of ``mate``: Z spiders
@@ -48,9 +51,10 @@ Both contraction engines run these steps:
 whose cap bounds the steps' peak width rather than the network's total leg
 count.
 
-Both Z-spiders and H-boxes are fully symmetric tensors, so a network
-instance needs only a kind, a label, and an arity; leg order is
-bookkeeping, not semantics.
+Z spiders, H-boxes, weight boxes and |1> are fully symmetric tensors, so
+for them leg order is bookkeeping, not semantics; a gadget's legs are its
+control and data inputs, then its two outputs.  A network instance needs
+only a kind, a label, and an arity.
 """
 from __future__ import annotations
 
@@ -65,14 +69,29 @@ import numpy as np
 from .config import DEFAULT, Settings, dense_cap
 from .duality import to_state_form
 from .errors import ResourceLimitError, ShapeError
+from .oracle import interpret_zh
 from .sugar import CORE_KINDS, core_recipe
-from .terms import Gen, GeneratorKind, HBox, Identity, Swap, ZhTerm, placed
+from .terms import (
+    Gadget,
+    Gen,
+    GeneratorKind,
+    HBox,
+    Identity,
+    KetOne,
+    Swap,
+    WeightBox,
+    ZhTerm,
+    placed,
+)
+
+# The fixed-arity sugar kept whole, one instance each, by its instance kind.
+WHOLE_SUGAR = {Gadget: "gadget", WeightBox: "weight", KetOne: "ket1"}
 
 
 @dataclass(frozen=True)
 class NetInstance:
-    kind: str  # "z" or "h"
-    label: complex
+    kind: str  # "z", "h", or a sugar kind kept whole: "gadget", "weight", "ket1"
+    label: complex  # an H-box's label or a weight box's weight, else 0
     arity: int
 
 
@@ -108,12 +127,12 @@ def scaled(m: complex, exp2: int, w: complex) -> tuple[complex, int]:
 
 
 def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
-    """:func:`~zhdd.terms.placed` of ``t`` with its sugar expanded: each
-    sugar generator's core recipe is walked in its place, shifted by its
-    offset.  The same sequence as ``placed(expand_sugar(t))``, without
-    rebuilding the tree."""
+    """:func:`~zhdd.terms.placed` of ``t`` with its variable-arity sugar
+    expanded: each such generator's core recipe is walked in its place,
+    shifted by its offset.  Core generators and the sugar of
+    :data:`WHOLE_SUGAR` come as they are."""
     for g, at in placed(t):
-        if isinstance(g.kind, CORE_KINDS):
+        if isinstance(g.kind, CORE_KINDS) or type(g.kind) in WHOLE_SUGAR:
             yield g, at
         else:
             for h, off in _recipe_placed(g.kind):
@@ -123,7 +142,7 @@ def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
 @lru_cache(maxsize=1024)
 def _recipe_placed(kind: GeneratorKind) -> tuple[tuple[Gen, int], ...]:
     """``placed(core_recipe(kind))``, built once per kind: an emitted term
-    holds many equal gadgets and monoids."""
+    holds many equal monoids."""
     return tuple(placed(core_recipe(kind)))
 
 
@@ -131,12 +150,15 @@ def flatten_to_network(t: ZhTerm) -> Network:
     """The wiring network of a term.
 
     Maps are bent into state form, so the network's boundary lists the
-    original outputs followed by one wire per original input.  Each sugar
-    generator is expanded in place, by walking its core recipe at its
-    offset.  A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, so
-    every wire runs from one instance leg to another or to the boundary; a
-    nullary Z or H contributes its scalar directly.  Leg ids are handed
-    out in instance order, each instance's in leg order.
+    original outputs followed by one wire per original input.  A gadget,
+    weight box or |1> is one instance of its own kind (``"gadget"``,
+    ``"weight"`` labelled with its weight, ``"ket1"``), its legs its inputs
+    then its outputs; each other sugar generator is expanded in place, by
+    walking its core recipe at its offset.  A cap is a Z(0, 2) instance
+    and a cup a Z(2, 0) instance, so every wire runs from one instance leg
+    to another or to the boundary; a nullary Z or H contributes its scalar
+    directly.  Leg ids are handed out in instance order, each instance's
+    in leg order.
     """
     instances: list[NetInstance] = []
     legs: list[tuple[int, ...]] = []
@@ -153,11 +175,13 @@ def flatten_to_network(t: ZhTerm) -> Network:
             scalar, exp2 = scaled(scalar, exp2, complex(kind.label))
         elif n + m == 0:  # the Z scalar 2
             exp2 += 1
-        else:  # a Z spider, H-box, cap or cup
+        else:  # a Z spider, H-box, cap, cup or whole sugar generator
             if isinstance(kind, HBox):
                 instances.append(NetInstance("h", complex(kind.label), n + m))
+            elif isinstance(kind, WeightBox):
+                instances.append(NetInstance("weight", complex(kind.weight), 2))
             else:
-                instances.append(NetInstance("z", 0j, n + m))
+                instances.append(NetInstance(WHOLE_SUGAR.get(type(kind), "z"), 0j, n + m))
             x, ins = len(mate), live[at : at + n]
             legs.append(tuple(range(x, x + n + m)))
             mate += ins + [0] * m  # an output leg is mated once its wire ends
@@ -184,10 +208,12 @@ def simplify_network(net: Network) -> Network:
       joined by a wire become one wire times 2, and the scalar 4 when they
       close a ring.  A pair between two boundary wires stays.
 
-    Labels are compared exactly, not on the weight grid.  Every scalar
-    these rules leave is a power of two, added to ``exp2``.  Survivors keep
-    their relative order and leg ids; a fused spider takes the place of the
-    first one the pass visits.  ``net`` is left as it was.
+    Whole sugar instances (gadgets, weight boxes, |1>) take part in no
+    rule.  Labels are compared exactly, not on the weight grid.  Every
+    scalar these rules leave is a power of two, added to ``exp2``.
+    Survivors keep their relative order and leg ids; a fused spider takes
+    the place of the first one the pass visits.  ``net`` is left as it
+    was.
     """
     inst, n = net.instances, len(net.instances)
     legs: list[list[int] | None] = [list(ls) for ls in net.legs]  # None once gone
@@ -234,8 +260,8 @@ def simplify_network(net: Network) -> Network:
         mine = legs[i]
         if mine is None:
             continue
-        if inst[i].kind == "h":
-            if len(mine) == 2 and inst[i].label == -1:
+        if inst[i].kind != "z":  # no rule rewrites whole sugar
+            if inst[i].kind == "h" and len(mine) == 2 and inst[i].label == -1:
                 exp2 += h_pair(i)
             continue
         k = 0
@@ -348,7 +374,15 @@ def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
 
 
 def instance_state(inst: NetInstance) -> np.ndarray:
-    """Dense leg tensor of one instance, flattened (first leg = MSB)."""
+    """Dense leg tensor of one instance, flattened (first leg = MSB).
+
+    A whole sugar instance's tensor is its :func:`~zhdd.sugar.core_recipe`
+    under the dense interpreter, with the recipe's inputs as its first
+    legs: neither the builder's closed forms nor
+    :func:`~zhdd.oracle.generator_matrix` is read, so the dense stages
+    check both the contraction and each closed form."""
+    if inst.kind in _SUGAR_OF:
+        return _sugar_state(_SUGAR_OF[inst.kind](inst.label))
     size = 2**inst.arity
     if inst.kind == "z":
         v = np.zeros(size, dtype=complex)
@@ -360,6 +394,18 @@ def instance_state(inst: NetInstance) -> np.ndarray:
         v[-1] = inst.label
         return v
     raise ShapeError(f"unknown instance kind {inst.kind!r}")
+
+
+_SUGAR_OF = {"gadget": lambda w: Gadget(), "weight": WeightBox, "ket1": lambda w: KetOne()}
+
+
+@lru_cache(maxsize=1024)
+def _sugar_state(kind: GeneratorKind) -> np.ndarray:
+    """The recipe's ``(2**m, 2**n)`` matrix, read in leg order: inputs
+    first.  Read-only, as it is shared."""
+    v = interpret_zh(core_recipe(kind)).T.reshape(-1)
+    v.flags.writeable = False
+    return v
 
 
 def dense_stages(

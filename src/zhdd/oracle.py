@@ -154,13 +154,26 @@ def generator_matrix(kind: GeneratorKind, settings: Settings = DEFAULT) -> np.nd
 # last axis that batches a map's input basis states (of size 1 for a state)
 
 _Steps = list[tuple[Gen, np.ndarray, int]]  # each generator, its matrix, its first wire
+_SMALL_PRODUCT = 16  # entries of the state in one product of :func:`_apply`
 
 
 def _apply(state: np.ndarray, mat: np.ndarray, at: int, n: int, m: int) -> np.ndarray:
     """Apply a ``(2**m, 2**n)`` matrix to the state's axes ``at`` to
-    ``at + n``: its ``m`` output axes take their place."""
+    ``at + n``: its ``m`` output axes take their place.
+
+    The state is read as ``(before, 2**n, after)``, and ``mat @ state`` is
+    one small product per entry of ``before``.  Each product has a fixed
+    cost, so when they are many and small (more of them than entries in
+    each, and at most :data:`_SMALL_PRODUCT` each: a generator on the last
+    wires), one product over the whole state is faster, though it moves
+    the state twice."""
     shape = state.shape
-    res = mat @ state.reshape(math.prod(shape[:at]), 2**n, -1)
+    s = state.reshape(math.prod(shape[:at]), 2**n, -1)
+    before, each = s.shape[0], s.shape[1] * s.shape[2]
+    if each <= _SMALL_PRODUCT < before:
+        res = np.tensordot(s, mat, (1, 1)).transpose(0, 2, 1)
+    else:
+        res = mat @ s
     return res.reshape(shape[:at] + (2,) * m + shape[at + n :])
 
 

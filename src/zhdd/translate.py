@@ -4,13 +4,15 @@ Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
 the term is flattened to its wiring network, shrunk by the exact rules of
 :func:`~zhdd.network.simplify_network`, and contracted by the steps of
 :func:`~zhdd.network.contraction_steps` on a state kept as a root of unit
-weight.  A one-legged spider/box, or a two-legged H-box, with one wire to
-the state is applied where that wire is, in one level-walker pass over the
-levels above it (:func:`apply_in_place`).  Each other spider/box is built
-as a small closed-form diagram directly on top of the state, and each of
-its wires is closed (a Z merge and a <+| plug, fused into one level-walker
-pass of :func:`~zhdd.algebra.contract_edge`) as soon as both its ends are
-live, so the state never grows past the steps' peak live width.  Each
+weight.  A one-legged spider/box or |1>, or a two-legged H-box or weight
+box, with one wire to the state is applied where that wire is, in one
+level-walker pass over the levels above it (:func:`apply_in_place`).  Each
+other spider/box, and each routing gadget, weight box or |1> that the
+network keeps whole, is built as a small closed-form diagram directly on
+top of the state (:func:`_generator_edge`), and each of its wires is
+closed (a Z merge and a <+| plug, fused into one level-walker pass of
+:func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live,
+so the state never grows past the steps' peak live width.  Each
 step's top weight joins one scalar, a mantissa times a power of two that
 meets the network's prefactor at the end, so no builder weight depends on
 the state's scale.  All of it happens in one :class:`~zhdd.sqmdd.Builder`,
@@ -95,6 +97,8 @@ from .terms import (
 # ---------------------------------------------------------------------------
 # closed-form generator states
 
+_FIXED_ARITY = {"weight": 2, "ket1": 1, "gadget": 4}  # legs of the sugar kept whole
+
 
 def generator_state_sqmdd(
     tag: str,
@@ -103,11 +107,16 @@ def generator_state_sqmdd(
     settings: Settings = DEFAULT,
 ) -> Sqmdd:
     """The reduced diagram of the Z state ("z") or H-box state ("h", with
-    ``label``, default -1) on ``legs`` legs."""
-    if tag not in ("z", "h"):
+    ``label``, default -1) on ``legs`` legs, or of a whole sugar instance's
+    state (:func:`_generator_edge`) on its fixed leg count."""
+    if tag not in ("z", "h") and tag not in _FIXED_ARITY:
         raise ShapeError(f"no generator state for {tag!r}")
     if legs < 0:
         raise ShapeError(f"negative leg count {legs}")
+    if _FIXED_ARITY.get(tag, legs) != legs:
+        raise ShapeError(f"a {tag} state has {_FIXED_ARITY[tag]} legs, not {legs}")
+    if tag == "weight" and label is None:
+        raise ShapeError("a weight state needs its weight as the label")
     bld = Builder(settings)
     return bld.finish(_generator_edge(bld, tag, legs, label), legs)
 
@@ -120,10 +129,31 @@ def _generator_edge(
     below: int = TERMINAL,
     base: int = 0,
 ) -> Edge:
-    """Top edge of the Z state ("z") or H-box state ("h") on ``legs`` legs,
-    built in ``bld`` on top of the state ``(1, below)`` of height ``base``:
-    their tensor product, the generator's legs first."""
+    """Top edge of the state of a network instance of kind ``tag`` on
+    ``legs`` legs, built in ``bld`` on top of the state ``(1, below)`` of
+    height ``base``: their tensor product, the instance's legs first.
+
+    The Z state ("z") and H-box state ("h") take any number of legs.  The
+    sugar kept whole has fixed arity, and its closed form is written out
+    here, legs in :func:`~zhdd.network.flatten_to_network`'s order (inputs,
+    then outputs): a weight box ("weight") is |00> + w|11> with ``w`` the
+    label, a |1> ("ket1") is itself, and a routing gadget ("gadget") the
+    four one-hot entries |c, d, d and not c, d and c>.  Each equals its
+    :func:`~zhdd.sugar.core_recipe` under the dense interpreter, a claim of
+    :mod:`zhdd.claims`."""
     unit = (1.0 + 0j, below)
+    zero = (0j, TERMINAL)
+    if tag == "weight":
+        lo = bld.edge(base + 1, unit, zero)
+        return bld.edge(base + 2, lo, bld.edge(base + 1, zero, (label, below)))
+    if tag == "ket1":
+        return bld.edge(base + 1, zero, unit)
+    if tag == "gadget":  # legs c, d, o0, o1 from the top
+        off, on = bld.edge(base + 1, unit, zero), bld.edge(base + 1, zero, unit)  # o1
+        idle = bld.edge(base + 2, off, zero)  # o0 o1 = 00, where d = 0
+        c0 = bld.edge(base + 3, idle, bld.edge(base + 2, zero, off))  # d = 1: 10
+        c1 = bld.edge(base + 3, idle, bld.edge(base + 2, on, zero))  # d = 1: 01
+        return bld.edge(base + 4, c0, c1)
     if tag == "z":
         if legs == 0:
             return (2.0 + 0j, below)
@@ -149,15 +179,22 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
     ``e``, in one :func:`~zhdd.sqmdd.walker` pass over the levels above it.
 
     With ``e0``, ``e1`` the wire's cofactors and ``a`` the label, a Z
-    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, and both remove the
-    wire.  A two-legged instance leaves its free leg at height ``h``: an H
-    map is the node ``(e0 + e1, e0 + a*e1)`` and a Z map the identity.
-    Every sum is an :func:`~zhdd.algebra.add_edge`, in the builder's sum
-    table.
+    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, a |1> ``e1``, and each
+    removes the wire.  A two-legged instance leaves its free leg at height
+    ``h``: an H map is the node ``(e0 + e1, e0 + a*e1)``, a weight box the
+    node ``(e0, a*e1)`` and a Z map the identity.  Every sum is an
+    :func:`~zhdd.algebra.add_edge`, in the builder's sum table.  Each of
+    these instances is symmetric, so which of its legs is wired does not
+    matter; a gadget (arity 4) never comes here.
     """
+    assert inst.arity <= 2, inst
     a = inst.label
 
     def act(e0: Edge, e1: Edge) -> Edge:
+        if inst.kind == "weight":
+            return bld.edge(h, e0, (a * e1[0], e1[1]))
+        if inst.kind == "ket1":
+            return e1
         if inst.kind == "z":
             return add_edge(bld, e0, e1) if inst.arity == 1 else bld.edge(h, e0, e1)
         ae1 = (a * e1[0], e1[1]) if a != 0 else (0j, TERMINAL)

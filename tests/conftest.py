@@ -1,8 +1,25 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings as hsettings, strategies as st
+
+# Hypothesis's failure report imports libcst, whose import raises a
+# DeprecationWarning about mypy_extensions.TypedDict.  Under ``-W error``
+# that would turn a falsifying example into an INTERNALERROR, and a
+# command-line -W filter outranks any ini filter, so the modules it needs
+# are imported here, once, with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import libcst.codemod  # noqa: F401
+        import libcst.matchers  # noqa: F401
+        import libcst.metadata  # noqa: F401
+    except ImportError:  # no libcst: the report has nothing to import
+        pass
 
 hsettings.register_profile(
     "dev",

@@ -356,6 +356,38 @@ def test_dense_results_beyond_memory_exit_3(write, obj, max_qubits):
     assert "resource cap: out of memory" in proc.stderr
 
 
+# The same limit, some megabytes past the size once zhdd is imported, for
+# the command run as ``python -m zhdd.cli``.
+_SMALL_MEMORY_AS_MAIN = """
+import resource, runpy, sys
+import zhdd
+size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (int(sys.argv[1]) << 20), hard))
+sys.argv = ["zhdd"] + sys.argv[2:]
+runpy.run_module("zhdd.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("megabytes", [32, 64, 128])
+def test_running_out_of_memory_exits_3_at_any_size(write, megabytes):
+    """to-zh on a terminal-only diagram of height 2**70 emits generators
+    until memory runs out.  Formatting the error while its frames still
+    held that memory used to raise a second MemoryError, which escaped as
+    exit 1, "inequivalent"; it exits 3 whatever the limit."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the address space")
+    f = write("tall.json", {"scalar": [1, 0], "height": 2**70, "root": "t", "nodes": []})
+    env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_MEMORY_AS_MAIN, str(megabytes), "to-zh", f,
+         "-o", os.devnull], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "resource cap: out of memory\n"
+
+
 def test_empty_identity_bundle_exits_2(write, capsys):
     t = write("t.json", {"kind": "identity", "params": {"n": 0}, "children": []})
     code, _, err = run(capsys, "interpret", t)

@@ -313,3 +313,23 @@ def test_identity_bundle_passes_its_wires():
     assert max_deviation(interpret_zh(state).reshape(-1), want) == 0.0
     assert max_deviation(matrix_reference(state).reshape(-1), want) == 0.0
     assert max_deviation(generator_matrix(Identity(3)), np.eye(8)) == 0.0
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 1), (1, 2), (0, 1), (1, 0)])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_apply_picks_either_product_and_agrees_with_the_batched_one(n, m, batch):
+    """At every axis position of a 10-wire state, with and without a batch
+    axis, ``_apply`` equals the batched product ``mat @ state``.  Entries
+    are small integers, so both summation orders are exact."""
+    from zhdd.oracle import _apply
+
+    rng = np.random.default_rng(n * 10 + m)
+    state = rng.integers(-3, 4, size=(2,) * 10 + (batch,)) + 1j * rng.integers(
+        -3, 4, size=(2,) * 10 + (batch,))
+    mat = rng.integers(-3, 4, size=(2**m, 2**n)) + 0j
+    for at in range(11 - n):
+        shape = state.shape
+        want = (mat @ state.reshape(2**at, 2**n, -1)).reshape(
+            shape[:at] + (2,) * m + shape[at + n :])
+        got = _apply(state, mat, at, n, m)
+        assert got.shape == want.shape and np.array_equal(got, want), at

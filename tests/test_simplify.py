@@ -17,6 +17,7 @@ from zhdd.network import (
     simplify_network,
 )
 from zhdd.oracle import max_deviation
+from zhdd.sugar import expand_sugar
 from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
 from conftest import network_from_ports, wired_once, x_fan_in
@@ -127,8 +128,11 @@ def test_labels_are_compared_exactly():
 def test_simplify_shrinks_the_emitted_z_state():
     """Fewer instances, and a contraction plan half as wide (706 to 576
     instances, peak width 53 to 26): the one-legged H-boxes labelled 1 that
-    stay keep the level spiders from fusing into one wide spider."""
-    net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", 16)))
+    stay keep the level spiders from fusing into one wide spider.  Run on
+    the fully expanded term, whose gadgets and weight boxes are core
+    generators that the rules can reach."""
+    t = expand_sugar(sqmdd_to_zh(generator_state_sqmdd("z", 16)))
+    net = flatten_to_network(t)
     small = simplify_network(net)
     assert not redexes(small)
     assert len(small.instances) < 0.85 * len(net.instances)

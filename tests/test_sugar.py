@@ -91,3 +91,19 @@ def test_weight_box_label(r):
     assert np.array_equal(
         generator_matrix(WeightBox(r)), np.array([[1, 0], [0, r]], dtype=complex)
     )
+
+
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 3))
+def test_sugar_kept_whole_contracts_as_its_expansion(seed, height):
+    """``zh_to_sqmdd`` keeps gadgets, weight boxes and |1> whole, in
+    closed form; on a random term and on an emitted diagram the result is
+    the diagram of the fully expanded term."""
+    from zhdd.generate import random_dag, random_term
+    from zhdd.sqmdd import iso_equal
+    from zhdd.translate import sqmdd_to_zh, zh_to_sqmdd
+
+    rng = np.random.default_rng(seed)
+    for t in (random_term(rng, max_generators=8, max_boundary=5),
+              sqmdd_to_zh(random_dag(rng, height))):
+        assert iso_equal(zh_to_sqmdd(t), zh_to_sqmdd(expand_sugar(t)))
+

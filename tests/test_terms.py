@@ -241,8 +241,8 @@ def test_term_far_above_the_recursion_limit():
     assert obj["kind"] == "seq" and len(obj["children"]) == 5001
     assert term_from_json(json.loads(json.dumps(obj))) == t
     net = flatten_to_network(t)
-    # the spider, plus a copy spider and an H box per expanded weight box
-    assert (len(net.instances), net.n_out) == (5001, 2)
+    # the spider, plus one instance per weight box, kept whole
+    assert (len(net.instances), net.n_out) == (2501, 2)
 
 
 def test_json_writes_left_folded_chains_flat():

@@ -247,7 +247,7 @@ def test_stage_assertions_follow_the_plan():
     d = random_dag(np.random.default_rng(2), 3, settings=settings)
     t = sqmdd_to_zh(d)
     net = flatten_to_network(t)
-    assert sum(i.arity for i in net.instances) > 200
+    assert sum(i.arity for i in net.instances) > 100  # five times the cap
     back = zh_to_sqmdd(t, settings, assert_stages=True)
     assert iso_equal(back, reduce_diagram(d, settings)[0])
 
@@ -508,6 +508,9 @@ def test_h_state_block(k):
 def test_state_block_rejects_unknown_kind():
     with pytest.raises(ShapeError):
         generator_state_sqmdd("w", 2)
+    for tag, legs, label in (("gadget", 3, None), ("ket1", 2, None), ("weight", 2, None)):
+        with pytest.raises(ShapeError):
+            generator_state_sqmdd(tag, legs, label)
 
 
 def test_contract_chain_far_above_the_recursion_limit():
