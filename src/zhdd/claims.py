@@ -330,21 +330,23 @@ def _bld_fan_in_interchange(rng: np.random.Generator) -> List[Case]:
     return [(t, fold(t, as_xor, seq, par))]
 
 
-def _closed_form(tag: str, kind: GeneratorKind) -> np.ndarray:
+def _closed_form(kind: GeneratorKind) -> np.ndarray:
     """The builder's closed form of a sugar kind that the contraction keeps
     whole, as the kind's matrix: its legs are the inputs, then the
     outputs."""
     from .oracle import interpret_sqmdd
-    from .translate import generator_state_sqmdd
+    from .sqmdd import Builder as DiagramBuilder  # not the case builder type
+    from .translate import generator_edge
 
     n, m = generator_arity(kind)
-    d = generator_state_sqmdd(tag, n + m, getattr(kind, "weight", None))
+    bld = DiagramBuilder()
+    d = bld.finish(generator_edge(bld, kind), n + m)
     return interpret_sqmdd(d).reshape(2**n, 2**m).T.copy()
 
 
 def _bld_weight_closed_form(rng: np.random.Generator) -> List[Case]:
     kind = WeightBox(_label(rng))
-    return [(core_recipe(kind), _closed_form("weight", kind))]
+    return [(core_recipe(kind), _closed_form(kind))]
 
 
 def _z_state_nf() -> List[Case]:
@@ -622,11 +624,11 @@ def builtin_suite() -> List[Claim]:
             (Gen(BraPlus()), Gen(ZSpider(1, 0))),
         )),
         Claim("gadget-closed-form", "sugar core", (
-            (core_recipe(Gadget()), _closed_form("gadget", Gadget())),
+            (core_recipe(Gadget()), _closed_form(Gadget())),
         )),
         Claim("weight-closed-form", "sugar core", _bld_weight_closed_form),
         Claim("ket1-closed-form", "sugar core", (
-            (core_recipe(KetOne()), _closed_form("ket1", KetOne())),
+            (core_recipe(KetOne()), _closed_form(KetOne())),
         )),
         # -- composition primitives
         Claim("cap-from-copy", "composition primitives", (
@@ -704,13 +706,13 @@ def builtin_suite() -> List[Claim]:
             (seq(par(Gen(KetOne()), wires(1)), _M2), wires(1)),
         ), expect_fail=True),
         Claim("control-gadget-closed-form-swapped", "negative control", (
-            (core_recipe(Gadget()), _closed_form("gadget", Gadget())[[0, 2, 1, 3]]),
+            (core_recipe(Gadget()), _closed_form(Gadget())[[0, 2, 1, 3]]),
         ), expect_fail=True),
         Claim("control-weight-closed-form-conjugate", "negative control", (
-            (core_recipe(WeightBox(0.5 + 1j)), _closed_form("weight", WeightBox(0.5 - 1j))),
+            (core_recipe(WeightBox(0.5 + 1j)), _closed_form(WeightBox(0.5 - 1j))),
         ), expect_fail=True),
         Claim("control-ket1-closed-form-flipped", "negative control", (
-            (core_recipe(KetOne()), _closed_form("ket1", KetOne())[::-1].copy()),
+            (core_recipe(KetOne()), _closed_form(KetOne())[::-1].copy()),
         ), expect_fail=True),
     ]
     return claims

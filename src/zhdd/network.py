@@ -8,7 +8,7 @@ leg at its wire's other end, or to ``~k`` for boundary wire ``k``.
 :func:`flatten_to_network` writes it in one pass over
 :func:`~zhdd.terms.placed`, keeping the leg at the upper end of each live
 wire: a generator that consumes a wire mates it with one of its own legs.
-A cap is a Z(0, 2) instance and a cup a Z(2, 0) instance, as in PyZX
+A cap and a cup are each a two-legged Z spider instance, as in PyZX
 (Kissinger & van de Wetering, arXiv:1904.04735), so every wire runs from
 one instance leg to another or to the boundary, and closed loops and
 boundary-to-boundary wires need no case of their own.  The fixed-arity
@@ -51,14 +51,14 @@ Both contraction engines run these steps:
 whose cap bounds the steps' peak width rather than the network's total leg
 count.
 
-Z spiders, H-boxes, weight boxes and |1> are fully symmetric tensors, so
-for them leg order is bookkeeping, not semantics; a gadget's legs are its
-control and data inputs, then its two outputs.  A network instance needs
-only a kind, a label, and an arity.
+A network instance holds the generator it stands for, in state form, as
+a PyZX vertex holds its type.  Z spiders, H-boxes, weight boxes and |1>
+are fully symmetric, so their leg order is bookkeeping; a gadget's legs
+are its control and data inputs, then its two outputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import frexp, ldexp
@@ -68,8 +68,8 @@ import numpy as np
 
 from .config import DEFAULT, Settings, dense_cap
 from .duality import to_state_form
-from .errors import ResourceLimitError, ShapeError
-from .oracle import interpret_zh
+from .errors import ResourceLimitError
+from .oracle import generator_matrix, interpret_zh
 from .sugar import CORE_KINDS, core_recipe
 from .terms import (
     Gadget,
@@ -81,18 +81,27 @@ from .terms import (
     Swap,
     WeightBox,
     ZhTerm,
+    ZSpider,
+    generator_arity,
     placed,
 )
 
-# The fixed-arity sugar kept whole, one instance each, by its instance kind.
-WHOLE_SUGAR = {Gadget: "gadget", WeightBox: "weight", KetOne: "ket1"}
+# The fixed-arity sugar kept whole, one instance each.
+WHOLE_SUGAR = (Gadget, WeightBox, KetOne)
+# The H-box that ``h-involution`` pairs: two legs, labelled exactly -1.
+_MINUS_ONE_PAIR = HBox(0, 2)
 
 
 @dataclass(frozen=True)
 class NetInstance:
-    kind: str  # "z", "h", or a sugar kind kept whole: "gadget", "weight", "ket1"
-    label: complex  # an H-box's label or a weight box's weight, else 0
-    arity: int
+    """The generator an instance stands for, in state form: ``ZSpider(0, k)``,
+    ``HBox(0, k, label)``, or whole sugar as written."""
+
+    kind: GeneratorKind
+
+    @property
+    def arity(self) -> int:
+        return sum(generator_arity(self.kind))
 
 
 @dataclass
@@ -132,7 +141,7 @@ def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
     shifted by its offset.  Core generators and the sugar of
     :data:`WHOLE_SUGAR` come as they are."""
     for g, at in placed(t):
-        if isinstance(g.kind, CORE_KINDS) or type(g.kind) in WHOLE_SUGAR:
+        if isinstance(g.kind, CORE_KINDS) or isinstance(g.kind, WHOLE_SUGAR):
             yield g, at
         else:
             for h, off in _recipe_placed(g.kind):
@@ -150,15 +159,15 @@ def flatten_to_network(t: ZhTerm) -> Network:
     """The wiring network of a term.
 
     Maps are bent into state form, so the network's boundary lists the
-    original outputs followed by one wire per original input.  A gadget,
-    weight box or |1> is one instance of its own kind (``"gadget"``,
-    ``"weight"`` labelled with its weight, ``"ket1"``), its legs its inputs
-    then its outputs; each other sugar generator is expanded in place, by
-    walking its core recipe at its offset.  A cap is a Z(0, 2) instance
-    and a cup a Z(2, 0) instance, so every wire runs from one instance leg
-    to another or to the boundary; a nullary Z or H contributes its scalar
-    directly.  Leg ids are handed out in instance order, each instance's
-    in leg order.
+    original outputs followed by one wire per original input.  A Z spider,
+    cap or cup on ``k`` legs is the instance ``ZSpider(0, k)`` (a cap and a
+    cup are two-legged Z spiders), so every wire runs from one instance
+    leg to another or to the boundary, and an H-box is ``HBox(0, k,
+    label)``.  A gadget, weight box or |1> is one instance of its own kind,
+    as written, its legs its inputs then its outputs; each other sugar
+    generator is expanded in place, by walking its core recipe at its
+    offset.  A nullary Z or H contributes its scalar directly.  Leg ids
+    are handed out in instance order, each instance's in leg order.
     """
     instances: list[NetInstance] = []
     legs: list[tuple[int, ...]] = []
@@ -177,11 +186,10 @@ def flatten_to_network(t: ZhTerm) -> Network:
             exp2 += 1
         else:  # a Z spider, H-box, cap, cup or whole sugar generator
             if isinstance(kind, HBox):
-                instances.append(NetInstance("h", complex(kind.label), n + m))
-            elif isinstance(kind, WeightBox):
-                instances.append(NetInstance("weight", complex(kind.weight), 2))
-            else:
-                instances.append(NetInstance(WHOLE_SUGAR.get(type(kind), "z"), 0j, n + m))
+                kind = HBox(0, n + m, kind.label)
+            elif not isinstance(kind, WHOLE_SUGAR):
+                kind = ZSpider(0, n + m)
+            instances.append(NetInstance(kind))
             x, ins = len(mate), live[at : at + n]
             legs.append(tuple(range(x, x + n + m)))
             mate += ins + [0] * m  # an output leg is mated once its wire ends
@@ -240,7 +248,7 @@ def simplify_network(net: Network) -> Network:
                 continue
             j = owner[y]
             theirs = legs[j]
-            if inst[j].kind != "h" or len(theirs) != 2 or inst[j].label != -1:
+            if inst[j].kind != _MINUS_ONE_PAIR:
                 continue
             far_i, far_j = mine[mine[0] == x], theirs[theirs[0] == y]
             a, b = mate[far_i], mate[far_j]
@@ -260,8 +268,8 @@ def simplify_network(net: Network) -> Network:
         mine = legs[i]
         if mine is None:
             continue
-        if inst[i].kind != "z":  # no rule rewrites whole sugar
-            if inst[i].kind == "h" and len(mine) == 2 and inst[i].label == -1:
+        if not isinstance(inst[i].kind, ZSpider):  # no rule rewrites whole sugar
+            if inst[i].kind == _MINUS_ONE_PAIR:
                 exp2 += h_pair(i)
             continue
         k = 0
@@ -271,7 +279,7 @@ def simplify_network(net: Network) -> Network:
             if j == i:  # a self-loop; its far end y comes later in mine
                 mine.remove(y)
                 del mine[k]
-            elif j >= 0 and inst[j].kind == "z":
+            elif j >= 0 and isinstance(inst[j].kind, ZSpider):
                 del mine[k]
                 theirs = legs[j]
                 theirs.remove(y)
@@ -289,7 +297,8 @@ def simplify_network(net: Network) -> Network:
             legs[i] = None
 
     keep = [i for i in range(n) if legs[i] is not None]
-    instances = [replace(inst[i], arity=len(legs[i])) for i in keep]
+    instances = [NetInstance(ZSpider(0, len(legs[i]))) if isinstance(inst[i].kind, ZSpider)
+                 else inst[i] for i in keep]  # a fused spider has its new leg count
     return Network(instances, [tuple(legs[i]) for i in keep], mate, net.n_out, net.scalar, exp2)
 
 
@@ -373,30 +382,18 @@ def contraction_steps(net: Network) -> tuple[list[Step], list[int], int]:
     return steps, perm, peak
 
 
-def instance_state(inst: NetInstance) -> np.ndarray:
+def instance_state(inst: NetInstance, settings: Settings = DEFAULT) -> np.ndarray:
     """Dense leg tensor of one instance, flattened (first leg = MSB).
 
-    A whole sugar instance's tensor is its :func:`~zhdd.sugar.core_recipe`
-    under the dense interpreter, with the recipe's inputs as its first
-    legs: neither the builder's closed forms nor
-    :func:`~zhdd.oracle.generator_matrix` is read, so the dense stages
-    check both the contraction and each closed form."""
-    if inst.kind in _SUGAR_OF:
-        return _sugar_state(_SUGAR_OF[inst.kind](inst.label))
-    size = 2**inst.arity
-    if inst.kind == "z":
-        v = np.zeros(size, dtype=complex)
-        v[0] += 1.0
-        v[-1] += 1.0
-        return v
-    if inst.kind == "h":
-        v = np.ones(size, dtype=complex)
-        v[-1] = inst.label
-        return v
-    raise ShapeError(f"unknown instance kind {inst.kind!r}")
-
-
-_SUGAR_OF = {"gadget": lambda w: Gadget(), "weight": WeightBox, "ket1": lambda w: KetOne()}
+    A Z or H state is :func:`~zhdd.oracle.generator_matrix` of its kind,
+    built afresh each time (a 16-legged H state is 1 MB).  A whole sugar
+    instance's tensor is its :func:`~zhdd.sugar.core_recipe` under the
+    dense interpreter, with the recipe's inputs as its first legs.  The
+    builder's closed forms are read by neither, so the dense stages check
+    both the contraction and each closed form."""
+    if isinstance(inst.kind, WHOLE_SUGAR):
+        return _sugar_state(inst.kind)
+    return generator_matrix(inst.kind, settings).reshape(-1)
 
 
 @lru_cache(maxsize=1024)
@@ -432,15 +429,16 @@ def dense_stages(
     ten, shift = np.ones(1, dtype=complex), 0
     for idx, at, closes in steps:
         inst = net.instances[idx]
+        state = instance_state(inst, settings)
         if at is not None:  # the instance's legs are symmetric: contract its first
             ten = ten.reshape((2,) * (ten.size.bit_length() - 1))
-            ten = np.tensordot(instance_state(inst).reshape((2,) * inst.arity), ten, (0, at))
+            ten = np.tensordot(state.reshape((2,) * inst.arity), ten, (0, at))
             if inst.arity == 2:
                 ten = np.moveaxis(ten, 0, at)
             ten, shift = _rescaled(ten.reshape(-1), shift)
             yield f"apply {idx} at {at}", ten, shift
             continue
-        ten = np.kron(instance_state(inst), ten)
+        ten = np.kron(state, ten)
         yield f"tensor {idx}", ten, shift
         for i, j in closes:
             ten = np.diagonal(ten.reshape((2,) * (ten.size.bit_length() - 1)), 0, i, j)

@@ -9,11 +9,11 @@ check, not a tautology — see tests/test_sugar.py.
 
 The contraction to decision diagrams expands only the sugar whose size
 grows with its arity (monoids, X spiders); it keeps each gadget, weight
-box and |1> whole, in a closed form of its own
-(:func:`zhdd.translate._generator_edge`).  The recipes here stay the
-reference for those: the dense stages of a contraction read each whole
-instance's tensor from :func:`core_recipe`, and a claim per kind states
-that the closed form equals its recipe.
+box and |1> whole, as a network instance of its own class, built in a
+closed form of its own (:func:`zhdd.translate.generator_edge`).  The
+recipes here stay the reference for those: the dense stages of a
+contraction read each whole instance's tensor from :func:`core_recipe`,
+and a claim per kind states that the closed form equals its recipe.
 
 The constructions (all verified against the interpreter):
 

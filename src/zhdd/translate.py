@@ -9,7 +9,7 @@ box, with one wire to the state is applied where that wire is, in one
 level-walker pass over the levels above it (:func:`apply_in_place`).  Each
 other spider/box, and each routing gadget, weight box or |1> that the
 network keeps whole, is built as a small closed-form diagram directly on
-top of the state (:func:`_generator_edge`), and each of its wires is
+top of the state (:func:`generator_edge`), and each of its wires is
 closed (a Z merge and a <+| plug, fused into one level-walker pass of
 :func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live,
 so the state never grows past the steps' peak live width.  Each
@@ -74,6 +74,7 @@ from .sqmdd import TERMINAL, Builder, Edge, Node, Sqmdd, preorder, validate, wal
 from .terms import (
     Gadget,
     Gen,
+    GeneratorKind,
     HBox,
     Identity,
     KetOne,
@@ -97,8 +98,6 @@ from .terms import (
 # ---------------------------------------------------------------------------
 # closed-form generator states
 
-_FIXED_ARITY = {"weight": 2, "ket1": 1, "gadget": 4}  # legs of the sugar kept whole
-
 
 def generator_state_sqmdd(
     tag: str,
@@ -107,67 +106,59 @@ def generator_state_sqmdd(
     settings: Settings = DEFAULT,
 ) -> Sqmdd:
     """The reduced diagram of the Z state ("z") or H-box state ("h", with
-    ``label``, default -1) on ``legs`` legs, or of a whole sugar instance's
-    state (:func:`_generator_edge`) on its fixed leg count."""
-    if tag not in ("z", "h") and tag not in _FIXED_ARITY:
+    ``label``, default -1) on ``legs`` legs."""
+    if tag not in ("z", "h"):
         raise ShapeError(f"no generator state for {tag!r}")
     if legs < 0:
         raise ShapeError(f"negative leg count {legs}")
-    if _FIXED_ARITY.get(tag, legs) != legs:
-        raise ShapeError(f"a {tag} state has {_FIXED_ARITY[tag]} legs, not {legs}")
-    if tag == "weight" and label is None:
-        raise ShapeError("a weight state needs its weight as the label")
+    kind = ZSpider(0, legs) if tag == "z" else HBox(0, legs, -1 if label is None else label)
     bld = Builder(settings)
-    return bld.finish(_generator_edge(bld, tag, legs, label), legs)
+    return bld.finish(generator_edge(bld, kind), legs)
 
 
-def _generator_edge(
-    bld: Builder,
-    tag: str,
-    legs: int,
-    label: Optional[complex],
-    below: int = TERMINAL,
-    base: int = 0,
+def generator_edge(
+    bld: Builder, kind: GeneratorKind, below: int = TERMINAL, base: int = 0
 ) -> Edge:
-    """Top edge of the state of a network instance of kind ``tag`` on
-    ``legs`` legs, built in ``bld`` on top of the state ``(1, below)`` of
-    height ``base``: their tensor product, the instance's legs first.
+    """Top edge of the state of a network instance ``kind``, built in
+    ``bld`` on top of the state ``(1, below)`` of height ``base``: their
+    tensor product, the instance's legs first.
 
-    The Z state ("z") and H-box state ("h") take any number of legs.  The
-    sugar kept whole has fixed arity, and its closed form is written out
-    here, legs in :func:`~zhdd.network.flatten_to_network`'s order (inputs,
-    then outputs): a weight box ("weight") is |00> + w|11> with ``w`` the
-    label, a |1> ("ket1") is itself, and a routing gadget ("gadget") the
-    four one-hot entries |c, d, d and not c, d and c>.  Each equals its
-    :func:`~zhdd.sugar.core_recipe` under the dense interpreter, a claim of
-    :mod:`zhdd.claims`."""
+    ``ZSpider(0, k)`` and ``HBox(0, k, label)`` take any number of legs.
+    The sugar kept whole has fixed arity, and its closed form is written
+    out here, legs in :func:`~zhdd.network.flatten_to_network`'s order
+    (inputs, then outputs): a weight box is |00> + w|11>, a |1> is itself,
+    and a routing gadget the four one-hot entries |c, d, d and not c, d
+    and c>.  Each equals its :func:`~zhdd.sugar.core_recipe` under the
+    dense interpreter, a claim of :mod:`zhdd.claims`."""
     unit = (1.0 + 0j, below)
     zero = (0j, TERMINAL)
-    if tag == "weight":
-        lo = bld.edge(base + 1, unit, zero)
-        return bld.edge(base + 2, lo, bld.edge(base + 1, zero, (label, below)))
-    if tag == "ket1":
-        return bld.edge(base + 1, zero, unit)
-    if tag == "gadget":  # legs c, d, o0, o1 from the top
-        off, on = bld.edge(base + 1, unit, zero), bld.edge(base + 1, zero, unit)  # o1
-        idle = bld.edge(base + 2, off, zero)  # o0 o1 = 00, where d = 0
-        c0 = bld.edge(base + 3, idle, bld.edge(base + 2, zero, off))  # d = 1: 10
-        c1 = bld.edge(base + 3, idle, bld.edge(base + 2, on, zero))  # d = 1: 01
-        return bld.edge(base + 4, c0, c1)
-    if tag == "z":
-        if legs == 0:
-            return (2.0 + 0j, below)
-        lo = hi = unit  # the |0...0> and |1...1> corners
-        for h in range(base + 1, base + legs):
-            lo = bld.edge(h, lo, (0j, TERMINAL))
-        for h in range(base + 1, base + legs):
-            hi = bld.edge(h, (0j, TERMINAL), hi)
-        return bld.edge(base + legs, lo, hi)
-
-    ones_but_last = (complex(label) if label is not None else -1.0 + 0j, below)
-    for h in range(base + 1, base + legs + 1):
-        ones_but_last = bld.edge(h, unit, ones_but_last)
-    return ones_but_last
+    match kind:
+        case Gadget():  # legs c, d, o0, o1 from the top
+            off, on = bld.edge(base + 1, unit, zero), bld.edge(base + 1, zero, unit)  # o1
+            idle = bld.edge(base + 2, off, zero)  # o0 o1 = 00, where d = 0
+            c0 = bld.edge(base + 3, idle, bld.edge(base + 2, zero, off))  # d = 1: 10
+            c1 = bld.edge(base + 3, idle, bld.edge(base + 2, on, zero))  # d = 1: 01
+            return bld.edge(base + 4, c0, c1)
+        case ZSpider(0, legs):
+            if legs == 0:
+                return (2.0 + 0j, below)
+            lo = hi = unit  # the |0...0> and |1...1> corners
+            for h in range(base + 1, base + legs):
+                lo = bld.edge(h, lo, zero)
+            for h in range(base + 1, base + legs):
+                hi = bld.edge(h, zero, hi)
+            return bld.edge(base + legs, lo, hi)
+        case HBox(0, legs, label):
+            ones_but_last = (complex(label), below)
+            for h in range(base + 1, base + legs + 1):
+                ones_but_last = bld.edge(h, unit, ones_but_last)
+            return ones_but_last
+        case WeightBox(w):
+            lo = bld.edge(base + 1, unit, zero)
+            return bld.edge(base + 2, lo, bld.edge(base + 1, zero, (complex(w), below)))
+        case KetOne():
+            return bld.edge(base + 1, zero, unit)
+    raise ShapeError(f"no closed-form state for {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +173,30 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
     effect is ``e0 + e1``, an H effect ``e0 + a*e1``, a |1> ``e1``, and each
     removes the wire.  A two-legged instance leaves its free leg at height
     ``h``: an H map is the node ``(e0 + e1, e0 + a*e1)``, a weight box the
-    node ``(e0, a*e1)`` and a Z map the identity.  Every sum is an
-    :func:`~zhdd.algebra.add_edge`, in the builder's sum table.  Each of
-    these instances is symmetric, so which of its legs is wired does not
-    matter; a gadget (arity 4) never comes here.
+    node ``(e0, a*e1)``.  Every sum is an :func:`~zhdd.algebra.add_edge`,
+    in the builder's sum table.  Each of these instances is symmetric, so
+    which of its legs is wired does not matter.  A gadget (arity 4) never
+    comes here, nor a two-legged Z: ``z-identity`` turns each Z(2) with a
+    wire to another instance into a plain wire.
     """
-    assert inst.arity <= 2, inst
-    a = inst.label
-
-    def act(e0: Edge, e1: Edge) -> Edge:
-        if inst.kind == "weight":
-            return bld.edge(h, e0, (a * e1[0], e1[1]))
-        if inst.kind == "ket1":
-            return e1
-        if inst.kind == "z":
-            return add_edge(bld, e0, e1) if inst.arity == 1 else bld.edge(h, e0, e1)
-        ae1 = (a * e1[0], e1[1]) if a != 0 else (0j, TERMINAL)
-        if inst.arity == 1:
-            return add_edge(bld, e0, ae1)
-        return bld.edge(h, add_edge(bld, e0, e1), add_edge(bld, e0, ae1))
+    match inst.kind:
+        case HBox(0, 1 | 2 as legs, label):
+            def act(e0: Edge, e1: Edge, a: complex = complex(label)) -> Edge:
+                ae1 = (a * e1[0], e1[1]) if a != 0 else (0j, TERMINAL)
+                if legs == 1:
+                    return add_edge(bld, e0, ae1)
+                return bld.edge(h, add_edge(bld, e0, e1), add_edge(bld, e0, ae1))
+        case WeightBox(w):
+            def act(e0: Edge, e1: Edge, a: complex = complex(w)) -> Edge:
+                return bld.edge(h, e0, (a * e1[0], e1[1]))
+        case ZSpider(0, 1):
+            def act(e0: Edge, e1: Edge) -> Edge:
+                return add_edge(bld, e0, e1)
+        case KetOne():
+            def act(e0: Edge, e1: Edge) -> Edge:
+                return e1
+        case _:
+            raise AssertionError(f"no in-place step for {inst.kind!r}")
 
     return walker(bld, h, 2 - inst.arity, act)(e)
 
@@ -251,7 +247,7 @@ def zh_to_sqmdd(
             root = take(apply_in_place(bld, inst, (1.0 + 0j, root), height - at))
             height += inst.arity - 2
             continue
-        root = take(_generator_edge(bld, inst.kind, inst.arity, inst.label, root, height))
+        root = take(generator_edge(bld, inst.kind, root, height))
         height += inst.arity
         for i, j in closes:
             root = take(contract_edge(bld, (1.0 + 0j, root), height, i, j))

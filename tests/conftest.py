@@ -116,12 +116,13 @@ def matrix_reference(t):
 
 
 def network_from_ports(instances, wires, outputs, scalar=1.0 + 0j):
-    """A ``Network`` from (instance, leg) specs: ``instances`` as
-    ``(kind, label, arity)``, each wire as a pair of ends, and the end of
-    each boundary wire in order.  Leg ids go out in instance order."""
+    """A ``Network`` from (instance, leg) specs: ``instances`` as generator
+    kinds in state form (``ZSpider(0, k)``, ``HBox(0, k, label)``, whole
+    sugar), each wire as a pair of ends, and the end of each boundary wire
+    in order.  Leg ids go out in instance order."""
     from zhdd.network import NetInstance, Network
 
-    insts = [NetInstance(*i) for i in instances]
+    insts = [NetInstance(kind) for kind in instances]
     first = [0]
     for inst in insts:
         first.append(first[-1] + inst.arity)

@@ -212,6 +212,12 @@ def test_check_equiv_compares_at_the_given_tolerance(write, capsys, flags):
     assert run(capsys, "check-equiv", a, b, *flags, "--tolerance", "1e-6")[0] == 0
 
 
+def test_check_equiv_of_different_heights_exits_1(write, capsys):
+    a = write("a.json", vector_to_json(np.ones(2, dtype=complex)))
+    b = write("b.json", vector_to_json(np.ones(4, dtype=complex)))
+    assert run(capsys, "check-equiv", a, b)[:2] == (1, "NOT EQUIVALENT: heights differ (1 vs 2)\n")
+
+
 def test_zero_vector_scalar_equivalence(write, capsys):
     z = write("z.json", vector_to_json(np.zeros(4, dtype=complex)))
     e = write("e.json", vector_to_json(np.eye(4, dtype=complex)[0]))
@@ -252,6 +258,15 @@ def test_malformed_inputs_exit_2(write, capsys, tmp_path):
     t = write("t.json", {"kind": "seq"})
     assert run(capsys, "reduce", t)[0] == 2
     assert run(capsys, "interpret", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize("command", ["interpret", "check-equiv"])
+def test_unrecognized_payload_exits_2(write, capsys, command):
+    """A JSON object that is neither a diagram nor a term is malformed
+    input."""
+    f = write("f.json", {"foo": 1})
+    code, _, err = run(capsys, command, *[f] * (2 if command == "check-equiv" else 1))
+    assert code == 2 and "unrecognized payload" in err
 
 
 def test_unknown_generator_param_exits_2(write, capsys):

@@ -1,8 +1,12 @@
 """Random-instance generators: the guarantees the rest of the suite
 leans on (validity, exactness, budget limits)."""
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, strategies as st
 
+import zhdd.generate
+from zhdd.algebra import canonical
 from zhdd.generate import (
     random_dag,
     random_term,
@@ -13,7 +17,7 @@ from zhdd.generate import (
 )
 from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.reduction import is_irreducible, reduce_diagram
-from zhdd.sqmdd import iso_equal, validate
+from zhdd.sqmdd import iso_equal, validate, zero_form
 from zhdd.terms import Gen, Identity, ParNode, SeqNode, Swap
 
 
@@ -25,25 +29,63 @@ def test_random_dag_valid_and_rooted(seed):
     assert validate(d) == []
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_scramble_is_interpretation_exact(seed):
+def _scramble_base(rng, base, height):
+    """A diagram to scramble: a naive tree, on which only the factor move
+    finds its pattern; a reduced random diagram, whose shared nodes,
+    skipped levels and zero edges the merge, skip and zero-edge moves
+    need; or the zero form, which scramble dresses up."""
+    if base == "tree":
+        return tree_from_vector(random_vector(rng, height))
+    if base == "dag":
+        return canonical(random_dag(rng, height))
+    return zero_form(height)
+
+
+BASES = st.sampled_from(["tree", "dag", "zero"])
+
+
+@given(seed=st.integers(0, 2**32 - 1), base=BASES)
+def test_scramble_is_interpretation_exact(seed, base):
     """Inverse moves use only exactly-representable factors, so the
     deviation is zero, not merely small."""
     rng = np.random.default_rng(seed)
-    base = tree_from_vector(random_vector(rng, 1 + seed % 4))
-    messy = scramble(base, rng)
+    d = _scramble_base(rng, base, 1 + seed % 4)
+    messy = scramble(d, rng)
     assert validate(messy) == []
-    assert max_deviation(interpret_sqmdd(messy), interpret_sqmdd(base)) == 0.0
+    assert max_deviation(interpret_sqmdd(messy), interpret_sqmdd(d)) == 0.0
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-def test_scramble_reduces_back(seed):
+@given(seed=st.integers(0, 2**32 - 1), base=BASES)
+def test_scramble_reduces_back(seed, base):
     rng = np.random.default_rng(seed)
-    v = random_vector(rng, 1 + seed % 4)
-    messy = scramble(tree_from_vector(v), rng)
-    got, _ = reduce_diagram(messy)
-    want, _ = reduce_diagram(tree_from_vector(v))
+    d = _scramble_base(rng, base, 1 + seed % 4)
+    got, _ = reduce_diagram(scramble(d, rng))
+    want, _ = reduce_diagram(d)
     assert iso_equal(got, want)
+
+
+def test_every_scramble_move_fires(monkeypatch):
+    """Each inverse move finds its pattern on some reduced random diagram,
+    and the zero form comes back with nodes under its zero scalar."""
+    fired = Counter()
+
+    def counted(move):
+        def run(d, rng):
+            hit = move(d, rng)
+            fired[move.__name__] += hit
+            return hit
+        return run
+
+    moves = ("_inverse_factor", "_inverse_merge", "_inverse_skip", "_inverse_zero_edge")
+    for name in moves:
+        monkeypatch.setattr(zhdd.generate, name, counted(getattr(zhdd.generate, name)))
+    rng = np.random.default_rng(5)
+    for height in range(1, 6):
+        for _ in range(20):
+            scramble(canonical(random_dag(rng, height)), rng)
+    assert all(fired[name] > 0 for name in moves), fired
+    dressed = scramble(zero_form(3), rng)
+    assert dressed.nodes and dressed.scalar == 0 and validate(dressed) == []
 
 
 @given(seed=st.integers(0, 2**32 - 1))

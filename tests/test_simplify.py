@@ -18,6 +18,7 @@ from zhdd.network import (
 )
 from zhdd.oracle import max_deviation
 from zhdd.sugar import expand_sugar
+from zhdd.terms import HBox, ZSpider
 from zhdd.translate import generator_state_sqmdd, sqmdd_to_zh
 
 from conftest import network_from_ports, wired_once, x_fan_in
@@ -35,8 +36,10 @@ def redexes(net: Network) -> set[str]:
     owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
 
     def is_minus_one_pair(i):
-        inst = net.instances[i]
-        return inst.kind == "h" and inst.arity == 2 and inst.label == -1
+        return net.instances[i].kind == HBox(0, 2)
+
+    def is_z(i):
+        return isinstance(net.instances[i].kind, ZSpider)
 
     def far_is_boundary(i, x):
         mine = net.legs[i]
@@ -47,7 +50,7 @@ def redexes(net: Network) -> set[str]:
         if y < x:  # a boundary wire, or a wire seen from its other end
             continue
         b = owner[y]
-        za, zb = (net.instances[i].kind == "z" for i in (a, b))
+        za, zb = is_z(a), is_z(b)
         if a == b and za:
             found.add("z-self-loop")
         elif a != b and za and zb:
@@ -56,9 +59,9 @@ def redexes(net: Network) -> set[str]:
             if not (far_is_boundary(a, x) and far_is_boundary(b, y)):
                 found.add("h-involution")
     for i, inst in enumerate(net.instances):
-        if inst.kind == "z" and inst.arity == 0:
+        if inst.kind == ZSpider(0, 0):
             found.add("closed-copy-scalar")
-        if inst.kind == "z" and inst.arity == 2 and not all(mate[x] < 0 for x in net.legs[i]):
+        if inst.kind == ZSpider(0, 2) and not all(mate[x] < 0 for x in net.legs[i]):
             found.add("z-identity")
     return found
 
@@ -92,9 +95,29 @@ def test_simplify_keeps_emitted_networks(seed, height, fan_in):
     check(flatten_to_network(t if fan_in == "monoid" else x_fan_in(t)))
 
 
+_Z3, _H2 = ZSpider(0, 3), HBox(0, 2)
+REDEX_NETWORKS = {  # one pattern each, as network_from_ports arguments
+    "z-fusion": ([_Z3, _Z3], [((0, 0), (1, 0))], [(0, 1), (0, 2), (1, 1), (1, 2)]),
+    "z-self-loop": ([_Z3], [((0, 0), (0, 1))], [(0, 2)]),
+    "z-identity": ([HBox(0, 1, 2), ZSpider(0, 2)], [((0, 0), (1, 0))], [(1, 1)]),
+    "h-involution": ([_H2, _H2, _Z3], [((0, 1), (1, 0)), ((1, 1), (2, 0))],
+                     [(0, 0), (2, 1), (2, 2)]),
+    "closed-copy-scalar": ([ZSpider(0, 0)], [], []),
+}
+
+
+@pytest.mark.parametrize("rule", list(REDEX_NETWORKS))
+def test_redexes_finds_each_rule(rule):
+    """The positive control of ``redexes``, which every ``check`` asks to
+    find nothing: on a small unsimplified network that holds one pattern,
+    it reports that rule alone, and simplification removes it."""
+    net = network_from_ports(*REDEX_NETWORKS[rule])
+    assert redexes(net) == {rule}
+    check(net)
+
+
 def test_minus_one_ring_is_the_scalar_four():
-    h = ("h", -1 + 0j, 2)
-    net = network_from_ports([h, h], [((0, 0), (1, 0)), ((0, 1), (1, 1))], [])
+    net = network_from_ports([_H2, _H2], [((0, 0), (1, 0)), ((0, 1), (1, 1))], [])
     small = check(net)
     assert small.instances == [] and ldexp_complex(small.scalar, small.exp2) == 4
 
@@ -102,27 +125,25 @@ def test_minus_one_ring_is_the_scalar_four():
 def test_a_boundary_wire_stays_a_spider():
     """A network has no boundary-to-boundary wire, so Z(2) and an H pair
     between two boundary wires stay."""
-    z = network_from_ports([("z", 0j, 2)], [], [(0, 0), (0, 1)])
+    z = network_from_ports([ZSpider(0, 2)], [], [(0, 0), (0, 1)])
     assert check(z) == z
-    h = ("h", -1 + 0j, 2)
-    pair = network_from_ports([h, h], [((0, 1), (1, 0))], [(0, 0), (1, 1)])
+    pair = network_from_ports([_H2, _H2], [((0, 1), (1, 0))], [(0, 0), (1, 1)])
     assert check(pair) == pair
 
 
 def test_kinds_never_change():
     """A one-legged H-box labelled 1 is a one-legged Z, but it stays an
     H-box: as a Z it would fuse into the spider it is wired to."""
-    net = network_from_ports([("h", 1 + 0j, 1), ("z", 0j, 3)], [((0, 0), (1, 0))],
+    net = network_from_ports([HBox(0, 1, 1), ZSpider(0, 3)], [((0, 0), (1, 0))],
                              [(1, 1), (1, 2)])
     assert check(net) == net
 
 
 def test_labels_are_compared_exactly():
     near = 1 + 1e-12 + 0j
-    net = network_from_ports([("h", near, 1), ("z", 0j, 2)], [((0, 0), (1, 0))], [(1, 1)])
+    net = network_from_ports([HBox(0, 1, near), ZSpider(0, 2)], [((0, 0), (1, 0))], [(1, 1)])
     small = check(net)
-    assert [i.kind for i in small.instances] == ["h"]
-    assert small.instances[0].label == near
+    assert [i.kind for i in small.instances] == [HBox(0, 1, near)]
 
 
 def test_simplify_shrinks_the_emitted_z_state():

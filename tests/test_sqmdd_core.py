@@ -276,6 +276,7 @@ def _bad_node(**fields):
     (_bad_node(h=True), "node 2: height must be an integer"),
     (_bad_node(c1=True), 'c1 must be a positive node id or "t", got True'),
     (_bad_node(h=1.0), "node 2: height must be an integer"),
+    (_bad_node(h=0), "invalid diagram: node 2: height must be >= 1, got 0"),
     (_bad_node(w0=[math.nan, 0.0]), "w0 must be finite, got [nan, 0.0]"),
     (_bad_node(w1=[0.0, -math.inf]), "w1 must be finite, got [0.0, -inf]"),
     (_bad_node(w0=[1.0, 0.0, 0.0]), "w0 must be a [re, im] pair, got [1.0, 0.0, 0.0]"),
@@ -298,7 +299,7 @@ def _bad_node(**fields):
      "invalid diagram: root height 2 exceeds diagram height 1"),
     (_diagram_json(_NODE, root="t"),
      "invalid diagram: terminal root with a non-empty node table"),
-], ids=["bool-id", "bool-height", "bool-child", "float-height", "nan-weight",
+], ids=["bool-id", "bool-height", "bool-child", "float-height", "height-0", "nan-weight",
         "infinite-weight", "three-element-weight", "child-0", "child-minus-1",
         "duplicate-id", "missing-key", "dangling-child", "child-not-lower", "orphan",
         "orphan-with-a-child",

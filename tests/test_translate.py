@@ -28,6 +28,7 @@ from zhdd.sqmdd import TERMINAL, Builder, Sqmdd, iso_equal, sqmdd_to_json, valid
 from zhdd.terms import (
     Cap,
     Cup,
+    Gadget,
     Gen,
     HBox,
     Identity,
@@ -37,6 +38,7 @@ from zhdd.terms import (
     NotXSpider,
     SeqNode,
     Swap,
+    WeightBox,
     XSpider,
     ZSpider,
     beside,
@@ -281,6 +283,33 @@ def test_stage_assertions_catch_a_nan(monkeypatch):
         zh_to_sqmdd(t, WIDE)
 
 
+@pytest.mark.parametrize("gen", [
+    Gen(ZSpider(0, 3)), Gen(HBox(0, 3, 2j)), Gen(WeightBox(0.5 + 1j)), Gen(KetOne()),
+    Gen(Gadget()),
+], ids=["z", "h", "weight", "ket1", "gadget"])
+def test_stage_assertions_catch_a_wrong_closed_form(monkeypatch, gen):
+    """The dense stages read each instance's tensor from the oracle or the
+    sugar recipe, never from the builder's closed forms: one kind's closed
+    form with its first leg flipped (for a gadget, its outputs swapped) is
+    caught on a term that holds that kind."""
+    zh_to_sqmdd(gen, WIDE, assert_stages=True)
+    build = zhdd.translate.generator_edge
+    flipped = []
+
+    def wrong(bld, kind, below=TERMINAL, base=0):
+        w, u = build(bld, kind, below, base)
+        if type(kind) is not type(gen.kind):
+            return w, u
+        n = bld.nodes[u]
+        flipped.append(n.height - base)  # the flipped level is the first leg
+        return bld.edge(n.height, (w * n.w1, n.c1), (w * n.w0, n.c0))
+
+    monkeypatch.setattr(zhdd.translate, "generator_edge", wrong)
+    with pytest.raises(AssertionError, match="drifted"):
+        zh_to_sqmdd(gen, WIDE, assert_stages=True)
+    assert flipped == [gen.n_in + gen.n_out]
+
+
 def test_scalar_loops_keep_a_unit_scalar():
     """3,000 components that each denote 1: a loop H-box closed by a cup
     (the scalar 2) beside a 1/2.  The 2s meet the contraction's scalar and
@@ -379,7 +408,7 @@ def test_round_trip_from_canonical(seed):
 
 def test_plan_picks_the_smallest_frontier_then_the_next_component():
     net = network_from_ports(
-        [("z", 0j, 2), ("z", 0j, 3), ("h", -1 + 0j, 1), ("z", 0j, 2)],
+        [ZSpider(0, 2), ZSpider(0, 3), HBox(0, 1), ZSpider(0, 2)],
         [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((3, 0), (3, 1))],
         [(1, 1), (1, 2)],
     )
