@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .config import DEFAULT, Settings
+from .config import DEFAULT, Settings, dense_cap
 from .errors import ShapeError
 from .oracle import interpret_zh, max_deviation
 from .sugar import core_recipe
@@ -344,6 +344,29 @@ def _closed_form(kind: GeneratorKind) -> np.ndarray:
     return interpret_sqmdd(d).reshape(2**n, 2**m).T.copy()
 
 
+def _one_pass_arities() -> List[Tuple[int, int]]:
+    """Every ``(inputs, outputs)`` with at most the default dense cap of
+    wires in all and at most half of it in inputs.  The dense oracle runs
+    a map on its input basis in chunks, and an input count ``n`` above
+    half the cap costs ``2**(2n - cap)`` passes over a full state, so
+    wider inputs are left out."""
+    cap = dense_cap(DEFAULT)
+    return [(n, legs - n) for legs in range(cap + 1) for n in range(min(legs, cap // 2) + 1)]
+
+
+def _closed_form_cases(kinds: Sequence[GeneratorKind]) -> List[Case]:
+    return [(core_recipe(kind), _closed_form(kind)) for kind in kinds]
+
+
+def _monoid_comb(k: int, tooth: ZhTerm = _M2) -> ZhTerm:
+    """The left comb of ``k - 1`` teeth on ``k`` wires: each tooth merges
+    the comb so far with the next wire."""
+    comb = tooth
+    for _ in range(k - 2):
+        comb = seq(par(comb, wires(1)), _M2)
+    return comb
+
+
 def _bld_weight_closed_form(rng: np.random.Generator) -> List[Case]:
     kind = WeightBox(_label(rng))
     return [(core_recipe(kind), _closed_form(kind))]
@@ -630,6 +653,18 @@ def builtin_suite() -> List[Claim]:
         Claim("ket1-closed-form", "sugar core", (
             (core_recipe(KetOne()), _closed_form(KetOne())),
         )),
+        Claim("monoid-closed-form", "sugar core", _closed_form_cases(
+            [MonoidN(n) for n, m in _one_pass_arities() if n and m == 1]
+        )),
+        Claim("x-closed-form", "sugar core", _closed_form_cases(
+            [XSpider(n, m) for n, m in _one_pass_arities()]
+        )),
+        Claim("notx-closed-form", "sugar core", _closed_form_cases(
+            [NotXSpider(n, m) for n, m in _one_pass_arities()]
+        )),
+        Claim("monoid-comb", "sugar core", [
+            (Gen(MonoidN(n)), _monoid_comb(n)) for n, m in _one_pass_arities() if n > 1 and m == 1
+        ]),
         # -- composition primitives
         Claim("cap-from-copy", "composition primitives", (
             (Gen(Cap()), seq(Gen(ZSpider(0, 1)), Gen(ZSpider(1, 2)))),
@@ -713,6 +748,18 @@ def builtin_suite() -> List[Claim]:
         ), expect_fail=True),
         Claim("control-ket1-closed-form-flipped", "negative control", (
             (core_recipe(KetOne()), _closed_form(KetOne())[::-1].copy()),
+        ), expect_fail=True),
+        Claim("control-monoid-closed-form-flipped", "negative control", (
+            (core_recipe(MonoidN(3)), _closed_form(MonoidN(3))[::-1].copy()),
+        ), expect_fail=True),
+        Claim("control-x-closed-form-parity", "negative control", (
+            (core_recipe(XSpider(2, 1)), _closed_form(NotXSpider(2, 1))),
+        ), expect_fail=True),
+        Claim("control-notx-closed-form-parity", "negative control", (
+            (core_recipe(NotXSpider(1, 0)), _closed_form(XSpider(1, 0))),
+        ), expect_fail=True),
+        Claim("control-monoid-comb-xor-tooth", "negative control", (
+            (Gen(MonoidN(3)), _monoid_comb(3, Gen(XSpider(2, 1)))),
         ), expect_fail=True),
     ]
     return claims

@@ -11,13 +11,18 @@ wire: a generator that consumes a wire mates it with one of its own legs.
 A cap and a cup are each a two-legged Z spider instance, as in PyZX
 (Kissinger & van de Wetering, arXiv:1904.04735), so every wire runs from
 one instance leg to another or to the boundary, and closed loops and
-boundary-to-boundary wires need no case of their own.  The fixed-arity
-sugar of the emitted terms stays whole: each routing gadget, weight box
-and |1> is one instance of its own kind, contracted in closed form, as a
-QMDD simulator applies a gate whole.  The variable-arity sugar (monoids,
-X spiders) is expanded on the fly, one :func:`~zhdd.sugar.core_recipe` at
-a time.  The prefactor is kept as a mantissa and a power of two
-(:func:`scaled`), so the many 1/2s of desugaring cannot underflow it.
+boundary-to-boundary wires need no case of their own.  No sugar is
+expanded: each generator is one instance or none.  A routing gadget,
+weight box, |1>, X or NotX spider is one instance of its own kind,
+contracted in closed form, as a QMDD simulator applies a gate whole; a
+``MonoidN(k)`` is the left comb of ``k - 1`` ``MonoidN(2)`` instances.  A
+map's inputs are bent as :func:`~zhdd.duality.to_state_form` bends them,
+a cap each, laid out in place of its swap network.  The prefactor is kept
+as a mantissa and a power of two (:func:`scaled`), so the products of
+many nullary H-boxes cannot underflow it before simplification
+multiplies its 2s back in.  The legs a term's network will hold are
+counted before it is built (:func:`network_legs`), and a term past the
+limit that memory sets (:func:`leg_limit`) is refused.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
 exact ZH rules applied to a fixpoint on a copy of ``mate``: Z spiders
@@ -52,12 +57,15 @@ whose cap bounds the steps' peak width rather than the network's total leg
 count.
 
 A network instance holds the generator it stands for, in state form, as
-a PyZX vertex holds its type.  Z spiders, H-boxes, weight boxes and |1>
-are fully symmetric, so their leg order is bookkeeping; a gadget's legs
-are its control and data inputs, then its two outputs.
+a PyZX vertex holds its type.  Z spiders, H-boxes, weight boxes, |1>, X
+and NotX spiders are fully symmetric, so their leg order is bookkeeping;
+a gadget's legs are its control and data inputs, then its two outputs,
+and a monoid's its inputs, then its output.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -67,27 +75,30 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import DEFAULT, Settings, dense_cap
-from .duality import to_state_form
 from .errors import ResourceLimitError
 from .oracle import generator_matrix, interpret_zh
-from .sugar import CORE_KINDS, core_recipe
+from .sugar import core_recipe
 from .terms import (
-    Gadget,
-    Gen,
+    BraPlus,
+    Cap,
+    Cup,
     GeneratorKind,
     HBox,
     Identity,
-    KetOne,
+    KetPlus,
+    KetZero,
+    MonoidN,
+    NotXSpider,
     Swap,
-    WeightBox,
+    XSpider,
     ZhTerm,
     ZSpider,
     generator_arity,
     placed,
 )
 
-# The fixed-arity sugar kept whole, one instance each.
-WHOLE_SUGAR = (Gadget, WeightBox, KetOne)
+# A bent input's cap, and the tooth of a monoid's comb.
+_CAP, _MONOID2 = ZSpider(0, 2), MonoidN(2)
 # The H-box that ``h-involution`` pairs: two legs, labelled exactly -1.
 _MINUS_ONE_PAIR = HBox(0, 2)
 
@@ -110,9 +121,10 @@ class Network:
     leg ids ``legs[i]``, in leg order; ``mate[x]`` is the leg at the other
     end of leg ``x``'s wire, or ``~k`` when it is boundary wire ``k`` (an
     id that no instance owns any more is never read).  The prefactor is
-    ``scalar * 2**exp2``: desugaring piles up a 1/2 per X spider or AND,
-    and only simplification multiplies the matching 2s back in, so a plain
-    float would underflow on long chains."""
+    ``scalar * 2**exp2``: a term's nullary H-boxes can pile up a factor
+    far below the float range (a 1/2 each in an X spider's recipe) that
+    only simplification's 2s bring back, so a plain float would underflow
+    on long chains."""
 
     instances: list[NetInstance]
     legs: list[tuple[int, ...]]
@@ -135,67 +147,133 @@ def scaled(m: complex, exp2: int, w: complex) -> tuple[complex, int]:
     return ldexp_complex(m, -k), exp2 + k
 
 
-def _core_placed(t: ZhTerm) -> Iterator[tuple[Gen, int]]:
-    """:func:`~zhdd.terms.placed` of ``t`` with its variable-arity sugar
-    expanded: each such generator's core recipe is walked in its place,
-    shifted by its offset.  Core generators and the sugar of
-    :data:`WHOLE_SUGAR` come as they are."""
-    for g, at in placed(t):
-        if isinstance(g.kind, CORE_KINDS) or isinstance(g.kind, WHOLE_SUGAR):
-            yield g, at
-        else:
-            for h, off in _recipe_placed(g.kind):
-                yield h, at + off
+# The memory one network leg takes, at most, from flattening to a finished
+# contraction: 0.6 to 1.6 KB per leg in peak resident memory, measured on
+# Z, H, X and monoid states of 200,000 legs (CPython, 64-bit Linux).
+BYTES_PER_LEG = 2048
 
 
-@lru_cache(maxsize=1024)
-def _recipe_placed(kind: GeneratorKind) -> tuple[tuple[Gen, int], ...]:
-    """``placed(core_recipe(kind))``, built once per kind: an emitted term
-    holds many equal monoids."""
-    return tuple(placed(core_recipe(kind)))
+def network_legs(t: ZhTerm) -> int:
+    """The instance legs that :func:`flatten_to_network` makes of ``t``,
+    at most: two per bent input (its cap), ``3 * (k - 1)`` per
+    ``MonoidN(k)`` (its comb), and each leg of every other generator but
+    an identity or a swap.  Counted on ``t`` itself, so a wide map is
+    measured before it is bent."""
+    total = 2 * t.n_in
+    for g, _ in placed(t):
+        kind = g.kind
+        if isinstance(kind, MonoidN):
+            total += 3 * (kind.inputs - 1)
+        elif not isinstance(kind, (Identity, Swap)):
+            total += g.n_in + g.n_out
+    return total
+
+
+def leg_limit() -> int:
+    """The most legs a network may have: the memory this process may take,
+    over :data:`BYTES_PER_LEG`.  That memory is the host's physical
+    memory, or what is left of the address-space limit (``RLIMIT_AS``)
+    when one is set and lower.  It bounds the network, not the diagrams
+    its contraction builds, whose size depends on what the term denotes;
+    running out of memory there still exits 3 from the CLI."""
+    try:
+        import resource
+
+        page = os.sysconf("SC_PAGE_SIZE")
+        memory = os.sysconf("SC_PHYS_PAGES") * page
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError):  # not a POSIX host: no limit
+        return sys.maxsize
+    if soft != resource.RLIM_INFINITY:
+        try:
+            with open("/proc/self/statm", encoding="ascii") as fh:
+                used = int(fh.read().split()[0]) * page
+        except OSError:  # no procfs: the whole limit
+            used = 0
+        memory = min(memory, soft - used)
+    return max(memory, 0) // BYTES_PER_LEG
 
 
 def flatten_to_network(t: ZhTerm) -> Network:
     """The wiring network of a term.
 
     Maps are bent into state form, so the network's boundary lists the
-    original outputs followed by one wire per original input.  A Z spider,
-    cap or cup on ``k`` legs is the instance ``ZSpider(0, k)`` (a cap and a
-    cup are two-legged Z spiders), so every wire runs from one instance
-    leg to another or to the boundary, and an H-box is ``HBox(0, k,
-    label)``.  A gadget, weight box or |1> is one instance of its own kind,
-    as written, its legs its inputs then its outputs; each other sugar
-    generator is expanded in place, by walking its core recipe at its
-    offset.  A nullary Z or H contributes its scalar directly.  Leg ids
-    are handed out in instance order, each instance's in leg order.
+    original outputs followed by one wire per original input: a
+    ``ZSpider(0, 2)`` cap per input, as :func:`~zhdd.duality.to_state_form`
+    bends it, but without its swap network, which grows with the square
+    of the inputs.  Each generator is one instance or none, read in one pass over
+    :func:`~zhdd.terms.placed`:
+
+    - an identity, a ``MonoidN(1)``, an ``XSpider(1, 1)`` and a swap are
+      plain wires;
+    - a nullary Z, H, X or NotX is its scalar (2, the label, 1 and 0);
+    - a Z spider, cap, cup, |+> or <+| on ``k`` legs is the instance
+      ``ZSpider(0, k)`` (a cap and a cup are two-legged Z spiders), so
+      every wire runs from one instance leg to another or to the
+      boundary; an H-box is ``HBox(0, k, label)``, and a |0> is
+      ``HBox(0, 1, 0)``;
+    - a ``MonoidN(k)`` is the left comb of ``k - 1`` ``MonoidN(2)``
+      instances, its recipe's own comb: one instance of arity ``k + 1``
+      would widen the contraction plan;
+    - every other generator (a gadget, weight box, |1>, X or NotX spider)
+      is one instance of its own kind, as written.
+
+    Each instance's legs are its inputs, then its outputs, and leg ids are
+    handed out in instance order.  Before any of it is built, the term's
+    :func:`network_legs` are checked against :func:`leg_limit`; past it,
+    :class:`ResourceLimitError` is raised.
     """
+    legs_needed, limit = network_legs(t), leg_limit()
+    if legs_needed > limit:
+        raise ResourceLimitError(
+            f"the network would have {legs_needed} legs (the memory limit allows {limit})"
+        )
     instances: list[NetInstance] = []
     legs: list[tuple[int, ...]] = []
     mate: list[int] = []
     scalar, exp2 = 1.0 + 0j, 0
     live: list[int] = []  # the leg at the upper end of each wire, left to right
-    for g, at in _core_placed(to_state_form(t)):
+
+    def add(kind: GeneratorKind, at: int, n: int, m: int) -> None:
+        """Instance ``kind`` with ``n`` inputs at live position ``at`` and
+        ``m`` outputs."""
+        instances.append(NetInstance(kind))
+        x, ins = len(mate), live[at : at + n]
+        legs.append(tuple(range(x, x + n + m)))
+        mate.extend(ins + [0] * m)  # an output leg is mated once its wire ends
+        for p, y in enumerate(ins, x):
+            mate[y] = p
+        live[at : at + n] = range(x + n, x + n + m)
+
+    for _ in range(t.n_in):  # the caps of to_state_form, without its swaps
+        add(_CAP, len(live), 0, 2)
+    bent = live[1::2]  # each cap's second leg, after the outputs
+    del live[1::2]
+    for g, at in placed(t):
         kind, n, m = g.kind, g.n_in, g.n_out
-        if isinstance(kind, Identity):
-            continue
-        if isinstance(kind, Swap):
-            live[at], live[at + 1] = live[at + 1], live[at]
-        elif n + m == 0 and isinstance(kind, HBox):
-            scalar, exp2 = scaled(scalar, exp2, complex(kind.label))
-        elif n + m == 0:  # the Z scalar 2
-            exp2 += 1
-        else:  # a Z spider, H-box, cap, cup or whole sugar generator
-            if isinstance(kind, HBox):
-                kind = HBox(0, n + m, kind.label)
-            elif not isinstance(kind, WHOLE_SUGAR):
-                kind = ZSpider(0, n + m)
-            instances.append(NetInstance(kind))
-            x, ins = len(mate), live[at : at + n]
-            legs.append(tuple(range(x, x + n + m)))
-            mate += ins + [0] * m  # an output leg is mated once its wire ends
-            for p, y in enumerate(ins, x):
-                mate[y] = p
-            live[at : at + n] = range(x + n, x + n + m)
+        match kind:
+            case Swap():
+                live[at], live[at + 1] = live[at + 1], live[at]
+            case Identity() | MonoidN(1) | XSpider(1, 1) | XSpider(0, 0):
+                pass
+            case NotXSpider(0, 0):
+                scalar, exp2 = scaled(scalar, exp2, 0j)
+            case MonoidN(k):
+                for _ in range(k - 1):
+                    add(_MONOID2, at, 2, 1)
+            case ZSpider(0, 0):
+                exp2 += 1
+            case ZSpider() | Cap() | Cup() | KetPlus() | BraPlus():
+                add(ZSpider(0, n + m), at, n, m)
+            case HBox(0, 0, label):
+                scalar, exp2 = scaled(scalar, exp2, complex(label))
+            case HBox(_, _, label):
+                add(HBox(0, n + m, label), at, n, m)
+            case KetZero():
+                add(HBox(0, 1, 0), at, n, m)
+            case _:  # whole sugar: a gadget, weight box, |1>, X or NotX spider
+                add(kind, at, n, m)
+    live += bent
     for k, y in enumerate(live):
         mate[y] = ~k
     return Network(instances, legs, mate, len(live), scalar, exp2)
@@ -216,8 +294,8 @@ def simplify_network(net: Network) -> Network:
       joined by a wire become one wire times 2, and the scalar 4 when they
       close a ring.  A pair between two boundary wires stays.
 
-    Whole sugar instances (gadgets, weight boxes, |1>) take part in no
-    rule.  Labels are compared exactly, not on the weight grid.  Every
+    Sugar instances (gadgets, weight boxes, |1>, monoids, X and NotX
+    spiders) take part in no rule.  Labels are compared exactly, not on the weight grid.  Every
     scalar these rules leave is a power of two, added to ``exp2``.
     Survivors keep their relative order and leg ids; a fused spider takes
     the place of the first one the pass visits.  ``net`` is left as it
@@ -386,14 +464,14 @@ def instance_state(inst: NetInstance, settings: Settings = DEFAULT) -> np.ndarra
     """Dense leg tensor of one instance, flattened (first leg = MSB).
 
     A Z or H state is :func:`~zhdd.oracle.generator_matrix` of its kind,
-    built afresh each time (a 16-legged H state is 1 MB).  A whole sugar
+    built afresh each time (a 16-legged H state is 1 MB).  A sugar
     instance's tensor is its :func:`~zhdd.sugar.core_recipe` under the
     dense interpreter, with the recipe's inputs as its first legs.  The
     builder's closed forms are read by neither, so the dense stages check
     both the contraction and each closed form."""
-    if isinstance(inst.kind, WHOLE_SUGAR):
-        return _sugar_state(inst.kind)
-    return generator_matrix(inst.kind, settings).reshape(-1)
+    if isinstance(inst.kind, (ZSpider, HBox)):
+        return generator_matrix(inst.kind, settings).reshape(-1)
+    return _sugar_state(inst.kind)
 
 
 @lru_cache(maxsize=1024)

@@ -7,13 +7,15 @@ evaluates sugar through independent closed-form matrices, so the equality
 ``interpret(expand_sugar(t)) == interpret(t)`` is a genuine two-route
 check, not a tautology — see tests/test_sugar.py.
 
-The contraction to decision diagrams expands only the sugar whose size
-grows with its arity (monoids, X spiders); it keeps each gadget, weight
-box and |1> whole, as a network instance of its own class, built in a
-closed form of its own (:func:`zhdd.translate.generator_edge`).  The
-recipes here stay the reference for those: the dense stages of a
-contraction read each whole instance's tensor from :func:`core_recipe`,
-and a claim per kind states that the closed form equals its recipe.
+The contraction to decision diagrams expands no sugar: each gadget,
+weight box, |1>, X and NotX spider is a network instance of its own
+class, and each monoid a comb of two-input monoids, built in a closed
+form of its own (:func:`zhdd.translate.generator_edge`); a |0>, |+> and
+<+| become their one-generator recipes.  The recipes here stay the
+reference for those closed forms, and only the referees read them: the
+dense stages of a contraction read each sugar instance's tensor from
+:func:`core_recipe`, and a claim per kind states that the closed form
+equals its recipe.
 
 The constructions (all verified against the interpreter):
 

@@ -4,12 +4,14 @@ Term -> diagram (:func:`zh_to_sqmdd`) never goes through a dense vector:
 the term is flattened to its wiring network, shrunk by the exact rules of
 :func:`~zhdd.network.simplify_network`, and contracted by the steps of
 :func:`~zhdd.network.contraction_steps` on a state kept as a root of unit
-weight.  A one-legged spider/box or |1>, or a two-legged H-box or weight
-box, with one wire to the state is applied where that wire is, in one
-level-walker pass over the levels above it (:func:`apply_in_place`).  Each
-other spider/box, and each routing gadget, weight box or |1> that the
-network keeps whole, is built as a small closed-form diagram directly on
-top of the state (:func:`generator_edge`), and each of its wires is
+weight.  No sugar is expanded on the way: each generator is one network
+instance or none.  A one-legged spider/box, |1> or X/NotX effect, or a
+two-legged H-box, weight box, X or NotX, with one wire to the state is
+applied where that wire is, in one level-walker pass over the levels
+above it (:func:`apply_in_place`).  Each other instance (a spider/box,
+routing gadget, monoid or X spider) is built as a small closed-form
+diagram, O(arity) nodes, directly on top of the state
+(:func:`generator_edge`), and each of its wires is
 closed (a Z merge and a <+| plug, fused into one level-walker pass of
 :func:`~zhdd.algebra.contract_edge`) as soon as both its ends are live,
 so the state never grows past the steps' peak live width.  Each
@@ -84,6 +86,7 @@ from .terms import (
     ParNode,
     Swap,
     WeightBox,
+    XSpider,
     ZSpider,
     ZhTerm,
     beside,
@@ -124,12 +127,17 @@ def generator_edge(
     tensor product, the instance's legs first.
 
     ``ZSpider(0, k)`` and ``HBox(0, k, label)`` take any number of legs.
-    The sugar kept whole has fixed arity, and its closed form is written
-    out here, legs in :func:`~zhdd.network.flatten_to_network`'s order
-    (inputs, then outputs): a weight box is |00> + w|11>, a |1> is itself,
-    and a routing gadget the four one-hot entries |c, d, d and not c, d
-    and c>.  Each equals its :func:`~zhdd.sugar.core_recipe` under the
-    dense interpreter, a claim of :mod:`zhdd.claims`."""
+    Each sugar kind's closed form is written out here, legs in
+    :func:`~zhdd.network.flatten_to_network`'s order (inputs, then
+    outputs), in O(arity) nodes: a weight box is |00> + w|11>, a |1> is
+    itself, a routing gadget the four one-hot entries |c, d, d and not c,
+    d and c>, a ``MonoidN(k)`` two nodes per input level ("no input 1
+    yet" and "exactly one") over its output leg at the lowest level, and
+    an X spider (a ``NotXSpider``) the indicator of even (odd) parity,
+    two nodes per level.  The recipes' scalars are folded in: X(0, 0) is
+    1 and NotX(0, 0) is 0.  Each equals its
+    :func:`~zhdd.sugar.core_recipe` under the dense interpreter, a claim
+    of :mod:`zhdd.claims`."""
     unit = (1.0 + 0j, below)
     zero = (0j, TERMINAL)
     match kind:
@@ -158,6 +166,18 @@ def generator_edge(
             return bld.edge(base + 2, lo, bld.edge(base + 1, zero, (complex(w), below)))
         case KetOne():
             return bld.edge(base + 1, zero, unit)
+        case MonoidN(k):  # inputs from the top, the output y lowest
+            none, one = bld.edge(base + 1, unit, zero), bld.edge(base + 1, zero, unit)
+            for h in range(base + 2, base + k + 1):
+                none, one = bld.edge(h, none, one), bld.edge(h, one, zero)
+            return bld.edge(base + k + 1, none, one)
+        case XSpider(n, m) | NotXSpider(n, m):
+            even, odd = unit, zero  # the legs below have even, odd parity
+            for h in range(base + 1, base + n + m):
+                even, odd = bld.edge(h, even, odd), bld.edge(h, odd, even)
+            if isinstance(kind, NotXSpider):
+                even, odd = odd, even
+            return bld.edge(base + n + m, even, odd) if n + m else even
     raise ShapeError(f"no closed-form state for {kind!r}")
 
 
@@ -170,14 +190,16 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
     ``e``, in one :func:`~zhdd.sqmdd.walker` pass over the levels above it.
 
     With ``e0``, ``e1`` the wire's cofactors and ``a`` the label, a Z
-    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, a |1> ``e1``, and each
-    removes the wire.  A two-legged instance leaves its free leg at height
-    ``h``: an H map is the node ``(e0 + e1, e0 + a*e1)``, a weight box the
-    node ``(e0, a*e1)``.  Every sum is an :func:`~zhdd.algebra.add_edge`,
-    in the builder's sum table.  Each of these instances is symmetric, so
-    which of its legs is wired does not matter.  A gadget (arity 4) never
-    comes here, nor a two-legged Z: ``z-identity`` turns each Z(2) with a
-    wire to another instance into a plain wire.
+    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, an X effect ``e0``,
+    a |1> or NotX effect ``e1``, and each removes the wire.  A two-legged
+    instance leaves its free leg at height ``h``: an H map is the node
+    ``(e0 + e1, e0 + a*e1)``, a weight box the node ``(e0, a*e1)``, an X
+    the node ``(e0, e1)`` and a NotX the node ``(e1, e0)``.  Every sum is
+    an :func:`~zhdd.algebra.add_edge`, in the builder's sum table.  Each
+    of these instances is symmetric, so which of its legs is wired does
+    not matter.  A gadget or monoid (arity 4 and 3) never comes here, nor
+    a two-legged Z: ``z-identity`` turns each Z(2) with a wire to another
+    instance into a plain wire.
     """
     match inst.kind:
         case HBox(0, 1 | 2 as legs, label):
@@ -192,9 +214,18 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
         case ZSpider(0, 1):
             def act(e0: Edge, e1: Edge) -> Edge:
                 return add_edge(bld, e0, e1)
-        case KetOne():
+        case XSpider(0, 1) | XSpider(1, 0):
+            def act(e0: Edge, e1: Edge) -> Edge:
+                return e0
+        case KetOne() | NotXSpider(0, 1) | NotXSpider(1, 0):
             def act(e0: Edge, e1: Edge) -> Edge:
                 return e1
+        case XSpider(0, 2) | XSpider(1, 1) | XSpider(2, 0):
+            def act(e0: Edge, e1: Edge) -> Edge:
+                return bld.edge(h, e0, e1)
+        case NotXSpider(0, 2) | NotXSpider(1, 1) | NotXSpider(2, 0):
+            def act(e0: Edge, e1: Edge) -> Edge:
+                return bld.edge(h, e1, e0)
         case _:
             raise AssertionError(f"no in-place step for {inst.kind!r}")
 

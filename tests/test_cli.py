@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from zhdd.terms import (
     HBox,
     Identity,
     KetPlus,
+    MonoidN,
     XSpider,
     ZSpider,
     par,
@@ -401,6 +403,30 @@ def test_running_out_of_memory_exits_3_at_any_size(write, megabytes):
          "-o", os.devnull], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "resource cap: out of memory\n"
+
+
+@pytest.mark.parametrize("megabytes", [32, 64, 128])
+@pytest.mark.parametrize("obj", [
+    term_to_json(Gen(ZSpider(0, 10**9))), term_to_json(Gen(MonoidN(10**9))),
+], ids=["z-spider", "monoid"])
+def test_unbounded_networks_are_refused_at_any_size(write, obj, megabytes):
+    """to-sqmdd on a generator of 10**9 legs (a monoid's comb has three
+    per input) would fill memory; its network's legs are counted first,
+    and past the limit that the address space leaves it exits 3 at once,
+    whatever the limit."""
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the address space")
+    f = write("wide.json", obj)
+    env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_MEMORY_AS_MAIN, str(megabytes), "to-sqmdd", f,
+         "-o", os.devnull], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource cap: the network would have")
+    assert time.perf_counter() - start < 10
 
 
 def test_empty_identity_bundle_exits_2(write, capsys):

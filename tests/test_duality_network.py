@@ -5,14 +5,16 @@ from hypothesis import example, given, strategies as st
 
 from zhdd.config import Settings
 from zhdd.duality import from_state_form, to_state_form
-from zhdd.errors import ShapeError
+from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term
+import zhdd.network
 from zhdd.network import (
     NetInstance,
     flatten_to_network,
     instance_state,
     ldexp_complex,
     net_interpret,
+    network_legs,
     simplify_network,
 )
 from zhdd.oracle import (
@@ -22,13 +24,19 @@ from zhdd.oracle import (
     max_deviation,
 )
 from zhdd.terms import (
+    BraPlus,
     Cap,
     Cup,
     Gen,
     HBox,
     Identity,
+    KetPlus,
+    KetZero,
+    MonoidN,
+    NotXSpider,
     Swap,
     WeightBox,
+    XSpider,
     ZSpider,
     par,
     seq,
@@ -128,6 +136,67 @@ def test_caps_and_cups_are_two_legged_z_spiders():
     assert loop.mate == [2, 3, 0, 1]
     small = simplify_network(loop)
     assert small.instances == [] and ldexp_complex(small.scalar, small.exp2) == 2
+
+
+@pytest.mark.parametrize("t, kinds, scalar", [
+    (Gen(MonoidN(1)), [ZSpider(0, 2)], 1),
+    (Gen(XSpider(1, 1)), [ZSpider(0, 2)], 1),
+    (Gen(XSpider(0, 0)), [], 1),
+    (Gen(NotXSpider(0, 0)), [], 0),
+    (Gen(KetZero()), [HBox(0, 1, 0)], 1),
+    (Gen(KetPlus()), [ZSpider(0, 1)], 1),
+    (Gen(BraPlus()), [ZSpider(0, 2), ZSpider(0, 1)], 1),
+    (Gen(XSpider(0, 3)), [XSpider(0, 3)], 1),
+    (Gen(NotXSpider(1, 0)), [ZSpider(0, 2), NotXSpider(1, 0)], 1),
+], ids=["monoid1", "x11", "x00", "notx00", "ket0", "ketplus", "braplus", "x03", "notx10"])
+def test_each_generator_is_one_instance_or_none(t, kinds, scalar):
+    """Wires and scalars make no instance, a |0>, |+> or <+| is its core
+    generator, and other sugar is one instance as written (a map's inputs
+    are bent by a ZSpider(0, 2) cap each)."""
+    net = flatten_to_network(t)
+    assert [i.kind for i in net.instances] == kinds
+    assert ldexp_complex(net.scalar, net.exp2) == scalar and wired_once(net)
+
+
+def test_a_monoid_is_a_left_comb_of_pairs():
+    """MonoidN(4) on a state's wires is three MonoidN(2), each taking the
+    one before it and the next wire."""
+    net = flatten_to_network(seq(Gen(ZSpider(0, 4)), Gen(MonoidN(4))))
+    assert [i.kind for i in net.instances] == [ZSpider(0, 4)] + [MonoidN(2)] * 3
+    assert net.legs[1:] == [(4, 5, 6), (7, 8, 9), (10, 11, 12)]
+    assert [net.mate[x] for x in (4, 5, 7, 8, 10, 11, 12)] == [0, 1, 6, 2, 9, 3, ~0]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_map_is_bent_as_its_state_form(seed):
+    """A map's network is the network of its state form: one cap per
+    input, first legs to the map, second legs after its outputs."""
+    t = random_term(np.random.default_rng(seed), max_generators=8, max_boundary=6)
+    assert flatten_to_network(t) == flatten_to_network(to_state_form(t))
+    assert len(flatten_to_network(t).mate) <= network_legs(t)
+
+
+def test_network_legs_count_combs_and_bent_inputs():
+    assert network_legs(Gen(MonoidN(5))) == 3 * 4 + 2 * 5
+    assert network_legs(seq(Gen(ZSpider(0, 2)), Gen(Swap()), Gen(XSpider(2, 1)))) == 5
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(3), 4))
+    assert network_legs(t) == len(flatten_to_network(t).mate)
+
+
+@pytest.mark.parametrize("t", [Gen(ZSpider(0, 10**9)), Gen(MonoidN(10**9))],
+                         ids=["z-spider", "monoid"])
+def test_oversized_networks_are_refused_up_front(t):
+    with pytest.raises(ResourceLimitError, match="legs"):
+        flatten_to_network(t)
+
+
+def test_the_leg_limit_is_a_bound(monkeypatch):
+    t = Gen(ZSpider(0, 40))
+    monkeypatch.setattr(zhdd.network, "leg_limit", lambda: 40)
+    assert len(flatten_to_network(t).mate) == 40
+    monkeypatch.setattr(zhdd.network, "leg_limit", lambda: 39)
+    with pytest.raises(ResourceLimitError):
+        flatten_to_network(t)
 
 
 def test_instance_state_is_flat_leg_tensor():

@@ -12,6 +12,7 @@ from zhdd.duality import to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector
 from zhdd.network import (
+    NetInstance,
     contraction_steps,
     flatten_to_network,
     net_interpret,
@@ -25,6 +26,7 @@ from zhdd.oracle import (
 )
 from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import TERMINAL, Builder, Sqmdd, iso_equal, sqmdd_to_json, validate
+from zhdd.sugar import core_recipe
 from zhdd.terms import (
     Cap,
     Cup,
@@ -244,9 +246,10 @@ def test_stage_assertions_refuse_oversized_networks():
 
 def test_stage_assertions_follow_the_plan():
     """The dense mirror is capped by the plan's peak width, not by the
-    network's leg count, so an emitted 3-qubit diagram is checkable."""
+    network's leg count, so the emitted term of a 10-node, 4-qubit
+    diagram is checkable."""
     settings = Settings(max_qubits=20)
-    d = random_dag(np.random.default_rng(2), 3, settings=settings)
+    d = canonical_from_vector(random_vector(np.random.default_rng(2), 4), settings)
     t = sqmdd_to_zh(d)
     net = flatten_to_network(t)
     assert sum(i.arity for i in net.instances) > 100  # five times the cap
@@ -285,8 +288,8 @@ def test_stage_assertions_catch_a_nan(monkeypatch):
 
 @pytest.mark.parametrize("gen", [
     Gen(ZSpider(0, 3)), Gen(HBox(0, 3, 2j)), Gen(WeightBox(0.5 + 1j)), Gen(KetOne()),
-    Gen(Gadget()),
-], ids=["z", "h", "weight", "ket1", "gadget"])
+    Gen(Gadget()), Gen(MonoidN(2)), Gen(XSpider(2, 1)), Gen(NotXSpider(2, 1)),
+], ids=["z", "h", "weight", "ket1", "gadget", "monoid", "x", "notx"])
 def test_stage_assertions_catch_a_wrong_closed_form(monkeypatch, gen):
     """The dense stages read each instance's tensor from the oracle or the
     sugar recipe, never from the builder's closed forms: one kind's closed
@@ -310,6 +313,42 @@ def test_stage_assertions_catch_a_wrong_closed_form(monkeypatch, gen):
     assert flipped == [gen.n_in + gen.n_out]
 
 
+_OPPOSITE_PARITY = {XSpider: NotXSpider, NotXSpider: XSpider}
+
+
+@pytest.mark.parametrize("gate", [
+    Gen(XSpider(1, 0)), Gen(NotXSpider(1, 0)), Gen(XSpider(0, 2)), Gen(NotXSpider(1, 1)),
+], ids=["x-effect", "notx-effect", "x-two-legged", "notx-two-legged"])
+def test_stage_assertions_catch_a_wrong_in_place_step(monkeypatch, gate):
+    """Each X and NotX case of apply_in_place is caught by the dense
+    stages when it is mutated into the opposite parity's case.  A gate
+    with an input acts on wire 1 of a random state; the cap X(0, 2) is
+    joined to the state's last wire by an H(2, 1) placed before it, so
+    that it too has one wire to the state when it comes."""
+    if gate.n_in:
+        t = seq(_random_h_state(np.random.default_rng(5)), beside(1, gate, 2))
+    else:
+        t = seq(par(_random_h_state(np.random.default_rng(5)), gate),
+                beside(3, Gen(HBox(2, 1, 0.5)), 1))
+    net = simplify_network(flatten_to_network(t))
+    idx = [i.kind for i in net.instances].index(gate.kind)
+    assert next(at for k, at, _ in contraction_steps(net)[0] if k == idx) is not None
+    zh_to_sqmdd(t, WIDE, assert_stages=True)
+    apply = zhdd.translate.apply_in_place
+    mutated = []
+
+    def wrong(bld, inst, e, h):
+        if inst.kind == gate.kind:
+            mutated.append(inst)
+            inst = NetInstance(_OPPOSITE_PARITY[type(gate.kind)](gate.n_in, gate.n_out))
+        return apply(bld, inst, e, h)
+
+    monkeypatch.setattr(zhdd.translate, "apply_in_place", wrong)
+    with pytest.raises(AssertionError, match="drifted"):
+        zh_to_sqmdd(t, WIDE, assert_stages=True)
+    assert mutated
+
+
 def test_scalar_loops_keep_a_unit_scalar():
     """3,000 components that each denote 1: a loop H-box closed by a cup
     (the scalar 2) beside a 1/2.  The 2s meet the contraction's scalar and
@@ -321,14 +360,19 @@ def test_scalar_loops_keep_a_unit_scalar():
 
 
 def test_long_x_spider_chain_keeps_its_prefactor():
-    """Each X(1, 1) desugars to a 1/2 and an H pair that simplifies to a
-    wire times 2.  The 1,200 halves would underflow a plain float before
-    the 2s come back; as a power of two they cancel exactly.  The dense
-    contraction of the raw network meets the same 2**-1200 prefactor
-    against a vector that has grown by 2 per H pair."""
-    t = seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)
-    d = zh_to_sqmdd(t, assert_stages=True)
-    assert max_deviation(interpret_sqmdd(d), [1, 1]) <= 1e-12
+    """An X(1, 1) is a plain wire, so a chain of 1,200 leaves no
+    prefactor.  Spelled out as its core recipe, each link is a 1/2 beside
+    an H pair around a Z(1, 1), which simplifies to a wire times 2.  The
+    1,200 halves would underflow a plain float before the 2s come back;
+    as a power of two they cancel exactly.  The dense contraction of the
+    raw network meets the same 2**-1200 prefactor against a vector that
+    has grown by 2 per H pair."""
+    x_chain = seq(Gen(KetPlus()), *[Gen(XSpider(1, 1))] * 1200)
+    assert flatten_to_network(x_chain).exp2 == 0
+    t = seq(Gen(KetPlus()), *[core_recipe(XSpider(1, 1))] * 1200)
+    for term in (x_chain, t):
+        d = zh_to_sqmdd(term, assert_stages=True)
+        assert max_deviation(interpret_sqmdd(d), [1, 1]) <= 1e-12
     raw = flatten_to_network(t)
     assert raw.exp2 < -1100
     assert max_deviation(net_interpret(raw), [1, 1]) <= 1e-12
@@ -425,7 +469,7 @@ def test_plan_picks_the_smallest_frontier_then_the_next_component():
 @pytest.mark.parametrize("k", [4, 8, 16])
 def test_plan_peak_width_of_emitted_z_states(k):
     """Tensoring everything first would build a state of all legs at once
-    (802 of them for k = 8); the steps' live width stays linear in k."""
+    (190 of them for k = 8); the steps' live width stays linear in k."""
     net = flatten_to_network(sqmdd_to_zh(generator_state_sqmdd("z", k)))
     steps, perm, peak = contraction_steps(net)
     assert sorted(idx for idx, _, _ in steps) == list(range(len(net.instances)))
