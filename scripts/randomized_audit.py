@@ -9,9 +9,14 @@ the library after a change, e.g.
 It exits 1 when any check prints FAIL, and 0 otherwise.
 """
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
+import os
+import signal
+import tempfile
 import time
 import typing
 
@@ -33,13 +38,19 @@ from zhdd import (
     z_merge_outputs,
     zh_to_sqmdd,
 )
+from zhdd import cli
 from zhdd.algebra import canonical, contract_edge
 from zhdd.duality import from_state_form, to_state_form
 from zhdd.errors import ResourceLimitError, ShapeError
 from zhdd.generate import random_dag, random_term, random_vector, scramble, tree_from_vector
 from zhdd.network import flatten_to_network, net_interpret, simplify_network
-from zhdd.oracle import dense_merge_outputs, dense_plug_plus, interpret_zh_state
-from zhdd.sqmdd import TERMINAL, Builder, Node, Sqmdd
+from zhdd.oracle import (
+    dense_merge_outputs,
+    dense_plug_plus,
+    interpret_zh_state,
+    vector_to_json,
+)
+from zhdd.sqmdd import TERMINAL, Builder, Node, Sqmdd, sqmdd_to_json
 from zhdd.terms import (
     Cup,
     Gen,
@@ -445,6 +456,144 @@ def audit_term_json(rng, n, max_h, settings):
     return failures
 
 
+# The commands that read each kind of corpus file; check-equiv compares a
+# mutant with its base.
+_FUZZ_COMMANDS = (
+    ("interpret", "to-sqmdd", "check-equiv"),  # a term
+    ("interpret", "reduce", "to-zh", "export-dot", "check-equiv"),  # a diagram
+    ("canonical", "check-equiv"),  # a vector
+)
+# Keys whose value sizes the work: a diagram's height, a node's level, an
+# arity or an identity bundle's width.
+_SIZE_KEYS = {"height", "h", "inputs", "outputs", "n"}
+FUZZ_MUTANTS_PER_TRIAL = 50
+FUZZ_SECONDS_PER_JOB = 10
+FUZZ_MEMORY_BYTES = 512 << 20  # address space a job may add to the audit's own
+
+
+class JobTimeout(BaseException):
+    """A job ran past its time limit; a BaseException, so that no handler
+    in the CLI takes it for the command's own error."""
+
+
+def mutate(obj, rng):
+    """``obj``, a JSON tree, with one value or key mutated in place (the
+    tree itself may be replaced), and the mutation's name."""
+    box = [obj]
+    slots, stack = [], [box]  # (container, key or index) of every value
+    while stack:
+        x = stack.pop()
+        for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+            slots.append((x, k))
+            if isinstance(v, (dict, list)):
+                stack.append(v)
+    what = ("huge-int", "nan", "wrong-type", "missing-key", "huge-size")[rng.integers(5)]
+    sized = [(x, k) for x, k in slots if k in _SIZE_KEYS]
+    if what == "huge-size" and sized:
+        x, k = sized[rng.integers(len(sized))]
+        x[k] = [10**6, 10**9, 2**40, 2**70][rng.integers(4)]
+        return box[0], f"huge-size {k}={x[k]}"
+    x, k = slots[rng.integers(len(slots))]
+    if what == "missing-key" and x is box:  # the tree itself cannot go
+        what = "wrong-type"
+    if what == "missing-key":
+        del x[k]
+    elif what == "nan":
+        x[k] = [float("nan"), float("inf"), -float("inf")][rng.integers(3)]
+    elif what == "wrong-type":
+        x[k] = ["x", None, True, [], {}, 0.5, [[0, 0]]][rng.integers(7)]
+    else:
+        x[k] = [2**31, 2**63, -(2**63), 10**30, 10**400][rng.integers(5)]
+    return box[0], f"{what} {k!r}"
+
+
+def run_cli(argv):
+    """``cli.main(argv)`` with stderr captured and a time limit: the exit
+    code (None on a timeout) or the exception that escaped, and stderr."""
+    err = io.StringIO()
+
+    def expire(signum, frame):
+        raise JobTimeout
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS_PER_JOB)
+    try:
+        with contextlib.redirect_stderr(err):
+            out = cli.main(argv)
+    except JobTimeout:
+        out = None
+    except Exception as exc:  # an escaped exception is a finding, not a crash
+        out = exc
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    return out, err.getvalue()
+
+
+@contextlib.contextmanager
+def memory_limit(extra):
+    """The process's address space capped ``extra`` bytes past its size;
+    no cap where the host cannot set one."""
+    try:
+        import resource
+
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def audit_cli_fuzz(rng, n, max_h, settings):
+    """Each CLI command that reads a corpus file's kind, in-process, on
+    mutants of corpus JSON (random_term, random_dag and random_vector, one
+    or two values or keys mutated: a huge int, NaN, a wrong type, a missing
+    key, a huge height or arity), FUZZ_MUTANTS_PER_TRIAL per trial, under a
+    per-job time limit and an address-space limit.  A finding is an exit 4, an exception that
+    escapes cli.main, a job past its time limit, or an exit 1 ("not
+    equivalent") from any command but check-equiv."""
+    findings = 0
+    with tempfile.TemporaryDirectory() as work, memory_limit(FUZZ_MEMORY_BYTES):
+        base_path, mutant_path = os.path.join(work, "base.json"), os.path.join(work, "mutant.json")
+        for k in range(FUZZ_MUTANTS_PER_TRIAL * n):
+            if k % 3 == 0:
+                obj = term_to_json(random_term(rng, max_generators=6, max_boundary=4))
+            elif k % 3 == 1:
+                obj = sqmdd_to_json(random_dag(rng, 1 + k % max_h, settings=settings))
+            else:
+                obj = vector_to_json(random_vector(rng, 1 + k % min(max_h, 4)))
+            text = json.dumps(obj)
+            with open(base_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            names = []
+            obj = json.loads(text)
+            for _ in range(1 + (rng.random() < 0.3)):
+                obj, name = mutate(obj, rng)
+                names.append(name)
+            with open(mutant_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(obj))
+            for command in _FUZZ_COMMANDS[k % 3]:
+                files = [mutant_path, base_path] if command == "check-equiv" else [mutant_path]
+                out, err = run_cli([command, *files, "-o", os.devnull])
+                if out in (0, 2, 3) or (out == 1 and command == "check-equiv"):
+                    continue
+                findings += 1
+                if findings <= 5:
+                    got = "timeout" if out is None else f"exit {out!r}"
+                    print(f"    {command} on {', '.join(names)} of {text[:200]}: {got}\n"
+                          f"      {err.strip()[-300:]}")
+    return findings
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=400)
@@ -469,6 +618,7 @@ def main() -> int:
         ("dense-route", audit_dense_route),
         ("builder-edge", audit_builder_edge),
         ("term-json", audit_term_json),
+        ("cli-fuzz", audit_cli_fuzz),
     ]
     print(f"{args.trials} trials per check, heights <= {args.max_height}, "
           f"seed {args.seed}\n")

@@ -1,16 +1,15 @@
 """Operations on diagrams: vector import, tensor, sum, wire surgery.
 
-The operations are edge-level routines ``(bld, edge, ...) -> edge``.  They
-read their input nodes from a :class:`Builder`'s table and write their
-results into the same table, so a chain of them (the contraction in
-:func:`zhdd.translate.zh_to_sqmdd`) shares the builder's unique table and
-sum table, and is packaged once, by :meth:`Builder.finish`.  Each public
-operation on diagrams is a thin wrapper around one routine: a fresh
-builder, an ``import_edge`` of its input(s), the routine, one ``finish``;
-:func:`canonical` is the wrapper with no routine.  The import makes every
-output reduced by construction (given sanely-scaled weights — see the grid
-caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to be reduced;
-the operations only rely on validity.
+The routines that the contraction in :func:`zhdd.translate.zh_to_sqmdd`
+chains are edge-level, ``(bld, edge, ...) -> edge``.  They read their
+input nodes from a :class:`Builder`'s table and write their results into
+the same table, so the chain shares the builder's unique table and sum
+table, and is packaged once, by :meth:`Builder.finish`.  Each public
+operation on diagrams is a fresh builder, an ``import_edge`` of its
+input(s), one routine or walker pass, and one ``finish``.  The import
+makes every output reduced by construction (given sanely-scaled weights —
+see the grid caveats in :mod:`zhdd.sqmdd`), so inputs do **not** have to
+be reduced; the operations only rely on validity.
 
 The wire operations share one level-walker, :func:`zhdd.sqmdd.walker`,
 which the builder's own import also runs.  It visits each node above a
@@ -120,32 +119,10 @@ def add_edge(bld: Builder, ea: Edge, eb: Edge) -> Edge:
 # edge-level operations: inputs and result live in ``bld``'s table
 
 
-def tensor_edge(bld: Builder, top: Edge, bottom: Edge, bottom_height: int) -> Edge:
-    """Kronecker product: ``top``'s nodes are rebuilt ``bottom_height``
-    levels higher, with ``bottom`` in place of the terminal."""
-    return walker(bld, 0, -bottom_height, lambda e0, e1: bottom)(top)
-
-
-def restrict_edge(bld: Builder, e: Edge, height: int, i: int, bit: int) -> Edge:
-    """Fix output wire ``i`` to ``bit``."""
-    return _restrictor(bld, height - i, bit)(e)
-
-
-def merge_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
-    """Keep the entries where the bits of wires ``i < j`` agree; ``j`` goes."""
-    hi = height - i
-    r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
-    return walker(bld, hi, 1, lambda e0, e1: bld.edge(hi - 1, r0(e0), r1(e1)))(e)
-
-
-def plug_edge(bld: Builder, e: Edge, height: int, i: int) -> Edge:
-    """Sum output wire ``i`` out."""
-    return walker(bld, height - i, 1, lambda e0, e1: add_edge(bld, e0, e1))(e)
-
-
 def contract_edge(bld: Builder, e: Edge, height: int, i: int, j: int) -> Edge:
     """Close the wire joining outputs ``i < j``: both go, and the result is
-    ``plug_edge(merge_edge(e, i, j), i)``, computed in one pass."""
+    the :func:`z_merge_outputs` of ``i`` and ``j``, then the
+    :func:`plug_bra_plus` of ``i``, computed in one pass."""
     r0, r1 = (_restrictor(bld, height - j, bit) for bit in (0, 1))
     return walker(bld, height - i, 2, lambda e0, e1: add_edge(bld, r0(e0), r1(e1)))(e)
 
@@ -219,9 +196,11 @@ def add(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
 
 
 def tensor(a: Sqmdd, b: Sqmdd, settings: Settings = DEFAULT) -> Sqmdd:
-    """Kronecker product: ``a`` supplies the upper wires, ``b`` the lower."""
+    """Kronecker product: ``a`` supplies the upper wires, ``b`` the lower;
+    ``a``'s nodes are rebuilt ``b.height`` levels higher, with ``b`` in
+    place of the terminal."""
     bld, ea, eb = _imported(settings, a, b)
-    return bld.finish(tensor_edge(bld, ea, eb, b.height), a.height + b.height)
+    return bld.finish(walker(bld, 0, -b.height, lambda e0, e1: eb)(ea), a.height + b.height)
 
 
 def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -231,7 +210,7 @@ def restrict(d: Sqmdd, i: int, bit: int, settings: Settings = DEFAULT) -> Sqmdd:
     if bit not in (0, 1):
         raise ShapeError(f"bit must be 0 or 1, got {bit!r}")
     bld, e = _imported(settings, d)
-    return bld.finish(restrict_edge(bld, e, d.height, i, bit), d.height - 1)
+    return bld.finish(_restrictor(bld, d.height - i, bit)(e), d.height - 1)
 
 
 def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -243,7 +222,10 @@ def z_merge_outputs(d: Sqmdd, i: int, j: int, settings: Settings = DEFAULT) -> S
             f"need two distinct wires 0 <= i < j < {d.height}, got ({i}, {j})"
         )
     bld, e = _imported(settings, d)
-    return bld.finish(merge_edge(bld, e, d.height, i, j), d.height - 1)
+    hi = d.height - i
+    r0, r1 = (_restrictor(bld, d.height - j, bit) for bit in (0, 1))
+    merged = walker(bld, hi, 1, lambda e0, e1: bld.edge(hi - 1, r0(e0), r1(e1)))(e)
+    return bld.finish(merged, d.height - 1)
 
 
 def plug_bra_plus(d: Sqmdd, i: int, settings: Settings = DEFAULT) -> Sqmdd:
@@ -251,7 +233,8 @@ def plug_bra_plus(d: Sqmdd, i: int, settings: Settings = DEFAULT) -> Sqmdd:
     if not 0 <= i < d.height:
         raise ShapeError(f"wire {i} out of range for height {d.height}")
     bld, e = _imported(settings, d)
-    return bld.finish(plug_edge(bld, e, d.height, i), d.height - 1)
+    plugged = walker(bld, d.height - i, 1, lambda e0, e1: add_edge(bld, e0, e1))(e)
+    return bld.finish(plugged, d.height - 1)
 
 
 def swap_adjacent_levels(d: Sqmdd, k: int, settings: Settings = DEFAULT) -> Sqmdd:

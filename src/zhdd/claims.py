@@ -651,7 +651,7 @@ def builtin_suite() -> List[Claim]:
         )),
         Claim("weight-closed-form", "sugar core", _bld_weight_closed_form),
         Claim("ket1-closed-form", "sugar core", (
-            (core_recipe(KetOne()), _closed_form(KetOne())),
+            (core_recipe(KetOne()), _closed_form(NotXSpider(0, 1))),
         )),
         Claim("monoid-closed-form", "sugar core", _closed_form_cases(
             [MonoidN(n) for n, m in _one_pass_arities() if n and m == 1]
@@ -747,7 +747,7 @@ def builtin_suite() -> List[Claim]:
             (core_recipe(WeightBox(0.5 + 1j)), _closed_form(WeightBox(0.5 - 1j))),
         ), expect_fail=True),
         Claim("control-ket1-closed-form-flipped", "negative control", (
-            (core_recipe(KetOne()), _closed_form(KetOne())[::-1].copy()),
+            (core_recipe(KetOne()), _closed_form(NotXSpider(0, 1))[::-1].copy()),
         ), expect_fail=True),
         Claim("control-monoid-closed-form-flipped", "negative control", (
             (core_recipe(MonoidN(3)), _closed_form(MonoidN(3))[::-1].copy()),

@@ -269,14 +269,12 @@ def _inverse_zero_edge(d: Sqmdd, rng: np.random.Generator) -> bool:
     return True
 
 
-def scramble(
-    d: Sqmdd, rng: np.random.Generator, moves: int = 12, settings: Settings = DEFAULT
-) -> Sqmdd:
+def scramble(d: Sqmdd, rng: np.random.Generator, settings: Settings = DEFAULT) -> Sqmdd:
     """A differently-shaped diagram with exactly the same interpretation.
 
-    Applies a random mix of inverse rewrites; every move is exact (the
-    factors multiply without rounding), so the interpretation is not just
-    close but equal.
+    Applies 12 inverse rewrites, each drawn at random; every move is exact
+    (the factors multiply without rounding), so the interpretation is not
+    just close but equal.
     """
     out = Sqmdd(d.scalar, d.height, d.root, dict(d.nodes))
     if out.root == TERMINAL and out.scalar == 0j and out.height >= 1:
@@ -284,7 +282,7 @@ def scramble(
         base = random_dag(rng, out.height, settings=settings)
         return Sqmdd(0j, out.height, base.root, dict(base.nodes))
     ops = (_inverse_factor, _inverse_merge, _inverse_skip, _inverse_zero_edge)
-    for _ in range(moves):
+    for _ in range(12):
         op = ops[int(rng.integers(len(ops)))]
         op(out, rng)
     return out

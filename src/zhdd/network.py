@@ -13,16 +13,15 @@ A cap and a cup are each a two-legged Z spider instance, as in PyZX
 one instance leg to another or to the boundary, and closed loops and
 boundary-to-boundary wires need no case of their own.  No sugar is
 expanded: each generator is one instance or none.  A routing gadget,
-weight box, |1>, X or NotX spider is one instance of its own kind,
+weight box, X or NotX spider is one instance of its own kind,
 contracted in closed form, as a QMDD simulator applies a gate whole; a
 ``MonoidN(k)`` is the left comb of ``k - 1`` ``MonoidN(2)`` instances.  A
 map's inputs are bent as :func:`~zhdd.duality.to_state_form` bends them,
 a cap each, laid out in place of its swap network.  The prefactor is kept
 as a mantissa and a power of two (:func:`scaled`), so the products of
 many nullary H-boxes cannot underflow it before simplification
-multiplies its 2s back in.  The legs a term's network will hold are
-counted before it is built (:func:`network_legs`), and a term past the
-limit that memory sets (:func:`leg_limit`) is refused.
+multiplies its 2s back in.  Legs are counted as they are made, and a
+term past the limit that memory sets (:func:`leg_limit`) is refused.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
 exact ZH rules applied to a fixpoint on a copy of ``mate``: Z spiders
@@ -57,8 +56,8 @@ whose cap bounds the steps' peak width rather than the network's total leg
 count.
 
 A network instance holds the generator it stands for, in state form, as
-a PyZX vertex holds its type.  Z spiders, H-boxes, weight boxes, |1>, X
-and NotX spiders are fully symmetric, so their leg order is bookkeeping;
+a PyZX vertex holds its type.  Z spiders, H-boxes, weight boxes, X and
+NotX spiders are fully symmetric, so their leg order is bookkeeping;
 a gadget's legs are its control and data inputs, then its two outputs,
 and a monoid's its inputs, then its output.
 """
@@ -85,6 +84,7 @@ from .terms import (
     GeneratorKind,
     HBox,
     Identity,
+    KetOne,
     KetPlus,
     KetZero,
     MonoidN,
@@ -153,29 +153,11 @@ def scaled(m: complex, exp2: int, w: complex) -> tuple[complex, int]:
 BYTES_PER_LEG = 2048
 
 
-def network_legs(t: ZhTerm) -> int:
-    """The instance legs that :func:`flatten_to_network` makes of ``t``,
-    at most: two per bent input (its cap), ``3 * (k - 1)`` per
-    ``MonoidN(k)`` (its comb), and each leg of every other generator but
-    an identity or a swap.  Counted on ``t`` itself, so a wide map is
-    measured before it is bent."""
-    total = 2 * t.n_in
-    for g, _ in placed(t):
-        kind = g.kind
-        if isinstance(kind, MonoidN):
-            total += 3 * (kind.inputs - 1)
-        elif not isinstance(kind, (Identity, Swap)):
-            total += g.n_in + g.n_out
-    return total
-
-
-def leg_limit() -> int:
-    """The most legs a network may have: the memory this process may take,
-    over :data:`BYTES_PER_LEG`.  That memory is the host's physical
-    memory, or what is left of the address-space limit (``RLIMIT_AS``)
-    when one is set and lower.  It bounds the network, not the diagrams
-    its contraction builds, whose size depends on what the term denotes;
-    running out of memory there still exits 3 from the CLI."""
+def usable_memory() -> int:
+    """The bytes this process may take: the host's physical memory, or what
+    is left of the address-space limit (``RLIMIT_AS``) when one is set and
+    lower; ``sys.maxsize`` on a host without these readings.  The one
+    reading behind every up-front size limit."""
     try:
         import resource
 
@@ -191,7 +173,15 @@ def leg_limit() -> int:
         except OSError:  # no procfs: the whole limit
             used = 0
         memory = min(memory, soft - used)
-    return max(memory, 0) // BYTES_PER_LEG
+    return max(memory, 0)
+
+
+def leg_limit() -> int:
+    """The most legs a network may have: :func:`usable_memory` over
+    :data:`BYTES_PER_LEG`.  It bounds the network, not the diagrams its
+    contraction builds, whose size depends on what the term denotes;
+    running out of memory there still exits 3 from the CLI."""
+    return usable_memory() // BYTES_PER_LEG
 
 
 def flatten_to_network(t: ZhTerm) -> Network:
@@ -210,33 +200,36 @@ def flatten_to_network(t: ZhTerm) -> Network:
     - a Z spider, cap, cup, |+> or <+| on ``k`` legs is the instance
       ``ZSpider(0, k)`` (a cap and a cup are two-legged Z spiders), so
       every wire runs from one instance leg to another or to the
-      boundary; an H-box is ``HBox(0, k, label)``, and a |0> is
-      ``HBox(0, 1, 0)``;
+      boundary; an H-box is ``HBox(0, k, label)``, a |0>
+      ``HBox(0, 1, 0)`` and a |1> ``NotXSpider(0, 1)``;
     - a ``MonoidN(k)`` is the left comb of ``k - 1`` ``MonoidN(2)``
       instances, its recipe's own comb: one instance of arity ``k + 1``
       would widen the contraction plan;
-    - every other generator (a gadget, weight box, |1>, X or NotX spider)
-      is one instance of its own kind, as written.
+    - every other generator (a gadget, weight box, X or NotX spider) is
+      one instance of its own kind, as written.
 
     Each instance's legs are its inputs, then its outputs, and leg ids are
-    handed out in instance order.  Before any of it is built, the term's
-    :func:`network_legs` are checked against :func:`leg_limit`; past it,
-    :class:`ResourceLimitError` is raised.
+    handed out in instance order.  Before a generator's legs are made (all
+    the caps at once, a monoid's whole comb), their count is checked
+    against :func:`leg_limit`; past it, :class:`ResourceLimitError` is
+    raised.
     """
-    legs_needed, limit = network_legs(t), leg_limit()
-    if legs_needed > limit:
-        raise ResourceLimitError(
-            f"the network would have {legs_needed} legs (the memory limit allows {limit})"
-        )
+    limit = leg_limit()
     instances: list[NetInstance] = []
     legs: list[tuple[int, ...]] = []
     mate: list[int] = []
     scalar, exp2 = 1.0 + 0j, 0
     live: list[int] = []  # the leg at the upper end of each wire, left to right
 
+    def room(more: int) -> None:
+        if len(mate) + more > limit:
+            raise ResourceLimitError(f"the network would have {len(mate) + more} legs "
+                                     f"(the memory limit allows {limit})")
+
     def add(kind: GeneratorKind, at: int, n: int, m: int) -> None:
         """Instance ``kind`` with ``n`` inputs at live position ``at`` and
         ``m`` outputs."""
+        room(n + m)
         instances.append(NetInstance(kind))
         x, ins = len(mate), live[at : at + n]
         legs.append(tuple(range(x, x + n + m)))
@@ -245,6 +238,7 @@ def flatten_to_network(t: ZhTerm) -> Network:
             mate[y] = p
         live[at : at + n] = range(x + n, x + n + m)
 
+    room(2 * t.n_in)
     for _ in range(t.n_in):  # the caps of to_state_form, without its swaps
         add(_CAP, len(live), 0, 2)
     bent = live[1::2]  # each cap's second leg, after the outputs
@@ -259,6 +253,7 @@ def flatten_to_network(t: ZhTerm) -> Network:
             case NotXSpider(0, 0):
                 scalar, exp2 = scaled(scalar, exp2, 0j)
             case MonoidN(k):
+                room(3 * (k - 1))
                 for _ in range(k - 1):
                     add(_MONOID2, at, 2, 1)
             case ZSpider(0, 0):
@@ -271,7 +266,9 @@ def flatten_to_network(t: ZhTerm) -> Network:
                 add(HBox(0, n + m, label), at, n, m)
             case KetZero():
                 add(HBox(0, 1, 0), at, n, m)
-            case _:  # whole sugar: a gadget, weight box, |1>, X or NotX spider
+            case KetOne():
+                add(NotXSpider(0, 1), at, n, m)
+            case _:  # whole sugar: a gadget, weight box, X or NotX spider
                 add(kind, at, n, m)
     live += bent
     for k, y in enumerate(live):
@@ -294,8 +291,8 @@ def simplify_network(net: Network) -> Network:
       joined by a wire become one wire times 2, and the scalar 4 when they
       close a ring.  A pair between two boundary wires stays.
 
-    Sugar instances (gadgets, weight boxes, |1>, monoids, X and NotX
-    spiders) take part in no rule.  Labels are compared exactly, not on the weight grid.  Every
+    Sugar instances (gadgets, weight boxes, monoids, X and NotX spiders)
+    take part in no rule.  Labels are compared exactly, not on the weight grid.  Every
     scalar these rules leave is a power of two, added to ``exp2``.
     Survivors keep their relative order and leg ids; a fused spider takes
     the place of the first one the pass visits.  ``net`` is left as it

@@ -5,7 +5,7 @@ the term is flattened to its wiring network, shrunk by the exact rules of
 :func:`~zhdd.network.simplify_network`, and contracted by the steps of
 :func:`~zhdd.network.contraction_steps` on a state kept as a root of unit
 weight.  No sugar is expanded on the way: each generator is one network
-instance or none.  A one-legged spider/box, |1> or X/NotX effect, or a
+instance or none.  A one-legged spider/box or X/NotX effect, or a
 two-legged H-box, weight box, X or NotX, with one wire to the state is
 applied where that wire is, in one level-walker pass over the levels
 above it (:func:`apply_in_place`).  Each other instance (a spider/box,
@@ -60,7 +60,7 @@ from typing import Optional
 
 from .algebra import add_edge, contract_edge, permute_edge
 from .config import DEFAULT, Settings
-from .errors import ShapeError
+from .errors import ResourceLimitError, ShapeError
 from .network import (
     NetInstance,
     contraction_steps,
@@ -69,6 +69,7 @@ from .network import (
     ldexp_complex,
     scaled,
     simplify_network,
+    usable_memory,
 )
 from .oracle import interpret_sqmdd, max_deviation
 from .reduction import is_irreducible
@@ -129,15 +130,14 @@ def generator_edge(
     ``ZSpider(0, k)`` and ``HBox(0, k, label)`` take any number of legs.
     Each sugar kind's closed form is written out here, legs in
     :func:`~zhdd.network.flatten_to_network`'s order (inputs, then
-    outputs), in O(arity) nodes: a weight box is |00> + w|11>, a |1> is
-    itself, a routing gadget the four one-hot entries |c, d, d and not c,
-    d and c>, a ``MonoidN(k)`` two nodes per input level ("no input 1
-    yet" and "exactly one") over its output leg at the lowest level, and
-    an X spider (a ``NotXSpider``) the indicator of even (odd) parity,
-    two nodes per level.  The recipes' scalars are folded in: X(0, 0) is
-    1 and NotX(0, 0) is 0.  Each equals its
-    :func:`~zhdd.sugar.core_recipe` under the dense interpreter, a claim
-    of :mod:`zhdd.claims`."""
+    outputs), in O(arity) nodes: a weight box is |00> + w|11>, a routing
+    gadget the four one-hot entries |c, d, d and not c, d and c>, a
+    ``MonoidN(k)`` two nodes per input level ("no input 1 yet" and
+    "exactly one") over its output leg at the lowest level, and an X
+    spider (a ``NotXSpider``) the indicator of even (odd) parity, two
+    nodes per level.  The recipes' scalars are folded in: X(0, 0) is 1
+    and NotX(0, 0) is 0.  Each equals its :func:`~zhdd.sugar.core_recipe`
+    under the dense interpreter, a claim of :mod:`zhdd.claims`."""
     unit = (1.0 + 0j, below)
     zero = (0j, TERMINAL)
     match kind:
@@ -164,8 +164,6 @@ def generator_edge(
         case WeightBox(w):
             lo = bld.edge(base + 1, unit, zero)
             return bld.edge(base + 2, lo, bld.edge(base + 1, zero, (complex(w), below)))
-        case KetOne():
-            return bld.edge(base + 1, zero, unit)
         case MonoidN(k):  # inputs from the top, the output y lowest
             none, one = bld.edge(base + 1, unit, zero), bld.edge(base + 1, zero, unit)
             for h in range(base + 2, base + k + 1):
@@ -191,7 +189,7 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
 
     With ``e0``, ``e1`` the wire's cofactors and ``a`` the label, a Z
     effect is ``e0 + e1``, an H effect ``e0 + a*e1``, an X effect ``e0``,
-    a |1> or NotX effect ``e1``, and each removes the wire.  A two-legged
+    a NotX effect ``e1``, and each removes the wire.  A two-legged
     instance leaves its free leg at height ``h``: an H map is the node
     ``(e0 + e1, e0 + a*e1)``, a weight box the node ``(e0, a*e1)``, an X
     the node ``(e0, e1)`` and a NotX the node ``(e1, e0)``.  Every sum is
@@ -217,7 +215,7 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
         case XSpider(0, 1) | XSpider(1, 0):
             def act(e0: Edge, e1: Edge) -> Edge:
                 return e0
-        case KetOne() | NotXSpider(0, 1) | NotXSpider(1, 0):
+        case NotXSpider(0, 1) | NotXSpider(1, 0):
             def act(e0: Edge, e1: Edge) -> Edge:
                 return e1
         case XSpider(0, 2) | XSpider(1, 1) | XSpider(2, 0):
@@ -354,6 +352,12 @@ class _Assembler:
         return seq(*self.rows)
 
 
+# The peak memory one emitted generator takes, from emission through the
+# CLI's JSON text: about 1.0 KB, measured on diagrams with no nodes of
+# height 20,000 to 80,000 (CPython, 64-bit Linux).
+BYTES_PER_GENERATOR = 1024
+
+
 def sqmdd_to_zh(d: Sqmdd) -> ZhTerm:
     """A term denoting exactly the diagram's vector (scalar included).
 
@@ -363,10 +367,23 @@ def sqmdd_to_zh(d: Sqmdd) -> ZhTerm:
     postselected on "path arrived".  Each level's nodes are laid out in
     their depth-first preorder from the root (:func:`~zhdd.sqmdd.preorder`),
     so the term is a function of the diagram, not of its node ids.
+
+    Before anything is emitted, a lower bound on the term's generators
+    (``3H + 4``, and four more per node) is checked against
+    :func:`~zhdd.network.usable_memory` over :data:`BYTES_PER_GENERATOR`;
+    past it, :class:`~zhdd.errors.ResourceLimitError` is raised.
     """
     problems = validate(d)
     if problems:
         raise ShapeError("cannot translate invalid diagram: " + "; ".join(problems))
+    # each level's state row holds 3 generators but the top one's 2, and the
+    # scalar, the |1> feed and the terminal's two rows 6: 3H + 5, or 4 at
+    # H = 0; each node adds its fan-in, gadget and two weight boxes
+    least, limit = 3 * d.height + 4 + 4 * len(d.nodes), usable_memory() // BYTES_PER_GENERATOR
+    if least > limit:
+        raise ResourceLimitError(
+            f"the term would have at least {least} generators (the memory limit allows {limit})"
+        )
     asm = _Assembler()
     serial = count()
 

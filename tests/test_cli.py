@@ -386,21 +386,32 @@ runpy.run_module("zhdd.cli", run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("megabytes", [32, 64, 128])
-def test_running_out_of_memory_exits_3_at_any_size(write, megabytes):
-    """to-zh on a terminal-only diagram of height 2**70 emits generators
-    until memory runs out.  Formatting the error while its frames still
-    held that memory used to raise a second MemoryError, which escaped as
-    exit 1, "inequivalent"; it exits 3 whatever the limit."""
+def _run_in_small_memory(write, megabytes, command, obj):
+    """``command`` on ``obj`` as ``python -m zhdd.cli`` under an address-space
+    limit ``megabytes`` past its size once zhdd is imported: the process
+    and its wall time in seconds."""
     pytest.importorskip("resource")
     if not os.path.exists("/proc/self/statm"):
         pytest.skip("needs /proc/self/statm to size the address space")
-    f = write("tall.json", {"scalar": [1, 0], "height": 2**70, "root": "t", "nodes": []})
+    f = write("input.json", obj)
     env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", _SMALL_MEMORY_AS_MAIN, str(megabytes), "to-zh", f,
+        [sys.executable, "-c", _SMALL_MEMORY_AS_MAIN, str(megabytes), command, f,
          "-o", os.devnull], capture_output=True, text=True, env=env, timeout=120)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("megabytes", [32, 64, 128])
+def test_running_out_of_memory_exits_3_at_any_size(write, megabytes):
+    """to-sqmdd on 100 disjoint 3-legged Z states passes every up-front
+    limit, and its final permutation builds until memory runs out.
+    Formatting the error while its frames still held that memory used to
+    raise a second MemoryError, which escaped as exit 1, "inequivalent";
+    it exits 3 whatever the limit."""
+    obj = term_to_json(par(*[Gen(ZSpider(0, 3))] * 100))
+    proc, _ = _run_in_small_memory(write, megabytes, "to-sqmdd", obj)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "resource cap: out of memory\n"
 
@@ -408,25 +419,29 @@ def test_running_out_of_memory_exits_3_at_any_size(write, megabytes):
 @pytest.mark.parametrize("megabytes", [32, 64, 128])
 @pytest.mark.parametrize("obj", [
     term_to_json(Gen(ZSpider(0, 10**9))), term_to_json(Gen(MonoidN(10**9))),
-], ids=["z-spider", "monoid"])
+    term_to_json(Gen(ZSpider(10**9, 0))),
+], ids=["z-spider", "monoid", "bent-map"])
 def test_unbounded_networks_are_refused_at_any_size(write, obj, megabytes):
     """to-sqmdd on a generator of 10**9 legs (a monoid's comb has three
-    per input) would fill memory; its network's legs are counted first,
-    and past the limit that the address space leaves it exits 3 at once,
-    whatever the limit."""
-    pytest.importorskip("resource")
-    if not os.path.exists("/proc/self/statm"):
-        pytest.skip("needs /proc/self/statm to size the address space")
-    f = write("wide.json", obj)
-    env = {**os.environ, "PYTHONPATH": str(Path(zhdd.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _SMALL_MEMORY_AS_MAIN, str(megabytes), "to-sqmdd", f,
-         "-o", os.devnull], capture_output=True, text=True, env=env, timeout=120)
+    per input, a bent input's cap two) would fill memory; its legs are
+    counted before they are made, and past the limit that the address
+    space leaves it exits 3 at once, whatever the limit."""
+    proc, seconds = _run_in_small_memory(write, megabytes, "to-sqmdd", obj)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource cap: the network would have")
-    assert time.perf_counter() - start < 10
+    assert seconds < 10
+
+
+@pytest.mark.parametrize("megabytes", [32, 64, 128])
+def test_unbounded_emission_is_refused_at_any_size(write, megabytes):
+    """to-zh on a diagram with no nodes of height 2**70 would emit 3H + 5
+    generators until memory runs out; that count is known before any is
+    emitted, and past the limit it exits 3 at once, whatever the limit."""
+    obj = {"scalar": [1, 0], "height": 2**70, "root": "t", "nodes": []}
+    proc, seconds = _run_in_small_memory(write, megabytes, "to-zh", obj)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource cap: the term would have at least")
+    assert seconds < 10
 
 
 def test_empty_identity_bundle_exits_2(write, capsys):

@@ -14,7 +14,6 @@ from zhdd.network import (
     instance_state,
     ldexp_complex,
     net_interpret,
-    network_legs,
     simplify_network,
 )
 from zhdd.oracle import (
@@ -30,6 +29,7 @@ from zhdd.terms import (
     Gen,
     HBox,
     Identity,
+    KetOne,
     KetPlus,
     KetZero,
     MonoidN,
@@ -144,14 +144,16 @@ def test_caps_and_cups_are_two_legged_z_spiders():
     (Gen(XSpider(0, 0)), [], 1),
     (Gen(NotXSpider(0, 0)), [], 0),
     (Gen(KetZero()), [HBox(0, 1, 0)], 1),
+    (Gen(KetOne()), [NotXSpider(0, 1)], 1),
     (Gen(KetPlus()), [ZSpider(0, 1)], 1),
     (Gen(BraPlus()), [ZSpider(0, 2), ZSpider(0, 1)], 1),
     (Gen(XSpider(0, 3)), [XSpider(0, 3)], 1),
     (Gen(NotXSpider(1, 0)), [ZSpider(0, 2), NotXSpider(1, 0)], 1),
-], ids=["monoid1", "x11", "x00", "notx00", "ket0", "ketplus", "braplus", "x03", "notx10"])
+], ids=["monoid1", "x11", "x00", "notx00", "ket0", "ket1", "ketplus", "braplus", "x03",
+        "notx10"])
 def test_each_generator_is_one_instance_or_none(t, kinds, scalar):
     """Wires and scalars make no instance, a |0>, |+> or <+| is its core
-    generator, and other sugar is one instance as written (a map's inputs
+    generator, a |1> is NotXSpider(0, 1), and other sugar is one instance as written (a map's inputs
     are bent by a ZSpider(0, 2) cap each)."""
     net = flatten_to_network(t)
     assert [i.kind for i in net.instances] == kinds
@@ -172,19 +174,37 @@ def test_a_map_is_bent_as_its_state_form(seed):
     """A map's network is the network of its state form: one cap per
     input, first legs to the map, second legs after its outputs."""
     t = random_term(np.random.default_rng(seed), max_generators=8, max_boundary=6)
-    assert flatten_to_network(t) == flatten_to_network(to_state_form(t))
-    assert len(flatten_to_network(t).mate) <= network_legs(t)
+    net = flatten_to_network(t)
+    assert net == flatten_to_network(to_state_form(t))
+    assert_leg_limit_is_met_exactly(t, len(net.mate))
+
+
+def assert_leg_limit_is_met_exactly(t, legs):
+    """``t`` flattens to ``legs`` legs under a limit of exactly ``legs``,
+    and is refused under one leg less."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zhdd.network, "leg_limit", lambda: legs)
+        assert len(flatten_to_network(t).mate) == legs
+        mp.setattr(zhdd.network, "leg_limit", lambda: legs - 1)
+        with pytest.raises(ResourceLimitError, match="the network would have"):
+            flatten_to_network(t)
 
 
 def test_network_legs_count_combs_and_bent_inputs():
-    assert network_legs(Gen(MonoidN(5))) == 3 * 4 + 2 * 5
-    assert network_legs(seq(Gen(ZSpider(0, 2)), Gen(Swap()), Gen(XSpider(2, 1)))) == 5
+    """Legs are counted as they are made: three per tooth of a monoid's
+    comb, two per bent input's cap, and each leg of every other instance;
+    a limit of exactly that many lets the term through."""
+    assert_leg_limit_is_met_exactly(Gen(MonoidN(5)), 3 * 4 + 2 * 5)
+    assert_leg_limit_is_met_exactly(Gen(HBox(3, 1, 2j)), 2 * 3 + 4)
+    assert_leg_limit_is_met_exactly(
+        seq(Gen(ZSpider(0, 2)), Gen(Swap()), Gen(XSpider(2, 1))), 2 + 3)
     t = sqmdd_to_zh(random_dag(np.random.default_rng(3), 4))
-    assert network_legs(t) == len(flatten_to_network(t).mate)
+    assert_leg_limit_is_met_exactly(t, len(flatten_to_network(t).mate))
 
 
-@pytest.mark.parametrize("t", [Gen(ZSpider(0, 10**9)), Gen(MonoidN(10**9))],
-                         ids=["z-spider", "monoid"])
+@pytest.mark.parametrize("t", [
+    Gen(ZSpider(0, 10**9)), Gen(MonoidN(10**9)), Gen(ZSpider(10**9, 0)),
+], ids=["z-spider", "monoid", "bent-map"])
 def test_oversized_networks_are_refused_up_front(t):
     with pytest.raises(ResourceLimitError, match="legs"):
         flatten_to_network(t)

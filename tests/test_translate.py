@@ -149,6 +149,24 @@ def test_emitted_sizes():
         assert _counts(sqmdd_to_zh(_SHAPES["terminal-only"](h))) <= (3 * h + 8, 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_emission_is_refused_only_past_its_size(monkeypatch, seed):
+    """sqmdd_to_zh refuses a diagram whose term would not fit in memory
+    before it emits anything, by a lower bound on its generators: memory
+    for exactly the term's generators lets it through, and memory for
+    3H + 3 refuses a diagram with no nodes (3H + 5 generators)."""
+    d = random_dag(np.random.default_rng(seed), 1 + seed)
+    nothing = _SHAPES["terminal-only"](1 + seed)
+    per = zhdd.translate.BYTES_PER_GENERATOR
+    for e in (d, nothing):
+        gens = _counts(sqmdd_to_zh(e))[0]
+        monkeypatch.setattr(zhdd.translate, "usable_memory", lambda: gens * per)
+        assert _counts(sqmdd_to_zh(e))[0] == gens
+    monkeypatch.setattr(zhdd.translate, "usable_memory", lambda: (3 * nothing.height + 3) * per)
+    with pytest.raises(ResourceLimitError, match="the term would have at least"):
+        sqmdd_to_zh(nothing)
+
+
 def _rows(chain):
     """The rows of a left-folded ``seq`` chain, first row first."""
     rows = []
@@ -292,16 +310,18 @@ def test_stage_assertions_catch_a_nan(monkeypatch):
 ], ids=["z", "h", "weight", "ket1", "gadget", "monoid", "x", "notx"])
 def test_stage_assertions_catch_a_wrong_closed_form(monkeypatch, gen):
     """The dense stages read each instance's tensor from the oracle or the
-    sugar recipe, never from the builder's closed forms: one kind's closed
-    form with its first leg flipped (for a gadget, its outputs swapped) is
-    caught on a term that holds that kind."""
+    sugar recipe, never from the builder's closed forms: the closed form of
+    the kind that ``gen`` flattens to (a |1> is NotXSpider(0, 1)) with its
+    first leg flipped (for a gadget, its outputs swapped) is caught on a
+    term that holds ``gen``."""
     zh_to_sqmdd(gen, WIDE, assert_stages=True)
     build = zhdd.translate.generator_edge
+    target = type(flatten_to_network(gen).instances[-1].kind)  # after any caps
     flipped = []
 
     def wrong(bld, kind, below=TERMINAL, base=0):
         w, u = build(bld, kind, below, base)
-        if type(kind) is not type(gen.kind):
+        if type(kind) is not target:
             return w, u
         n = bld.nodes[u]
         flipped.append(n.height - base)  # the flipped level is the first leg
