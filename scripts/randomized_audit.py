@@ -88,7 +88,7 @@ def verdict(out, eps: float) -> tuple[str, bool]:
 def audit_translation(rng, n, max_h, settings):
     worst = 0.0
     for k in range(n):
-        d = random_dag(rng, 1 + k % max_h, settings=settings)
+        d = random_dag(rng, 1 + k % max_h)
         got = interpret_zh(sqmdd_to_zh(d), settings).reshape(-1)
         worst = worst_of(worst, max_deviation(got, interpret_sqmdd(d, settings)))
     return worst
@@ -99,7 +99,7 @@ def audit_round_trip(rng, n, max_h, settings):
     Builder re-import)."""
     failures = 0
     for k in range(n):
-        d = random_dag(rng, 1 + k % max_h, settings=settings)
+        d = random_dag(rng, 1 + k % max_h)
         want = canonical(d, settings)
         if not iso_equal(zh_to_sqmdd(sqmdd_to_zh(d), settings), want, settings):
             failures += 1
@@ -122,7 +122,7 @@ def audit_emit_relabel(rng, n, max_h, settings):
     ids.  Up to three nodes per level, so a relabelling often reorders one."""
     mismatches = 0
     for k in range(n):
-        d = canonical(random_dag(rng, 1 + k % max_h, 3, settings), settings)
+        d = canonical(random_dag(rng, 1 + k % max_h, 3), settings)
         mismatches += sqmdd_to_zh(relabelled(d, rng)) != sqmdd_to_zh(d)
     return mismatches
 
@@ -170,7 +170,7 @@ def audit_emit_layout(rng, n, max_h, settings):
     layout_faults)."""
     faults = 0
     for k in range(n):
-        d = random_dag(rng, 1 + k % max_h, settings=settings)
+        d = random_dag(rng, 1 + k % max_h)
         faults += layout_faults(sqmdd_to_zh(d).right)
     return faults
 
@@ -209,7 +209,7 @@ def audit_canonical_agreement(rng, n, max_h, settings):
         if k % 2:
             d = scramble(tree_from_vector(random_vector(rng, h)), rng)
         else:
-            d = random_dag(rng, h, settings=settings)
+            d = random_dag(rng, h)
         got = canonical(d, settings)
         want = reduce_diagram(d, settings)[0]
         if not (is_irreducible(got, settings) and iso_equal(got, want, settings)):
@@ -300,7 +300,7 @@ def audit_network_simplify(rng, n, max_h, settings):
         if k % 2:
             t = random_term(rng, max_generators=10, max_boundary=7)
         else:
-            d = random_dag(rng, 1 + (k // 2) % min(max_h, 3), settings=settings)
+            d = random_dag(rng, 1 + (k // 2) % min(max_h, 3))
             t = sqmdd_to_zh(d)
         net = flatten_to_network(t)
         try:
@@ -336,7 +336,7 @@ def audit_primitives(rng, n, max_h, settings):
     worst = 0.0
     for k in range(n):
         h = 2 + k % (max_h - 1)
-        d = random_dag(rng, h, settings=settings)
+        d = random_dag(rng, h)
         v = interpret_sqmdd(d, settings)
         i = int(rng.integers(h - 1))
         j = int(rng.integers(i + 1, h))
@@ -388,7 +388,7 @@ def audit_builder_edge(rng, n, max_h, settings):
     failures = 0
     for k in range(n):
         h = 2 + k % (max_h - 1)
-        d = random_dag(rng, h, settings=settings)
+        d = random_dag(rng, h)
         bld = Builder(settings)
         bld.import_edge(d, (d.scalar, d.root))
         for _ in range(20):
@@ -568,7 +568,7 @@ def audit_cli_fuzz(rng, n, max_h, settings):
             if k % 3 == 0:
                 obj = term_to_json(random_term(rng, max_generators=6, max_boundary=4))
             elif k % 3 == 1:
-                obj = sqmdd_to_json(random_dag(rng, 1 + k % max_h, settings=settings))
+                obj = sqmdd_to_json(random_dag(rng, 1 + k % max_h))
             else:
                 obj = vector_to_json(random_vector(rng, 1 + k % min(max_h, 4)))
             text = json.dumps(obj)

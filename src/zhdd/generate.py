@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT, Settings
 from .sqmdd import TERMINAL, Node, Sqmdd, is_zero_weight, preorder
 from .terms import (
     Cap,
@@ -88,12 +87,7 @@ def shared_cofactor_vector(rng: np.random.Generator, height: int) -> np.ndarray:
 # random diagrams
 
 
-def random_dag(
-    rng: np.random.Generator,
-    height: int,
-    max_per_level: int = 2,
-    settings: Settings = DEFAULT,
-) -> Sqmdd:
+def random_dag(rng: np.random.Generator, height: int, max_per_level: int = 2) -> Sqmdd:
     """A random valid diagram: sparse levels, near-level children, mixed
     palette/gaussian weights, occasional exact-zero edges."""
     if height == 0:
@@ -126,7 +120,7 @@ def random_dag(
 
             w0, c0 = pick_child()
             w1, c1 = pick_child()
-            if is_zero_weight(w0, settings) and is_zero_weight(w1, settings):
+            if is_zero_weight(w0) and is_zero_weight(w1):
                 w1, c1 = 1 + 0j, TERMINAL  # avoid an all-zero node
             nodes[next_id] = Node(h, w0, c0, w1, c1)
             ids.append(next_id)
@@ -269,7 +263,7 @@ def _inverse_zero_edge(d: Sqmdd, rng: np.random.Generator) -> bool:
     return True
 
 
-def scramble(d: Sqmdd, rng: np.random.Generator, settings: Settings = DEFAULT) -> Sqmdd:
+def scramble(d: Sqmdd, rng: np.random.Generator) -> Sqmdd:
     """A differently-shaped diagram with exactly the same interpretation.
 
     Applies 12 inverse rewrites, each drawn at random; every move is exact
@@ -279,7 +273,7 @@ def scramble(d: Sqmdd, rng: np.random.Generator, settings: Settings = DEFAULT) -
     out = Sqmdd(d.scalar, d.height, d.root, dict(d.nodes))
     if out.root == TERMINAL and out.scalar == 0j and out.height >= 1:
         # dress up the zero form: arbitrary structure under a zero scalar
-        base = random_dag(rng, out.height, settings=settings)
+        base = random_dag(rng, out.height)
         return Sqmdd(0j, out.height, base.root, dict(base.nodes))
     ops = (_inverse_factor, _inverse_merge, _inverse_skip, _inverse_zero_edge)
     for _ in range(12):

@@ -24,18 +24,17 @@ multiplies its 2s back in.  Legs are counted as they are made, and a
 term past the limit that memory sets (:func:`leg_limit`) is refused.
 
 :func:`simplify_network` shrinks a network before it is contracted, with
-exact ZH rules applied to a fixpoint on a copy of ``mate``: Z spiders
-joined by a wire fuse (``z-fusion``), a Z self-loop goes (``z-self-loop``;
-a Z left with no legs is the scalar 2, ``closed-copy-scalar``), a
-two-legged Z is a wire (``z-identity``), and two two-legged H-boxes
-labelled -1 on one wire are a wire times 2 (``h-involution``).  This is
-the spider-fusion step of PyZX's ``spider_simp``, restricted to rules of
-the ZH-calculus (Backens & Kissinger, arXiv:1805.02175); each rule is a
-claim of :mod:`zhdd.claims`.  It turns the Z(2)s of caps and cups into
-plain wires, the scalar 2 of a loop, or the spider between two boundary
-wires.  No rule changes an instance's kind: a one-legged H-box labelled 1
-stays an H-box, since as a Z it would fuse into its neighbour and widen
-the contraction.
+the exact Z rules of the ZH-calculus applied to a fixpoint on a copy of
+``mate``: Z spiders joined by a wire fuse (``z-fusion``), a Z self-loop
+goes (``z-self-loop``; a Z left with no legs is the scalar 2,
+``closed-copy-scalar``), and a two-legged Z is a wire (``z-identity``).
+This is the spider-fusion step of PyZX's ``spider_simp``, restricted to
+rules of the ZH-calculus (Backens & Kissinger, arXiv:1805.02175); each
+rule is a claim of :mod:`zhdd.claims`.  It turns the Z(2)s of caps and
+cups into plain wires, the scalar 2 of a loop, or the spider between two
+boundary wires.  Every other instance is left as it is, and no rule
+changes an instance's kind: a one-legged H-box labelled 1 stays an H-box,
+since as a Z it would fuse into its neighbour and widen the contraction.
 
 :func:`contraction_steps` orders a network's instances and turns the
 order into steps on a list of live legs, in one pass: greedy minimum
@@ -99,8 +98,6 @@ from .terms import (
 
 # A bent input's cap, and the tooth of a monoid's comb.
 _CAP, _MONOID2 = ZSpider(0, 2), MonoidN(2)
-# The H-box that ``h-involution`` pairs: two legs, labelled exactly -1.
-_MINUS_ONE_PAIR = HBox(0, 2)
 
 
 @dataclass(frozen=True)
@@ -277,7 +274,7 @@ def flatten_to_network(t: ZhTerm) -> Network:
 
 
 def simplify_network(net: Network) -> Network:
-    """An equal network with the patterns of four exact rules removed.
+    """An equal network with the patterns of three exact Z rules removed.
 
     One worklist pass over a copy of ``net.mate`` reaches the fixpoint of:
 
@@ -286,17 +283,13 @@ def simplify_network(net: Network) -> Network:
       with no legs multiplies the scalar by 2 (``closed-copy-scalar``);
     - ``z-identity``: a two-legged Z becomes a plain wire, unless both its
       legs are boundary wires (a network has no boundary-to-boundary
-      wire);
-    - ``h-involution``: two two-legged H-boxes labelled exactly -1 and
-      joined by a wire become one wire times 2, and the scalar 4 when they
-      close a ring.  A pair between two boundary wires stays.
+      wire).
 
-    Sugar instances (gadgets, weight boxes, monoids, X and NotX spiders)
-    take part in no rule.  Labels are compared exactly, not on the weight grid.  Every
-    scalar these rules leave is a power of two, added to ``exp2``.
-    Survivors keep their relative order and leg ids; a fused spider takes
-    the place of the first one the pass visits.  ``net`` is left as it
-    was.
+    Every other instance (H-boxes and sugar: gadgets, weight boxes,
+    monoids, X and NotX spiders) takes part in no rule.  Every scalar these
+    rules leave is a power of two, added to ``exp2``.  Survivors keep their
+    relative order and leg ids; a fused spider takes the place of the first
+    one the pass visits.  ``net`` is left as it was.
     """
     inst, n = net.instances, len(net.instances)
     legs: list[list[int] | None] = [list(ls) for ls in net.legs]  # None once gone
@@ -313,39 +306,10 @@ def simplify_network(net: Network) -> Network:
                 mate[u] = v
                 todo.append(owner[u])
 
-    def h_pair(i: int) -> int:
-        """Apply ``h-involution`` at H-box ``i``; the power of two it
-        leaves, 0 when it finds no partner."""
-        mine = legs[i]
-        for x in mine:
-            y = mate[x]
-            if y < 0 or owner[y] == i:
-                continue
-            j = owner[y]
-            theirs = legs[j]
-            if inst[j].kind != _MINUS_ONE_PAIR:
-                continue
-            far_i, far_j = mine[mine[0] == x], theirs[theirs[0] == y]
-            a, b = mate[far_i], mate[far_j]
-            if a == far_j:  # the pair closes a ring: the scalar 4
-                k = 2
-            elif a < 0 and b < 0:
-                continue
-            else:
-                k = 1
-                join(a, b)
-            legs[i] = legs[j] = None
-            return k
-        return 0
-
     while todo:
         i = todo.pop()
         mine = legs[i]
-        if mine is None:
-            continue
-        if not isinstance(inst[i].kind, ZSpider):  # no rule rewrites whole sugar
-            if inst[i].kind == _MINUS_ONE_PAIR:
-                exp2 += h_pair(i)
+        if mine is None or not isinstance(inst[i].kind, ZSpider):  # no rule rewrites it
             continue
         k = 0
         while k < len(mine):  # legs appended by a fusion are scanned too

@@ -8,13 +8,14 @@ construction; sequential mismatches raise :class:`~zhdd.errors.ShapeError`
 immediately rather than at interpretation time.
 
 Generators come in two layers.  The core layer (Z spiders, H boxes,
-identity, swap, cap, cup) is what the dense interpreter and the network
-flattener are defined on.  The sugar layer (X spiders, the exactly-one-hot
-monoid, the two-bit routing gadget, weight boxes, basis kets, plus
-bra/ket) expands into the core via :func:`zhdd.sugar.expand_sugar`; each
-sugar generator also has a closed-form matrix so interpretation does not
-depend on the expansion being right — that independence is what the
-sugar-invariance tests lean on.
+identity, swap, cap, cup) is the ZH-calculus proper.  The sugar layer (X
+spiders, the exactly-one-hot monoid, the two-bit routing gadget, weight
+boxes, basis kets, plus bra/ket) expands into the core via
+:func:`zhdd.sugar.expand_sugar`; each sugar generator also has a
+closed-form matrix so interpretation does not depend on the expansion
+being right — that independence is what the sugar-invariance tests lean
+on.  The dense interpreter and the network flattener both take every
+generator whole, sugar included.
 
 Each generator kind is a frozen dataclass whose fields are its parameters.
 One table maps JSON names to kinds and records the nine fixed arities, and

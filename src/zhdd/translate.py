@@ -48,10 +48,10 @@ depend on how the generators are grouped into rows: generators set beside
 each other act on disjoint wires, and taking them left to right means the
 same.
 
-Emission and read-back are exact and take no settings.  The routines
-that build in a :class:`~zhdd.sqmdd.Builder` (the contraction, the
-generator states) read ``eps`` as its weight grid; ``max_qubits`` caps
-only the dense mirror of ``assert_stages``.
+Emission and read-back are exact and take no settings, and the generator
+states of :func:`generator_state_sqmdd` are built on the default weight
+grid.  The contraction reads ``eps`` as its builder's weight grid;
+``max_qubits`` caps only the dense mirror of ``assert_stages``.
 """
 from __future__ import annotations
 
@@ -103,12 +103,7 @@ from .terms import (
 # closed-form generator states
 
 
-def generator_state_sqmdd(
-    tag: str,
-    legs: int,
-    label: Optional[complex] = None,
-    settings: Settings = DEFAULT,
-) -> Sqmdd:
+def generator_state_sqmdd(tag: str, legs: int, label: Optional[complex] = None) -> Sqmdd:
     """The reduced diagram of the Z state ("z") or H-box state ("h", with
     ``label``, default -1) on ``legs`` legs."""
     if tag not in ("z", "h"):
@@ -116,7 +111,7 @@ def generator_state_sqmdd(
     if legs < 0:
         raise ShapeError(f"negative leg count {legs}")
     kind = ZSpider(0, legs) if tag == "z" else HBox(0, legs, -1 if label is None else label)
-    bld = Builder(settings)
+    bld = Builder()
     return bld.finish(generator_edge(bld, kind), legs)
 
 
@@ -188,11 +183,12 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
     ``e``, in one :func:`~zhdd.sqmdd.walker` pass over the levels above it.
 
     With ``e0``, ``e1`` the wire's cofactors and ``a`` the label, a Z
-    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, an X effect ``e0``,
-    a NotX effect ``e1``, and each removes the wire.  A two-legged
-    instance leaves its free leg at height ``h``: an H map is the node
-    ``(e0 + e1, e0 + a*e1)``, a weight box the node ``(e0, a*e1)``, an X
-    the node ``(e0, e1)`` and a NotX the node ``(e1, e0)``.  Every sum is
+    effect is ``e0 + e1``, an H effect ``e0 + a*e1``, and each removes the
+    wire.  A two-legged instance leaves its free leg at height ``h``: an H
+    map is the node ``(e0 + e1, e0 + a*e1)`` and a weight box the node
+    ``(e0, a*e1)``.  An X and a NotX are one case, by parity, as in
+    :func:`generator_edge`: a NotX swaps ``e0`` and ``e1``, then an effect
+    is ``e0`` and a map the node ``(e0, e1)``.  Every sum is
     an :func:`~zhdd.algebra.add_edge`, in the builder's sum table.  Each
     of these instances is symmetric, so which of its legs is wired does
     not matter.  A gadget or monoid (arity 4 and 3) never comes here, nor
@@ -212,18 +208,11 @@ def apply_in_place(bld: Builder, inst: NetInstance, e: Edge, h: int) -> Edge:
         case ZSpider(0, 1):
             def act(e0: Edge, e1: Edge) -> Edge:
                 return add_edge(bld, e0, e1)
-        case XSpider(0, 1) | XSpider(1, 0):
-            def act(e0: Edge, e1: Edge) -> Edge:
-                return e0
-        case NotXSpider(0, 1) | NotXSpider(1, 0):
-            def act(e0: Edge, e1: Edge) -> Edge:
-                return e1
-        case XSpider(0, 2) | XSpider(1, 1) | XSpider(2, 0):
-            def act(e0: Edge, e1: Edge) -> Edge:
-                return bld.edge(h, e0, e1)
-        case NotXSpider(0, 2) | NotXSpider(1, 1) | NotXSpider(2, 0):
-            def act(e0: Edge, e1: Edge) -> Edge:
-                return bld.edge(h, e1, e0)
+        case XSpider(n, m) | NotXSpider(n, m) if n + m <= 2:
+            def act(e0: Edge, e1: Edge, odd: bool = isinstance(inst.kind, NotXSpider)) -> Edge:
+                if odd:
+                    e0, e1 = e1, e0
+                return e0 if n + m == 1 else bld.edge(h, e0, e1)
         case _:
             raise AssertionError(f"no in-place step for {inst.kind!r}")
 

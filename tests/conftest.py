@@ -1,5 +1,6 @@
 import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -70,6 +71,29 @@ def rngs() -> st.SearchStrategy[np.random.Generator]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xDD)
+
+
+SCRAMBLE_MOVES = ("_inverse_factor", "_inverse_merge", "_inverse_skip", "_inverse_zero_edge")
+
+
+@pytest.fixture
+def scramble_moves(monkeypatch):
+    """A Counter of how often each inverse move of ``scramble`` (keyed by
+    its name in :data:`SCRAMBLE_MOVES`) finds its pattern during the test."""
+    import zhdd.generate
+
+    fired = Counter()
+
+    def counted(move):
+        def run(d, rng):
+            hit = move(d, rng)
+            fired[move.__name__] += hit
+            return hit
+        return run
+
+    for name in SCRAMBLE_MOVES:
+        monkeypatch.setattr(zhdd.generate, name, counted(getattr(zhdd.generate, name)))
+    return fired
 
 
 def relabelled(d, rng):

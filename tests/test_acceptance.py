@@ -57,7 +57,7 @@ def test_criterion_1_translation_soundness(capsys):
     rng = np.random.default_rng(101)
     for k in range(200):
         h = 1 + k % 6
-        d = random_dag(rng, h, settings=S)
+        d = random_dag(rng, h)
         t = sqmdd_to_zh(d)
         got = interpret_zh(t, S).reshape(-1)
         want = interpret_sqmdd(d, S)
@@ -124,7 +124,7 @@ def _rule_instance(rule: str, rng) -> Sqmdd:
         roll = rng.random()
         if roll < 0.4:
             # an exactly-zero scalar over arbitrary live structure
-            d = random_dag(rng, 1 + int(rng.integers(3)), settings=S)
+            d = random_dag(rng, 1 + int(rng.integers(3)))
             return Sqmdd(0j, d.height, d.root, dict(d.nodes))
         if roll < 0.7:
             # grid-zero (but nonzero) scalar; keep the structure weights
@@ -153,7 +153,7 @@ def _rule_instance(rule: str, rng) -> Sqmdd:
             2: Node(2, 0j, 1, v, 1),  # zero-weight edge into a live node
         })
     if rule == "r4":
-        d = random_dag(rng, 1 + int(rng.integers(3)), settings=S)
+        d = random_dag(rng, 1 + int(rng.integers(3)))
         orphan_id = max(d.nodes, default=0) + 1
         nodes = dict(d.nodes)
         nodes[orphan_id] = Node(1, 1 + 0j, TERMINAL, w, TERMINAL)
@@ -246,7 +246,7 @@ def test_criterion_7_contraction_primitives(capsys):
     rng = np.random.default_rng(707)
     for k in range(200):
         h = 2 + k % 5
-        d = random_dag(rng, h, settings=S)
+        d = random_dag(rng, h)
         vec = interpret_sqmdd(d, S)
         i = int(rng.integers(h - 1))
         j = int(rng.integers(i + 1, h))

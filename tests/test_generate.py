@@ -1,11 +1,8 @@
 """Random-instance generators: the guarantees the rest of the suite
 leans on (validity, exactness, budget limits)."""
-from collections import Counter
-
 import numpy as np
 from hypothesis import given, strategies as st
 
-import zhdd.generate
 from zhdd.algebra import canonical
 from zhdd.generate import (
     random_dag,
@@ -19,6 +16,8 @@ from zhdd.oracle import interpret_sqmdd, max_deviation
 from zhdd.reduction import is_irreducible, reduce_diagram
 from zhdd.sqmdd import iso_equal, validate, zero_form
 from zhdd.terms import Gen, Identity, ParNode, SeqNode, Swap
+
+from conftest import SCRAMBLE_MOVES
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -64,26 +63,14 @@ def test_scramble_reduces_back(seed, base):
     assert iso_equal(got, want)
 
 
-def test_every_scramble_move_fires(monkeypatch):
+def test_every_scramble_move_fires(scramble_moves):
     """Each inverse move finds its pattern on some reduced random diagram,
     and the zero form comes back with nodes under its zero scalar."""
-    fired = Counter()
-
-    def counted(move):
-        def run(d, rng):
-            hit = move(d, rng)
-            fired[move.__name__] += hit
-            return hit
-        return run
-
-    moves = ("_inverse_factor", "_inverse_merge", "_inverse_skip", "_inverse_zero_edge")
-    for name in moves:
-        monkeypatch.setattr(zhdd.generate, name, counted(getattr(zhdd.generate, name)))
     rng = np.random.default_rng(5)
     for height in range(1, 6):
         for _ in range(20):
             scramble(canonical(random_dag(rng, height)), rng)
-    assert all(fired[name] > 0 for name in moves), fired
+    assert all(scramble_moves[name] > 0 for name in SCRAMBLE_MOVES), scramble_moves
     dressed = scramble(zero_form(3), rng)
     assert dressed.nodes and dressed.scalar == 0 and validate(dressed) == []
 

@@ -68,7 +68,7 @@ WIDE = Settings(max_qubits=24)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_emitted_term_denotes_the_diagram(seed):
     rng = np.random.default_rng(seed)
-    d = random_dag(rng, 1 + seed % 6, settings=WIDE)
+    d = random_dag(rng, 1 + seed % 6)
     t = sqmdd_to_zh(d)
     assert t.n_in == 0 and t.n_out == d.height
     got = interpret_zh(t, WIDE).reshape(-1)
@@ -79,7 +79,7 @@ def test_emitted_term_denotes_the_diagram(seed):
 def test_read_back_inverts_emission(seed):
     """to-zh output is structured enough to parse right back."""
     rng = np.random.default_rng(seed)
-    d = reduce_diagram(random_dag(rng, 1 + seed % 5, settings=WIDE), WIDE)[0]
+    d = reduce_diagram(random_dag(rng, 1 + seed % 5), WIDE)[0]
     t = sqmdd_to_zh(d)
     back = sqmdd_read_back(t)
     assert iso_equal(back, d)
@@ -93,7 +93,7 @@ def test_read_back_inverts_emission_in_both_fan_in_modes(mode):
     rng = np.random.default_rng(3)
     refused = 0
     for k in range(30):
-        d = canonical(random_dag(rng, 1 + k % 6, settings=WIDE), WIDE)
+        d = canonical(random_dag(rng, 1 + k % 6), WIDE)
         t = sqmdd_to_zh(d)
         if mode == "monoid" or x_fan_in(t) == t:
             assert iso_equal(sqmdd_read_back(t), d)
@@ -112,7 +112,7 @@ def test_read_back_inverts_emission_in_both_fan_in_modes(mode):
 def test_emission_does_not_depend_on_node_ids(seed, relabel):
     """Each level is laid out by the nodes' place in the diagram, so a
     relabelled copy emits the very same term."""
-    d = canonical(random_dag(np.random.default_rng(seed), 1 + seed % 6, settings=WIDE), WIDE)
+    d = canonical(random_dag(np.random.default_rng(seed), 1 + seed % 6), WIDE)
     assert sqmdd_to_zh(relabelled(d, np.random.default_rng(relabel))) == sqmdd_to_zh(d)
 
 
@@ -182,7 +182,7 @@ def test_read_back_does_not_depend_on_row_grouping(seed):
     one ``par`` row, act on disjoint wires, so they mean what the two rows
     did, and the parse reads them the same way."""
     rng = np.random.default_rng(seed)
-    d = canonical(random_dag(rng, 1 + seed % 4, settings=WIDE), WIDE)
+    d = canonical(random_dag(rng, 1 + seed % 4), WIDE)
     t = sqmdd_to_zh(d)
     boot, first_level, *rest = _rows(t.right)
     fused = par(t.left, seq(par(first_level.left, boot), *rest))
@@ -194,7 +194,7 @@ def test_read_back_does_not_depend_on_row_grouping(seed):
 _SCALAR = Gen(HBox(0, 0, 1))
 _BOOT_TO_TERMINAL = seq(Gen(KetOne()), Gen(MonoidN(1)), Gen(NotXSpider(1, 0)))
 _LEVEL_CHAIN = sqmdd_to_zh(  # the emitted layer chain of a height-2 diagram
-    canonical(random_dag(np.random.default_rng(5), 2, settings=WIDE), WIDE)
+    canonical(random_dag(np.random.default_rng(5), 2), WIDE)
 ).right
 
 
@@ -400,7 +400,7 @@ def test_long_x_spider_chain_keeps_its_prefactor():
 
 def test_contraction_runs_on_one_builder(monkeypatch):
     """Every tensor and closed wire shares one unique table."""
-    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE))
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4))
     made = []
     init = Builder.__init__
 
@@ -530,7 +530,7 @@ def test_in_place_steps_are_the_one_wire_instances(monkeypatch):
     """On an emitted diagram, exactly the instances of arity at most 2 with
     one wire to a placed instance are applied in place, and every other
     wire to a placed instance is closed by one contract_edge."""
-    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4, settings=WIDE))
+    t = sqmdd_to_zh(random_dag(np.random.default_rng(4), 4))
     net = simplify_network(flatten_to_network(t))
     steps, _, _ = contraction_steps(net)
     owner = {x: i for i, mine in enumerate(net.legs) for x in mine}
@@ -572,7 +572,7 @@ def test_contraction_is_deterministic(source):
     if source == "term":
         t = random_term(rng, max_generators=10, max_boundary=6)
     else:
-        t = sqmdd_to_zh(random_dag(rng, 4, settings=WIDE))
+        t = sqmdd_to_zh(random_dag(rng, 4))
     net = flatten_to_network(t)
     assert contraction_steps(net) == contraction_steps(flatten_to_network(t))
     first, second = (json.dumps(sqmdd_to_json(zh_to_sqmdd(t, WIDE))) for _ in range(2))
